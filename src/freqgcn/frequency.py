@@ -130,8 +130,8 @@ class BinSpec:
     threshold: float = 3.0
 
     def __post_init__(self):
-        if not self.c > 1.0:
-            raise ValueError(f"growth parameter c must exceed 1, got {self.c}")
+        if not (self.c > 1.0 and math.isfinite(self.c)):
+            raise ValueError(f"growth parameter c must be finite and exceed 1, got {self.c}")
         if self.f0 != 1.0:
             raise ValueError("first bin width f0 is fixed at 1")
         if self.threshold != 3.0:
@@ -287,10 +287,10 @@ def read_features_csv(path: str | Path) -> tuple[FrequencyFeatures, BinSpec]:
     if meta.get("format") != "freqgcn-features" or meta.get("version") != 1:
         raise FormatError(f"unrecognized feature sidecar {meta_file}")
     n, b = meta["num_joints"], meta["num_bins"]
-    data = np.full((n, b, len(CHANNELS)), np.nan)
     lines = path.read_text("utf-8").splitlines()
     if not lines or lines[0] != "joint,bin,channel,value":
         raise FormatError(f"{path.name}: expected header 'joint,bin,channel,value'")
+    cells: dict[tuple[int, int, int], float] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -302,9 +302,26 @@ def read_features_csv(path: str | Path) -> tuple[FrequencyFeatures, BinSpec]:
             ch = CHANNELS.index(label)
         except ValueError:
             raise FormatError(f"{path.name}:{lineno}: unknown channel {label!r}") from None
-        data[int(joint), int(bin_idx), ch] = float(value)
-    if np.isnan(data).any():
+        try:
+            i, k, v = int(joint), int(bin_idx), float(value)
+        except ValueError:
+            raise FormatError(f"{path.name}:{lineno}: malformed row {line!r}") from None
+        if not (0 <= i < n and 0 <= k < b):
+            raise FormatError(
+                f"{path.name}:{lineno}: (joint {i}, bin {k}) outside {n} joints x {b} bins"
+            )
+        if not math.isfinite(v):
+            raise FormatError(f"{path.name}:{lineno}: non-finite value {value!r}")
+        if (i, k, ch) in cells:
+            raise FormatError(
+                f"{path.name}:{lineno}: duplicate row for joint {i}, bin {k}, channel {label}"
+            )
+        cells[i, k, ch] = v
+    data = np.zeros((n, b, len(CHANNELS)))
+    if len(cells) != data.size:
         raise FormatError(f"{path.name}: missing rows for some (joint, bin, channel) cells")
+    joints, bins, channels = np.array(list(cells)).T
+    data[joints, bins, channels] = list(cells.values())
     features = FrequencyFeatures(
         data=data, bin_edges=tuple(meta["bin_edges"]), fps=float(meta["fps"])
     )

@@ -3,12 +3,13 @@
 A feature graph has one node per (bin, joint) pair. Two edge families:
 same-bin copies of every skeleton edge, and a chain linking consecutive
 bins of each joint. Graph convolutions run on the symmetric-normalized
-adjacency with self loops.
+adjacency with self loops, applied through the graph's product structure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -184,16 +185,24 @@ def read_topology(path: str | Path) -> SkeletonTopology:
 
 @dataclass(frozen=True, eq=False)
 class FeatureGraph:
-    """Adjacency over L = B*N (bin, joint) nodes plus its normalized form."""
+    """Bins-by-joints graph over L = B*N nodes, joint-major.
+
+    The graph is the Cartesian product of the skeleton and a path over the
+    bins, A = A_skel (x) I_B + I_N (x) A_path, so D^-1/2 (A + I) D^-1/2 is
+    applied by :meth:`propagate` without forming an L x L matrix. The dense
+    ``adjacency`` and ``normalized`` forms are built on first access only,
+    as the reference the structured operator is tested against.
+    """
 
     topology: SkeletonTopology
     num_bins: int
-    adjacency: np.ndarray
-    normalized: np.ndarray
+    joint_operator: np.ndarray  # (N, N) skeleton adjacency plus identity
+    bin_operator: np.ndarray  # (B, B) path adjacency over the bins
+    scale: np.ndarray  # (N, B, 1) inverse square-root degree, self loop included
 
     @property
     def num_nodes(self) -> int:
-        return self.adjacency.shape[0]
+        return self.topology.num_joints * self.num_bins
 
     def node_index(self, b: int, i: int) -> int:
         """Bijection (bin b, joint i) -> [0, L); joint-major layout."""
@@ -201,32 +210,62 @@ class FeatureGraph:
             raise IndexError(f"(bin {b}, joint {i}) outside graph")
         return i * self.num_bins + b
 
+    def propagate(self, x: np.ndarray) -> np.ndarray:
+        """Normalized adjacency times node features: ``normalized @ x`` for x of shape (L, C).
+
+        With Y = s * X the product is s * ((A_skel + I) Y over joints +
+        A_path Y over bins). The operator is symmetric, so the same call
+        serves the backward pass.
+        """
+        n, b = self.topology.num_joints, self.num_bins
+        y = self.scale * x.reshape(n, b, -1)
+        out = np.matmul(self.bin_operator, y)
+        out += (self.joint_operator @ y.reshape(n, -1)).reshape(y.shape)
+        out *= self.scale
+        return out.reshape(x.shape)
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """Dense L x L adjacency: same-bin skeleton edges plus the bin chain per joint."""
+        n, num_bins = self.topology.num_joints, self.num_bins
+        length = num_bins * n
+        a = np.zeros((length, length), dtype=np.float64)
+
+        def node(b: int, i: int) -> int:
+            return i * num_bins + b
+
+        for b in range(num_bins):
+            for i, j in self.topology.edges:
+                a[node(b, i), node(b, j)] = 1.0
+                a[node(b, j), node(b, i)] = 1.0
+        for i in range(n):
+            for b in range(num_bins - 1):
+                a[node(b, i), node(b + 1, i)] = 1.0
+                a[node(b + 1, i), node(b, i)] = 1.0
+        return a
+
+    @cached_property
+    def normalized(self) -> np.ndarray:
+        """Dense D^-1/2 (A + I) D^-1/2, the oracle for :meth:`propagate`."""
+        return normalize_adjacency(self.adjacency)
+
 
 def build_feature_graph(topology: SkeletonTopology, num_bins: int) -> FeatureGraph:
     """Connect same-bin skeleton edges and the low-to-high bin chain per joint."""
     if num_bins < 1:
         raise ValueError(f"num_bins must be >= 1, got {num_bins}")
     n = topology.num_joints
-    length = num_bins * n
-    a = np.zeros((length, length), dtype=np.float64)
-
-    def node(b: int, i: int) -> int:
-        return i * num_bins + b
-
-    for b in range(num_bins):
-        for i, j in topology.edges:
-            a[node(b, i), node(b, j)] = 1.0
-            a[node(b, j), node(b, i)] = 1.0
-    for i in range(n):
-        for b in range(num_bins - 1):
-            a[node(b, i), node(b + 1, i)] = 1.0
-            a[node(b + 1, i), node(b, i)] = 1.0
-
+    joint_operator = np.eye(n)
+    for i, j in topology.edges:
+        joint_operator[i, j] = joint_operator[j, i] = 1.0
+    bin_operator = np.eye(num_bins, k=1) + np.eye(num_bins, k=-1)
+    degree = joint_operator.sum(axis=1)[:, None] + bin_operator.sum(axis=1)[None, :]
     return FeatureGraph(
         topology=topology,
         num_bins=num_bins,
-        adjacency=a,
-        normalized=normalize_adjacency(a),
+        joint_operator=joint_operator,
+        bin_operator=bin_operator,
+        scale=(1.0 / np.sqrt(degree))[:, :, None],
     )
 
 

@@ -271,12 +271,11 @@ def model_forward(
     # (N, B, C) rows land at node index i*B + b, matching FeatureGraph.node_index.
     x = gated.reshape(n * b, model.in_channels)
 
-    a_hat = model.graph.normalized
     layer_inputs = [x]
     aggregated = []
     pre_relu = []
     for layer in model.layers:
-        p = a_hat @ layer_inputs[-1]
+        p = model.graph.propagate(layer_inputs[-1])
         zl = p @ layer.weight
         aggregated.append(p)
         pre_relu.append(zl)
@@ -364,12 +363,11 @@ def backward(cache: ForwardCache, label_onehot: np.ndarray) -> Gradients:
     d_x = np.tile(d_pooled / length, (length, 1))
 
     # GCN layers, last to first. A_hat is symmetric so A_hat.T @ v = A_hat @ v.
-    a_hat = model.graph.normalized
     d_layers: list[np.ndarray] = [None] * model.num_layers
     for l in range(model.num_layers - 1, -1, -1):
         d_pre = d_x * (cache.pre_relu[l] > 0.0)
         d_layers[l] = cache.aggregated[l].T @ d_pre
-        d_x = a_hat @ (d_pre @ model.layers[l].weight.T)
+        d_x = model.graph.propagate(d_pre @ model.layers[l].weight.T)
 
     # Gating G = B * alpha * h.
     d_gated = d_x.reshape(n, b, model.in_channels)
@@ -462,16 +460,17 @@ def load_model(path: str | Path) -> Model:
         num_bins = int(expect_key("bins"))
         bin_c = float(expect_key("bin-c"))
         widths = tuple(int(v) for v in expect_key("channels").split())
+        if len(names) != num_joints:
+            raise ModelMismatchError(f"{len(names)} joint names for {num_joints} joints")
+        if len(widths) < 2:
+            raise ModelMismatchError(f"channels {widths} need an input and one layer width")
+        topology = SkeletonTopology(
+            num_joints=num_joints, edges=tuple(edges), root=root, neck=neck,
+            names=names, name=topo_name,
+        )
+        spec = BinSpec(c=bin_c, num_bins=num_bins)
     except (ValueError, ModelMismatchError) as exc:
         raise ModelMismatchError(f"{path.name}: malformed header: {exc}") from exc
-
-    if len(names) != num_joints:
-        raise ModelMismatchError(f"{path.name}: {len(names)} joint names for {num_joints} joints")
-    topology = SkeletonTopology(
-        num_joints=num_joints, edges=tuple(edges), root=root, neck=neck,
-        names=names, name=topo_name,
-    )
-    spec = BinSpec(c=bin_c, num_bins=num_bins)
 
     params: dict[str, np.ndarray] = {}
     while True:
@@ -481,13 +480,16 @@ def load_model(path: str | Path) -> Model:
         parts = line.split()
         if len(parts) != 4 or parts[0] != "param":
             raise ModelMismatchError(f"{path.name}: expected a param block, found {line!r}")
-        name, rows, cols = parts[1], int(parts[2]), int(parts[3])
+        name = parts[1]
         try:
+            rows, cols = int(parts[2]), int(parts[3])
             mat = np.array(
                 [[float(v) for v in take().split()] for _ in range(rows)], dtype=np.float64
             )
         except ValueError as exc:
             raise ModelMismatchError(f"{path.name}: bad values in param {name}: {exc}") from exc
+        if not np.isfinite(mat).all():
+            raise ModelMismatchError(f"{path.name}: param {name} holds non-finite values")
         if mat.shape != (rows, cols):
             raise ModelMismatchError(
                 f"{path.name}: param {name} declared {rows}x{cols}, got {mat.shape}"

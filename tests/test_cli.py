@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from freqgcn.cli import main
+from freqgcn.errors import FormatError
 from freqgcn.frequency import read_features_csv
 
 
@@ -308,3 +309,72 @@ class TestConfigFile:
                      "--n-per-class", 3)
         rows = (tmp_path / "d2" / "manifest.csv").read_text().splitlines()
         assert len(rows) == 1 + 6
+
+
+def assert_one_line_diagnostic(result, exit_code):
+    """A documented exit code with a single 'error:' line on stderr, not a traceback."""
+    assert result.exit_code == exit_code, result.output
+    assert isinstance(result.exception, SystemExit)
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def predict_with_model(runner, workspace, tmp_path, edit):
+    """Predict seq_0000 from raw frames with a model document altered by ``edit``."""
+    lines = (workspace / "model.txt").read_text().splitlines()
+    edit(lines)
+    model = tmp_path / "model.txt"
+    model.write_text("\n".join(lines) + "\n")
+    return runner.invoke(main, [
+        "predict", "--model", str(model),
+        "--input", str(workspace / "data" / "sequences" / "seq_0000"),
+    ])
+
+
+class TestHostileModelDocument:
+    def test_non_finite_parameter_exits_5(self, runner, workspace, tmp_path):
+        def edit(lines):
+            lines[lines.index("param head_bias 1 2") + 1] = "nan nan"
+
+        result = predict_with_model(runner, workspace, tmp_path, edit)
+        assert_one_line_diagnostic(result, 5)
+        assert "non-finite" in result.stderr
+
+    def test_invalid_bin_growth_exits_5(self, runner, workspace, tmp_path):
+        def edit(lines):
+            lines[[i for i, line in enumerate(lines) if line.startswith("bin-c ")][0]] = "bin-c 0.5"
+
+        assert_one_line_diagnostic(predict_with_model(runner, workspace, tmp_path, edit), 5)
+
+    def test_edge_outside_skeleton_exits_5(self, runner, workspace, tmp_path):
+        def edit(lines):
+            lines[lines.index("edges 4") + 1] = "0 9"
+
+        result = predict_with_model(runner, workspace, tmp_path, edit)
+        assert_one_line_diagnostic(result, 5)
+        assert "(0, 9)" in result.stderr
+
+
+class TestHostileFeatureFile:
+    @pytest.mark.parametrize("row", [
+        "7,0,x,0.5",  # joint outside the 5 of toy5
+        "-1,0,x,0.5",  # negative index, which would wrap to joint 4
+        "0,0,x,0.5",  # duplicate of an existing cell
+        "1.5,0,x,0.5",  # non-integer index
+        "0,0,x,abc",  # unparseable value
+        "0,0,x,inf",  # non-finite value
+    ])
+    def test_bad_row_exits_1(self, runner, workspace, tmp_path, row):
+        source = workspace / "features" / "seq_0000.csv"
+        target = tmp_path / "seq_0000.csv"
+        body = source.read_text()
+        target.write_text(body + row + "\n")
+        (tmp_path / "seq_0000.csv.meta.json").write_bytes(
+            (workspace / "features" / "seq_0000.csv.meta.json").read_bytes()
+        )
+        with pytest.raises(FormatError, match=f":{len(body.splitlines()) + 1}: "):
+            read_features_csv(target)
+        result = runner.invoke(main, [
+            "predict", "--model", str(workspace / "model.txt"), "--input", str(target),
+        ])
+        assert_one_line_diagnostic(result, 1)

@@ -117,6 +117,11 @@ class TestBinWidths:
         with pytest.raises(ValueError):
             BinSpec(c=1.0, num_bins=4)
 
+    @pytest.mark.parametrize("c", [float("nan"), float("inf")])
+    def test_growth_parameter_must_be_finite(self, c):
+        with pytest.raises(ValueError, match="finite"):
+            BinSpec(c=c, num_bins=4)
+
 
 class TestBinSpectrum:
     def test_hand_computed_means(self):

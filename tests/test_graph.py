@@ -128,6 +128,37 @@ class TestBuildFeatureGraph:
         assert np.array_equal(fg_perm.adjacency[np.ix_(node_map, node_map)], fg.adjacency)
 
 
+class TestPropagate:
+    """The structured operator against the dense normalized adjacency it replaces."""
+
+    @staticmethod
+    def assert_matches_dense(fg, x):
+        dense = normalize_adjacency(fg.adjacency) @ x
+        np.testing.assert_allclose(fg.propagate(x), dense, rtol=0, atol=1e-12)
+
+    @given(st.integers(2, 10), st.integers(1, 6), st.integers(0, 4), st.integers(1, 17),
+           st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_random_topologies(self, num_joints, num_bins, extra, channels, seed):
+        rng = np.random.default_rng(seed)
+        topo = random_connected_topology(rng, num_joints, extra_edges=extra)
+        fg = build_feature_graph(topo, num_bins)
+        self.assert_matches_dense(fg, rng.normal(size=(fg.num_nodes, channels)))
+
+    @pytest.mark.parametrize("preset", ["toy5", "coco18", "body25"])
+    @pytest.mark.parametrize("channels", [2, 16])
+    def test_presets_at_22_bins(self, preset, channels):
+        fg = build_feature_graph(builtin_topology(preset), num_bins=22)
+        x = np.random.default_rng(channels).normal(size=(fg.num_nodes, channels))
+        self.assert_matches_dense(fg, x)
+
+    def test_dense_forms_are_built_only_on_request(self):
+        fg = build_feature_graph(builtin_topology("body25"), num_bins=22)
+        assert "adjacency" not in vars(fg) and "normalized" not in vars(fg)
+        assert fg.normalized.shape == (550, 550)
+        assert "adjacency" in vars(fg)
+
+
 class TestNormalizeAdjacency:
     def test_isolated_node(self):
         assert np.array_equal(normalize_adjacency(np.zeros((1, 1))), [[1.0]])

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from freqgcn.model import (
     attention_aggregate,
     attention_report,
     attention_weights,
+    backward,
     gcn_forward,
     init_model,
     load_model,
@@ -184,6 +188,58 @@ class TestModelForward:
         assert np.allclose(p_base.logits, p_perm.logits, atol=1e-9)
 
 
+class DenseGraph:
+    """Stand-in feature graph that propagates with the dense L x L normalized adjacency."""
+
+    def __init__(self, graph):
+        self.topology = graph.topology
+        self.num_bins = graph.num_bins
+        self.normalized = graph.normalized
+
+    def propagate(self, x):
+        return self.normalized @ x
+
+
+class TestStructuredPropagationInModel:
+    @pytest.mark.parametrize("preset,bins,seed", [("toy5", 3, 0), ("toy5", 1, 1), ("body25", 22, 2)])
+    def test_forward_and_backward_match_dense_reference(self, preset, bins, seed):
+        rng = np.random.default_rng(seed)
+        model = init_model(builtin_topology(preset), BinSpec(c=1.15, num_bins=bins), seed=seed)
+        for param in model.parameter_groups().values():
+            param += rng.normal(scale=0.3, size=param.shape)
+        reference = dataclasses.replace(model, graph=DenseGraph(model.graph))
+        feats = np.abs(rng.normal(size=(model.num_joints, bins, 2)))
+        _, _, cache = model_forward(feats, model)
+        _, _, dense_cache = model_forward(feats, reference)
+        for name in ("aggregated", "pre_relu", "layer_inputs"):
+            for got, want in zip(getattr(cache, name), getattr(dense_cache, name)):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cache.logits, dense_cache.logits, rtol=0, atol=1e-12)
+        grads = backward(cache, one_hot(1)).groups()
+        dense_grads = backward(dense_cache, one_hot(1)).groups()
+        assert list(grads) == list(dense_grads)
+        for name, got in grads.items():
+            np.testing.assert_allclose(got, dense_grads[name], rtol=1e-10, atol=1e-12)
+
+    def test_body25_model_allocates_no_dense_operator(self, tmp_path):
+        topo, spec = builtin_topology("body25"), BinSpec(c=1.15, num_bins=22)
+        dense_bytes = 8 * (25 * 22) ** 2
+        save_model(init_model(topo, spec, seed=0), tmp_path / "model.txt")
+        feats = np.abs(np.random.default_rng(0).normal(size=(25, 22, 2)))
+        tracemalloc.start()
+        try:
+            built = init_model(topo, spec, seed=1)
+            loaded = load_model(tmp_path / "model.txt")
+            _, _, cache = model_forward(feats, loaded)
+            backward(cache, one_hot(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes
+        for graph in (built.graph, loaded.graph):
+            assert "adjacency" not in vars(graph) and "normalized" not in vars(graph)
+
+
 class TestLoss:
     def test_uniform_logits(self):
         assert loss(np.zeros(2), one_hot(0)) == pytest.approx(np.log(2.0))
@@ -283,4 +339,30 @@ class TestPersistence:
         body = path.read_text().replace("param w_z 2 2", "param w_z 2 3", 1)
         path.write_text(body)
         with pytest.raises(ModelMismatchError):
+            load_model(path)
+
+    @pytest.mark.parametrize("old,new", [
+        ("param w_z 2 2", "param w_z 2 x"),
+        ("bins 3", "bins 0"),
+        ("joints 5", "joints 4"),
+    ])
+    def test_malformed_header_or_block_rejected(self, tmp_path, old, new):
+        path = tmp_path / "model.txt"
+        save_model(toy_model(), path)
+        body = path.read_text()
+        assert old in body
+        path.write_text(body.replace(old, new, 1))
+        with pytest.raises(ModelMismatchError):
+            load_model(path)
+
+    def test_single_channel_width_rejected(self, tmp_path):
+        # A document that is consistent apart from having no GCN layer at all.
+        path = tmp_path / "model.txt"
+        save_model(toy_model(widths=(2, 2)), path)
+        lines = path.read_text().splitlines()
+        layer = lines.index("param layer0 2 2")
+        del lines[layer:layer + 3]
+        lines[lines.index("channels 2 2")] = "channels 2"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelMismatchError, match="channels"):
             load_model(path)
