@@ -35,8 +35,6 @@ from .model import (
     save_model,
 )
 from .pose import (
-    Keypoint,
-    PoseFrame,
     PoseSequence,
     interpolate_missing,
     load_sequence,
@@ -54,10 +52,8 @@ __all__ = [
     "FeatureGraph",
     "FreqGcnError",
     "FrequencyFeatures",
-    "Keypoint",
     "MetricsReport",
     "Model",
-    "PoseFrame",
     "PoseSequence",
     "Prediction",
     "SkeletonTopology",

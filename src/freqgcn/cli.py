@@ -154,7 +154,10 @@ def main():
 def cmd_extract(input_path, out_path, fps, growth, bins, topology, pose_csv):
     """Convert keypoint files to binned frequency features."""
     topo = _resolve_topology(topology)
-    spec = frequency.BinSpec(c=growth, num_bins=bins)
+    try:
+        spec = frequency.BinSpec(c=growth, num_bins=bins)
+    except ValueError as exc:
+        raise FreqGcnError(f"--c {growth:g} --bins {bins}: {exc}") from None
     src = Path(input_path)
     if not src.exists():
         raise FileNotFoundError(f"no such input: {src}")

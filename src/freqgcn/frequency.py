@@ -9,6 +9,7 @@ bin edge, which is where sensor noise lives.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -50,69 +51,111 @@ def _next_pow2(n: int) -> int:
     return 1 if n <= 1 else 1 << (n - 1).bit_length()
 
 
-def _fft_pow2(values: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 Cooley-Tukey; length must be a power of two."""
-    m = values.shape[0]
-    levels = m.bit_length() - 1
-    # Bit-reversal permutation.
-    idx = np.arange(m)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Mark a cached array read-only, since every caller shares it."""
+    a.setflags(write=False)
+    return a
+
+
+@functools.lru_cache(maxsize=8)
+def _pow2_plan(m: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Bit-reversal permutation and per-stage twiddles of a length-m radix-2 FFT."""
     rev = np.zeros(m, dtype=np.int64)
-    work = idx.copy()
-    for _ in range(levels):
+    work = np.arange(m)
+    for _ in range(m.bit_length() - 1):
         rev = (rev << 1) | (work & 1)
         work >>= 1
-    out = values[rev]
+    twiddles = []
     size = 2
     while size <= m:
-        half = size // 2
-        twiddle = np.exp((-2j * np.pi / size) * np.arange(half))
-        blocks = out.reshape(-1, size)
-        even = blocks[:, :half]
-        odd = blocks[:, half:] * twiddle
-        upper = even + odd
-        lower = even - odd
-        blocks[:, :half] = upper
-        blocks[:, half:] = lower
+        twiddles.append(np.exp((-2j * np.pi / size) * np.arange(size // 2)))
         size *= 2
+    return _frozen(rev), tuple(_frozen(w) for w in twiddles)
+
+
+def _fft_pow2(values: np.ndarray) -> np.ndarray:
+    """Iterative radix-2 Cooley-Tukey along the last axis, whose length must be a power of two."""
+    m = values.shape[-1]
+    rev, twiddles = _pow2_plan(m)
+    out = values[..., rev]
+    for twiddle in twiddles:
+        half = twiddle.shape[0]
+        blocks = out.reshape(*out.shape[:-1], m // (2 * half), 2 * half)
+        even = blocks[..., :half]
+        odd = blocks[..., half:]
+        odd *= twiddle
+        lower = even - odd
+        even += odd
+        odd[...] = lower
     return out
 
 
 def _ifft_pow2(values: np.ndarray) -> np.ndarray:
-    return np.conj(_fft_pow2(np.conj(values))) / values.shape[0]
+    out = _fft_pow2(np.conj(values))
+    np.conj(out, out=out)
+    out /= out.shape[-1]
+    return out
 
 
-def fft_bluestein(signal) -> np.ndarray:
-    """DFT of any length via the chirp-z decomposition.
-
-    Writes k*t = (k^2 + t^2 - (k-t)^2) / 2, turning the transform into a
-    chirp multiply, a circular convolution at the next power of two
-    >= 2T-1 (run with the radix-2 kernel), and a final chirp multiply.
-    Chirp phases use t^2 mod 2T so they stay exact for long signals.
-    """
-    x = _as_complex_vector(signal, "fft_bluestein")
-    t = x.shape[0]
-    if t == 1:
-        return x.copy()
+# Bounded: when every input has a new length, an unbounded cache would keep
+# a chirp and a kernel (up to 5T complex values) for every length seen.
+@functools.lru_cache(maxsize=8)
+def _chirp_plan(t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chirp exp(-i*pi*n^2/t) and the FFT of its zero-padded conjugate kernel."""
     n = np.arange(t, dtype=np.int64)
     chirp = np.exp((-1j * np.pi / t) * ((n * n) % (2 * t)))
     m = _next_pow2(2 * t - 1)
-    a = np.zeros(m, dtype=np.complex128)
-    a[:t] = x * chirp
     b = np.zeros(m, dtype=np.complex128)
     b[:t] = np.conj(chirp)
     b[m - t + 1 :] = np.conj(chirp[1:][::-1])
-    conv = _ifft_pow2(_fft_pow2(a) * _fft_pow2(b))
-    return conv[:t] * chirp
+    return _frozen(chirp), _frozen(_fft_pow2(b))
+
+
+def fft_bluestein(signal) -> np.ndarray:
+    """DFT of any length via the chirp-z decomposition, along the last axis.
+
+    Accepts shape (..., T) and transforms every row at once. Writes
+    k*t = (k^2 + t^2 - (k-t)^2) / 2, turning the transform into a chirp
+    multiply, a circular convolution at the next power of two >= 2T-1 (run
+    with the radix-2 kernel), and a final chirp multiply. Chirp phases use
+    t^2 mod 2T so they stay exact for long signals.
+    """
+    x = np.asarray(signal)
+    if x.ndim < 1 or x.shape[-1] < 1:
+        raise ValueError(f"fft_bluestein expects signals of length >= 1, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("fft_bluestein requires finite values")
+    x = x.astype(np.complex128)
+    t = x.shape[-1]
+    if t == 1:
+        return x
+    chirp, kernel = _chirp_plan(t)
+    padded = np.zeros(x.shape[:-1] + kernel.shape, dtype=np.complex128)
+    np.multiply(x, chirp, out=padded[..., :t])
+    spectrum = _fft_pow2(padded)
+    del padded  # one fewer full-size array alive during the inverse transform
+    spectrum *= kernel
+    return _ifft_pow2(spectrum)[..., :t] * chirp
+
+
+def unpack_real_pair(spectrum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra X, Y of two real signals x, y from the spectrum Z of x + i*y.
+
+    X[k] = (Z[k] + conj Z[T-k]) / 2 and Y[k] = (Z[k] - conj Z[T-k]) / (2i),
+    indices mod T, along the last axis (Numerical Recipes section 12.3).
+    """
+    mirrored = np.conj(np.roll(spectrum[..., ::-1], 1, axis=-1))
+    return (spectrum + mirrored) / 2, (spectrum - mirrored) / 2j
 
 
 def magnitude_half_spectrum(spectrum: np.ndarray) -> np.ndarray:
-    """|X[k]| for k = 0 .. floor(T/2); the upper half of a real signal's
-    spectrum is redundant."""
+    """|X[k]| for k = 0 .. floor(T/2) along the last axis; the upper half of a
+    real signal's spectrum is redundant."""
     spec = np.asarray(spectrum)
-    if spec.ndim != 1 or spec.shape[0] < 1:
-        raise ValueError(f"expected a 1-D spectrum, got shape {spec.shape}")
-    t = spec.shape[0]
-    return np.abs(spec[: t // 2 + 1])
+    if spec.ndim < 1 or spec.shape[-1] < 1:
+        raise ValueError(f"expected spectra of length >= 1, got shape {spec.shape}")
+    t = spec.shape[-1]
+    return np.abs(spec[..., : t // 2 + 1])
 
 
 @dataclass(frozen=True)
@@ -138,6 +181,12 @@ class BinSpec:
             raise ValueError("round/ceiling switch constant is fixed at 3")
         if self.num_bins < 1:
             raise ValueError(f"num_bins must be >= 1, got {self.num_bins}")
+        try:
+            self.c ** (self.num_bins - 1)  # the widest bin's growth factor
+        except OverflowError:
+            raise ValueError(
+                f"growth parameter c={self.c} overflows over {self.num_bins} bins"
+            ) from None
 
 
 def _round_half_away(value: float) -> int:
@@ -167,21 +216,21 @@ def required_min_frames(spec: BinSpec) -> int:
 
 
 def bin_spectrum(magnitudes: np.ndarray, spec: BinSpec) -> tuple[np.ndarray, list[int]]:
-    """Average magnitudes into consecutive bins starting at index 1.
+    """Average magnitudes into consecutive bins starting at index 1, along the last axis.
 
     Index 0 (DC) is excluded; indices past the last edge are discarded,
-    acting as the high-frequency filter.
+    acting as the high-frequency filter. Shape (..., K) gives (..., B).
     """
     mags = np.asarray(magnitudes, dtype=np.float64)
     edges = bin_edges(spec)
-    if mags.shape[0] < edges[-1]:
+    if mags.shape[-1] < edges[-1]:
         raise InsufficientLengthError(
-            f"spectrum has {mags.shape[0]} magnitudes but the bins need {edges[-1]} "
+            f"spectrum has {mags.shape[-1]} magnitudes but the bins need {edges[-1]} "
             f"(signals must have at least {required_min_frames(spec)} frames)",
             required_frames=required_min_frames(spec),
         )
-    binned = np.array(
-        [mags[edges[b] : edges[b + 1]].mean() for b in range(spec.num_bins)]
+    binned = np.stack(
+        [mags[..., lo:hi].mean(axis=-1) for lo, hi in zip(edges, edges[1:])], axis=-1
     )
     return binned, edges
 
@@ -223,30 +272,21 @@ def extract_features(seq: PoseSequence, spec: BinSpec) -> FrequencyFeatures:
 
     Mean subtraction removes the DC component (absolute position), so two
     sequences differing by a global translation produce identical features.
+    The x and y trajectories of a joint share one complex transform of
+    x + i*y, and every joint goes through a single batched FFT.
     """
-    pos = seq.positions()
-    t, n = pos.shape[:2]
+    t = len(seq)
     if t < required_min_frames(spec):
         raise InsufficientLengthError(
             f"sequence has {t} frames but the bin layout needs at least "
             f"{required_min_frames(spec)}",
             required_frames=required_min_frames(spec),
         )
-    data = np.zeros((n, spec.num_bins, len(CHANNELS)))
-    edges: list[int] = []
-    for joint in range(n):
-        for ch in range(len(CHANNELS)):
-            trajectory = pos[:, joint, ch]
-            spectrum = fft_bluestein(trajectory - trajectory.mean())
-            try:
-                binned, edges = bin_spectrum(magnitude_half_spectrum(spectrum), spec)
-            except InsufficientLengthError as exc:
-                raise InsufficientLengthError(
-                    f"joint {joint} channel {CHANNELS[ch]}: {exc}",
-                    required_frames=exc.required_frames,
-                ) from exc
-            data[joint, :, ch] = binned
-    return FrequencyFeatures(data=data, bin_edges=tuple(edges), fps=seq.fps)
+    traj = np.moveaxis(seq.positions, 0, -1)  # (N joints, 2 channels, T)
+    traj = traj - traj.mean(axis=-1, keepdims=True)
+    spectra = unpack_real_pair(fft_bluestein(traj[:, 0] + 1j * traj[:, 1]))
+    binned, edges = bin_spectrum(magnitude_half_spectrum(np.stack(spectra, axis=1)), spec)
+    return FrequencyFeatures(data=np.moveaxis(binned, 1, 2), bin_edges=tuple(edges), fps=seq.fps)
 
 
 def write_features_csv(features: FrequencyFeatures, spec: BinSpec, path: str | Path) -> None:
@@ -283,10 +323,7 @@ def read_features_csv(path: str | Path) -> tuple[FrequencyFeatures, BinSpec]:
     meta_file = sidecar_path(path)
     if not meta_file.exists():
         raise FormatError(f"missing feature sidecar {meta_file}")
-    meta = json.loads(meta_file.read_text("utf-8"))
-    if meta.get("format") != "freqgcn-features" or meta.get("version") != 1:
-        raise FormatError(f"unrecognized feature sidecar {meta_file}")
-    n, b = meta["num_joints"], meta["num_bins"]
+    n, b, spec, edges, fps = _read_sidecar(meta_file)
     lines = path.read_text("utf-8").splitlines()
     if not lines or lines[0] != "joint,bin,channel,value":
         raise FormatError(f"{path.name}: expected header 'joint,bin,channel,value'")
@@ -317,13 +354,67 @@ def read_features_csv(path: str | Path) -> tuple[FrequencyFeatures, BinSpec]:
                 f"{path.name}:{lineno}: duplicate row for joint {i}, bin {k}, channel {label}"
             )
         cells[i, k, ch] = v
-    data = np.zeros((n, b, len(CHANNELS)))
-    if len(cells) != data.size:
+    if len(cells) != n * b * len(CHANNELS):
         raise FormatError(f"{path.name}: missing rows for some (joint, bin, channel) cells")
+    data = np.zeros((n, b, len(CHANNELS)))
     joints, bins, channels = np.array(list(cells)).T
     data[joints, bins, channels] = list(cells.values())
-    features = FrequencyFeatures(
-        data=data, bin_edges=tuple(meta["bin_edges"]), fps=float(meta["fps"])
-    )
-    spec = BinSpec(c=float(meta["c"]), num_bins=b)
-    return features, spec
+    return FrequencyFeatures(data=data, bin_edges=edges, fps=fps), spec
+
+
+def _finite_number(value) -> float | None:
+    """``value`` as a float when it is a finite JSON number, else None."""
+    if type(value) not in (int, float):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _read_sidecar(meta_file: Path) -> tuple[int, int, BinSpec, tuple[int, ...], float]:
+    """(num_joints, num_bins, bin spec, bin edges, fps) of a features sidecar.
+
+    Any defect raises FormatError: invalid JSON, a missing key, a value of
+    the wrong type or range, or bin edges that the bin spec does not give.
+    The work is bounded by the sidecar's own size.
+    """
+    name = meta_file.name
+    try:
+        meta = json.loads(meta_file.read_bytes())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{name}: invalid JSON: {exc}") from None
+    if (
+        not isinstance(meta, dict)
+        or meta.get("format") != "freqgcn-features"
+        or meta.get("version") != 1
+    ):
+        raise FormatError(f"unrecognized feature sidecar {meta_file}")
+    missing = [k for k in ("num_joints", "num_bins", "c", "bin_edges", "fps") if k not in meta]
+    if missing:
+        raise FormatError(f"{name}: missing keys {missing}")
+    n, b, listed = meta["num_joints"], meta["num_bins"], meta["bin_edges"]
+    if not (type(n) is int and type(b) is int and n >= 1 and b >= 1):
+        raise FormatError(
+            f"{name}: num_joints and num_bins must be positive integers, got {n!r} and {b!r}"
+        )
+    fps, c = _finite_number(meta["fps"]), _finite_number(meta["c"])
+    if fps is None or fps <= 0:
+        raise FormatError(f"{name}: fps must be a positive number, got {meta['fps']!r}")
+    if c is None:
+        raise FormatError(
+            f"{name}: growth parameter c must be a finite number, got {meta['c']!r}"
+        )
+    try:
+        spec = BinSpec(c=c, num_bins=b)
+    except ValueError as exc:
+        raise FormatError(f"{name}: {exc}") from None
+    # Checking the length first bounds bin_edges' O(num_bins) loop by the sidecar's size.
+    edges = bin_edges(spec) if isinstance(listed, list) and len(listed) == b + 1 else None
+    if edges is None or listed != edges:
+        raise FormatError(
+            f"{name}: bin_edges {listed!r} differ from the {b + 1} edges given by "
+            f"c={c!r} and {b} bins"
+        )
+    return n, b, spec, tuple(edges), fps

@@ -3,12 +3,16 @@
 Input documents follow the OpenPose per-frame layout: a ``people`` array
 whose first entry carries ``pose_keypoints_2d``, a flat list of
 (x, y, confidence) triples. Only the first detected person is used.
+
+A sequence is held as two arrays, positions (T, N, 2) and confidence
+(T, N); documents are parsed straight into them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -29,187 +33,155 @@ from .errors import (
 FPS_QUIET_RANGE = (24.0, 60.0)
 
 _DIGITS = re.compile(r"(\d+)")
+_NOT_NUMERIC = "'pose_keypoints_2d' must be a flat numeric array"
 
 
-@dataclass(frozen=True)
-class Keypoint:
-    """One detected joint: pixel position plus detector confidence.
+def _check_values(xy: np.ndarray, conf: np.ndarray, error: type[Exception]) -> None:
+    if not np.isfinite(xy).all():
+        raise error("keypoint coordinates must be finite")
+    if not ((conf >= 0.0) & (conf <= 1.0)).all():
+        raise error("keypoint confidence must lie in [0, 1]")
 
-    ``confidence == 0`` marks a missing detection; x and y then carry no
-    meaning but are preserved verbatim for round-tripping.
+
+@dataclass(frozen=True, eq=False)
+class PoseSequence:
+    """An ordered run of frames sampled at a fixed rate.
+
+    ``positions`` is (T, N, 2) x/y per frame and joint; ``confidence`` is
+    (T, N), where 0 marks a missing detection (its x and y carry no meaning)
+    and the default is 1 everywhere. Both are read-only copies.
     """
 
-    x: float
-    y: float
-    confidence: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"keypoint coordinates must be finite, got ({self.x}, {self.y})")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence must lie in [0, 1], got {self.confidence}")
-
-    @property
-    def missing(self) -> bool:
-        return self.confidence == 0.0
-
-
-@dataclass(frozen=True)
-class PoseFrame:
-    """All keypoints of one video frame, in topology order."""
-
-    joints: tuple[Keypoint, ...]
-    frame_index: int
-
-    def __post_init__(self):
-        if self.frame_index < 0:
-            raise ValueError(f"frame_index must be nonnegative, got {self.frame_index}")
-        if not self.joints:
-            raise ValueError("a frame must contain at least one joint")
-
-    @property
-    def num_joints(self) -> int:
-        return len(self.joints)
-
-
-@dataclass(frozen=True)
-class PoseSequence:
-    """An ordered run of frames sampled at a fixed rate."""
-
-    frames: tuple[PoseFrame, ...]
+    positions: np.ndarray
     fps: float
+    confidence: np.ndarray | None = None
     subject_id: str = ""
 
     def __post_init__(self):
-        if len(self.frames) < 2:
-            raise ValueError(f"a sequence needs at least 2 frames, got {len(self.frames)}")
+        pos = np.array(self.positions, dtype=np.float64)
+        if pos.ndim != 3 or pos.shape[2] != 2:
+            raise ValueError(f"positions must have shape (T, N, 2), got {pos.shape}")
+        conf = np.ones(pos.shape[:2]) if self.confidence is None else self.confidence
+        conf = np.array(conf, dtype=np.float64)
+        if conf.shape != pos.shape[:2]:
+            raise ValueError(f"confidence shape {conf.shape} does not match {pos.shape[:2]}")
+        if pos.shape[0] < 2:
+            raise ValueError(f"a sequence needs at least 2 frames, got {pos.shape[0]}")
+        if pos.shape[1] < 1:
+            raise ValueError("a frame must contain at least one joint")
         if not (math.isfinite(self.fps) and self.fps > 0):
             raise ValueError(f"fps must be a positive real, got {self.fps}")
-        counts = {f.num_joints for f in self.frames}
-        if len(counts) != 1:
-            raise TopologyMismatchError(f"frames carry mixed joint counts: {sorted(counts)}")
-        if not FPS_QUIET_RANGE[0] <= self.fps <= FPS_QUIET_RANGE[1]:
-            warnings.warn(
-                f"fps {self.fps} outside the expected {FPS_QUIET_RANGE[0]:g}-"
-                f"{FPS_QUIET_RANGE[1]:g} range",
-                stacklevel=2,
-            )
+        _check_values(pos, conf, ValueError)
+        pos.setflags(write=False)
+        conf.setflags(write=False)
+        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "confidence", conf)
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return self.positions.shape[0]
 
     @property
     def num_joints(self) -> int:
-        return self.frames[0].num_joints
-
-    def positions(self) -> np.ndarray:
-        """(T, N, 2) array of x/y positions."""
-        return np.array(
-            [[(kp.x, kp.y) for kp in f.joints] for f in self.frames], dtype=np.float64
-        )
-
-    def confidences(self) -> np.ndarray:
-        """(T, N) array of detection confidences."""
-        return np.array(
-            [[kp.confidence for kp in f.joints] for f in self.frames], dtype=np.float64
-        )
+        return self.positions.shape[1]
 
 
-def sequence_from_arrays(
-    positions: np.ndarray,
-    fps: float,
-    confidences: np.ndarray | None = None,
-    subject_id: str = "",
-) -> PoseSequence:
-    """Build a sequence from a (T, N, 2) position array; confidence defaults to 1."""
-    positions = np.asarray(positions, dtype=np.float64)
-    if positions.ndim != 3 or positions.shape[2] != 2:
-        raise ValueError(f"positions must have shape (T, N, 2), got {positions.shape}")
-    T, N = positions.shape[:2]
-    if confidences is None:
-        confidences = np.ones((T, N))
-    frames = tuple(
-        PoseFrame(
-            joints=tuple(
-                Keypoint(float(positions[t, j, 0]), float(positions[t, j, 1]), float(confidences[t, j]))
-                for j in range(N)
-            ),
-            frame_index=t,
-        )
-        for t in range(T)
-    )
-    return PoseSequence(frames=frames, fps=fps, subject_id=subject_id)
-
-
-def parse_keypoint_frame(
-    raw: bytes | str,
-    frame_index: int = 0,
-    expected_joints: int | None = None,
-) -> PoseFrame:
-    """Parse one OpenPose-style per-frame document.
-
-    An empty ``people`` array yields an all-missing frame (every confidence 0),
-    which requires ``expected_joints`` to fix the joint count.
-    """
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid keypoint document: {exc.msg}", offset=exc.pos) from exc
+def _first_person(doc) -> list | None:
+    """The first person's flat keypoint list, or None when nobody was detected."""
     if not isinstance(doc, dict) or "people" not in doc:
         raise ParseError("document has no 'people' array")
     people = doc["people"]
     if not isinstance(people, list):
         raise ParseError("'people' is not an array")
-
     if not people:
-        if expected_joints is None:
-            raise FormatError(
-                "empty 'people' array and no configured joint count to build a missing frame"
-            )
-        joints = tuple(Keypoint(0.0, 0.0, 0.0) for _ in range(expected_joints))
-        return PoseFrame(joints=joints, frame_index=frame_index)
-
+        return None
     person = people[0]
     if not isinstance(person, dict) or "pose_keypoints_2d" not in person:
         raise ParseError("first person has no 'pose_keypoints_2d' array")
     flat = person["pose_keypoints_2d"]
-    if not isinstance(flat, list) or not all(isinstance(v, (int, float)) for v in flat):
-        raise FormatError("'pose_keypoints_2d' must be a flat numeric array")
+    if not isinstance(flat, list):
+        raise FormatError(_NOT_NUMERIC)
     if len(flat) % 3 != 0:
         raise FormatError(
             f"keypoint array length {len(flat)} is not divisible by 3 (x, y, confidence triples)"
         )
-    n = len(flat) // 3
-    if expected_joints is not None and n != expected_joints:
-        raise TopologyMismatchError(
-            f"document carries {n} joints, topology expects {expected_joints}"
-        )
+    return flat
+
+
+def _keypoint_table(flats: list[list | None], n: int) -> np.ndarray:
+    """(T, n, 3) x, y, confidence rows from per-frame keypoint lists.
+
+    A frame with nobody detected (None) becomes all-missing: every value 0.
+    """
+    missing = [0.0] * (3 * n)
+    rows = []
+    for flat in flats:
+        if flat is None:
+            flat = missing
+        elif len(flat) != 3 * n:
+            raise TopologyMismatchError(
+                f"document carries {len(flat) // 3} joints, topology expects {n}"
+            )
+        rows.append(flat)
     try:
-        joints = tuple(
-            Keypoint(float(flat[3 * j]), float(flat[3 * j + 1]), float(flat[3 * j + 2]))
-            for j in range(n)
+        table = np.array(rows)
+    except ValueError:  # ragged: a keypoint array holds a nested list
+        raise FormatError(_NOT_NUMERIC) from None
+    if table.dtype.kind not in "biuf":
+        raise FormatError(_NOT_NUMERIC)
+    table = table.astype(np.float64, copy=False).reshape(len(rows), n, 3)
+    _check_values(table[..., :2], table[..., 2], FormatError)
+    return table
+
+
+def _inferred_joints(flats: list[list | None]) -> int | None:
+    """Joint count of the first frame with a detection."""
+    return next((len(flat) // 3 for flat in flats if flat is not None), None)
+
+
+def _load_json(raw: bytes | str, what: str):
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid {what}: {exc.msg}", offset=exc.pos) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"invalid {what}: not UTF-8", offset=exc.start) from exc
+
+
+def parse_keypoint_frame(raw: bytes | str, expected_joints: int | None = None) -> np.ndarray:
+    """Parse one OpenPose-style per-frame document into (N, 3) x, y, confidence rows.
+
+    An empty ``people`` array yields an all-missing frame (every confidence 0),
+    which requires ``expected_joints`` to fix the joint count.
+    """
+    flats = [_first_person(_load_json(raw, "keypoint document"))]
+    n = expected_joints if expected_joints is not None else _inferred_joints(flats)
+    if n is None:
+        raise FormatError(
+            "empty 'people' array and no configured joint count to build a missing frame"
         )
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
-    return PoseFrame(joints=joints, frame_index=frame_index)
+    return _keypoint_table(flats, n)[0]
 
 
-def serialize_keypoint_frame(frame: PoseFrame) -> bytes:
+def serialize_keypoint_frame(frame: np.ndarray) -> bytes:
     """Inverse of :func:`parse_keypoint_frame`; floats round-trip bit-exactly."""
-    flat: list[float] = []
-    for kp in frame.joints:
-        flat.extend((kp.x, kp.y, kp.confidence))
-    doc = {"people": [{"pose_keypoints_2d": flat}]}
-    return json.dumps(doc).encode("utf-8")
+    flat = np.asarray(frame, dtype=np.float64).ravel().tolist()
+    return json.dumps({"people": [{"pose_keypoints_2d": flat}]}).encode("utf-8")
 
 
-def _numeric_key(path: Path) -> int:
-    matches = _DIGITS.findall(path.stem)
-    if not matches:
-        raise FormatError(f"keypoint file name has no numeric component: {path.name}")
-    return int(matches[-1])
+def _frame_files(directory: Path) -> list[str]:
+    """Paths of the ``*.json`` files, ordered by the last number in each name."""
+    keyed = []
+    with os.scandir(directory) as entries:
+        for entry in entries:
+            stem, suffix = os.path.splitext(entry.name)
+            if suffix != ".json" or not entry.is_file():
+                continue
+            matches = _DIGITS.findall(stem)
+            if not matches:
+                raise FormatError(f"keypoint file name has no numeric component: {entry.name}")
+            keyed.append((int(matches[-1]), entry.name, entry.path))
+    keyed.sort()
+    return [path for _, _, path in keyed]
 
 
 def load_sequence(
@@ -222,49 +194,45 @@ def load_sequence(
 
     Directory entries are ordered by the last numeric component of their
     file names (numeric, not lexical). A container file holds a JSON array
-    of per-frame documents in frame order.
+    of per-frame documents in frame order. An fps outside
+    ``FPS_QUIET_RANGE`` is accepted with one warning.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such input: {path}")
 
     if path.is_dir():
-        files = [p for p in path.iterdir() if p.is_file() and p.suffix == ".json"]
-        if not files:
+        docs = []
+        for name in _frame_files(path):
+            with open(name, "rb") as handle:
+                docs.append(_load_json(handle.read(), "keypoint document"))
+        if not docs:
             raise EmptyInputError(f"no keypoint files in {path}")
-        files.sort(key=lambda p: (_numeric_key(p), p.name))
-        raws = [p.read_bytes() for p in files]
     else:
-        try:
-            docs = json.loads(path.read_text("utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid container file: {exc.msg}", offset=exc.pos) from exc
+        docs = _load_json(path.read_bytes(), "container file")
         if not isinstance(docs, list):
             raise ParseError("container file must hold a JSON array of frame documents")
         if not docs:
             raise EmptyInputError(f"container file {path} holds no frames")
-        raws = [json.dumps(d).encode("utf-8") for d in docs]
 
-    n = expected_joints
+    flats = [_first_person(doc) for doc in docs]
+    n = expected_joints if expected_joints is not None else _inferred_joints(flats)
     if n is None:
-        # Infer the joint count from the first frame with a detection.
-        for raw in raws:
-            try:
-                probe = parse_keypoint_frame(raw)
-            except FormatError:
-                continue
-            n = probe.num_joints
-            break
-        if n is None:
-            raise EmptyInputError(f"every frame in {path} is empty; joint count unknown")
-
-    frames = tuple(
-        parse_keypoint_frame(raw, frame_index=t, expected_joints=n)
-        for t, raw in enumerate(raws)
+        raise EmptyInputError(f"every frame in {path} is empty; joint count unknown")
+    table = _keypoint_table(flats, n)
+    seq = PoseSequence(
+        positions=table[..., :2],
+        fps=fps,
+        confidence=table[..., 2],
+        subject_id=subject_id if subject_id is not None else path.name,
     )
-    return PoseSequence(
-        frames=frames, fps=fps, subject_id=subject_id if subject_id is not None else path.name
-    )
+    if not FPS_QUIET_RANGE[0] <= fps <= FPS_QUIET_RANGE[1]:
+        warnings.warn(
+            f"fps {fps} outside the expected {FPS_QUIET_RANGE[0]:g}-"
+            f"{FPS_QUIET_RANGE[1]:g} range",
+            stacklevel=2,
+        )
+    return seq
 
 
 def write_sequence(seq: PoseSequence, directory: str | Path) -> list[Path]:
@@ -272,9 +240,10 @@ def write_sequence(seq: PoseSequence, directory: str | Path) -> list[Path]:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     width = max(6, len(str(len(seq) - 1)))
+    table = np.concatenate([seq.positions, seq.confidence[..., None]], axis=2)
     paths = []
-    for frame in seq.frames:
-        p = directory / f"frame_{frame.frame_index:0{width}d}.json"
+    for t, frame in enumerate(table):
+        p = directory / f"frame_{t:0{width}d}.json"
         p.write_bytes(serialize_keypoint_frame(frame))
         paths.append(p)
     return paths
@@ -287,21 +256,23 @@ def interpolate_missing(seq: PoseSequence) -> PoseSequence:
     neighbors; leading/trailing gaps copy the nearest observed value. Output
     contains no confidence-0 keypoints. Idempotent.
     """
-    pos = seq.positions()
-    conf = seq.confidences()
-    T, N = conf.shape
-    t_axis = np.arange(T, dtype=np.float64)
-    for j in range(N):
-        observed = conf[:, j] > 0.0
-        if observed.all():
-            continue
-        if not observed.any():
-            raise UnrecoverableJointError(j)
-        t_obs = t_axis[observed]
-        pos[:, j, 0] = np.interp(t_axis, t_obs, pos[observed, j, 0])
-        pos[:, j, 1] = np.interp(t_axis, t_obs, pos[observed, j, 1])
-        conf[:, j] = np.interp(t_axis, t_obs, conf[observed, j])
-    return sequence_from_arrays(pos, fps=seq.fps, confidences=conf, subject_id=seq.subject_id)
+    observed = seq.confidence > 0.0
+    gapped = np.flatnonzero(~observed.all(axis=0))
+    if gapped.size == 0:
+        return seq
+    unseen = np.flatnonzero(~observed.any(axis=0))
+    if unseen.size:
+        raise UnrecoverableJointError(int(unseen[0]))
+    pos = seq.positions.copy()
+    conf = seq.confidence.copy()
+    t_axis = np.arange(len(seq), dtype=np.float64)
+    for j in gapped:
+        seen = observed[:, j]
+        t_obs = t_axis[seen]
+        pos[:, j, 0] = np.interp(t_axis, t_obs, pos[seen, j, 0])
+        pos[:, j, 1] = np.interp(t_axis, t_obs, pos[seen, j, 1])
+        conf[:, j] = np.interp(t_axis, t_obs, conf[seen, j])
+    return PoseSequence(pos, fps=seq.fps, confidence=conf, subject_id=seq.subject_id)
 
 
 def normalize_sequence(seq: PoseSequence, root: int, neck: int) -> PoseSequence:
@@ -310,7 +281,7 @@ def normalize_sequence(seq: PoseSequence, root: int, neck: int) -> PoseSequence:
     Invariant under global translation and uniform positive scaling of the
     input (up to float rounding). Requires a gap-free sequence.
     """
-    pos = seq.positions()
+    pos = seq.positions
     n = seq.num_joints
     if not (0 <= root < n and 0 <= neck < n):
         raise ValueError(f"root/neck indices ({root}, {neck}) out of range for {n} joints")
@@ -320,15 +291,15 @@ def normalize_sequence(seq: PoseSequence, root: int, neck: int) -> PoseSequence:
             f"median root-to-neck distance {torso:g} is too small to scale against"
         )
     centered = pos - pos[:, root : root + 1, :]
-    return sequence_from_arrays(
-        centered / torso, fps=seq.fps, confidences=seq.confidences(), subject_id=seq.subject_id
+    return PoseSequence(
+        centered / torso, fps=seq.fps, confidence=seq.confidence, subject_id=seq.subject_id
     )
 
 
 def write_sequence_csv(seq: PoseSequence, path: str | Path) -> None:
     """Export positions as CSV rows ``frame,joint,x,y``."""
     lines = ["frame,joint,x,y"]
-    for frame in seq.frames:
-        for j, kp in enumerate(frame.joints):
-            lines.append(f"{frame.frame_index},{j},{kp.x!r},{kp.y!r}")
+    for t, frame in enumerate(seq.positions.tolist()):
+        for j, (x, y) in enumerate(frame):
+            lines.append(f"{t},{j},{x!r},{y!r}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

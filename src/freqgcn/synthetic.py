@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AliasingConfigError, FormatError
 from .graph import SkeletonTopology, builtin_topology
-from .pose import PoseSequence, sequence_from_arrays, write_sequence
+from .pose import PoseSequence, write_sequence
 
 # Canonical rest poses in pixel coordinates, one (x, y) row per joint.
 _REST_POSES: dict[str, tuple[tuple[float, float], ...]] = {
@@ -133,9 +133,7 @@ def generate_sequence(cfg: SynthConfig, label: int, seed: int) -> PoseSequence:
         positions[:, joint, 0] += cfg.amplitude * torso * np.sin(
             2.0 * np.pi * freq * time_axis / cfg.fps + phase
         )
-    return sequence_from_arrays(
-        positions, fps=cfg.fps, subject_id=f"synth{label}_{seed:06d}"
-    )
+    return PoseSequence(positions, fps=cfg.fps, subject_id=f"synth{label}_{seed:06d}")
 
 
 @dataclass(frozen=True)

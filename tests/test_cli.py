@@ -106,6 +106,16 @@ class TestExtractCommand:
         assert result.exit_code == 3
         assert "90" in result.output
 
+    @pytest.mark.parametrize("growth", ["0.9", "1e300"])
+    def test_invalid_growth_exits_1(self, runner, workspace, tmp_path, growth):
+        result = runner.invoke(main, [
+            "extract", "--input", str(workspace / "data" / "sequences" / "seq_0000"),
+            "--out", str(tmp_path / "f.csv"), "--topology", "toy5",
+            "--c", growth, "--bins", "14",
+        ])
+        assert_one_line_diagnostic(result, 1)
+        assert "growth parameter" in result.stderr
+
     def test_custom_topology_file(self, runner, workspace, tmp_path):
         from freqgcn.graph import builtin_topology, write_topology
 
@@ -346,6 +356,15 @@ class TestHostileModelDocument:
 
         assert_one_line_diagnostic(predict_with_model(runner, workspace, tmp_path, edit), 5)
 
+    def test_overflowing_bin_growth_exits_5(self, runner, workspace, tmp_path):
+        def edit(lines):
+            index = next(i for i, line in enumerate(lines) if line.startswith("bin-c "))
+            lines[index] = "bin-c 1e300"
+
+        result = predict_with_model(runner, workspace, tmp_path, edit)
+        assert_one_line_diagnostic(result, 5)
+        assert "overflows" in result.stderr
+
     def test_edge_outside_skeleton_exits_5(self, runner, workspace, tmp_path):
         def edit(lines):
             lines[lines.index("edges 4") + 1] = "0 9"
@@ -378,3 +397,30 @@ class TestHostileFeatureFile:
             "predict", "--model", str(workspace / "model.txt"), "--input", str(target),
         ])
         assert_one_line_diagnostic(result, 1)
+
+
+class TestHostileFeatureSidecar:
+    @pytest.mark.parametrize("edit", [
+        lambda meta: "{not json",
+        lambda meta: {k: v for k, v in meta.items() if k != "fps"},
+        lambda meta: {**meta, "num_bins": "x"},
+        lambda meta: {**meta, "bin_edges": [1, 2]},
+        lambda meta: {**meta, "fps": "abc"},
+        lambda meta: {**meta, "bin_edges": meta["bin_edges"][:-1] + [meta["bin_edges"][-1] + 1]},
+    ], ids=["invalid-json", "missing-fps", "num-bins-text", "short-edges", "fps-text",
+            "edges-off-spec"])
+    def test_train_exits_1(self, runner, workspace, tmp_path, edit):
+        features = tmp_path / "features"
+        features.mkdir()
+        for source in (workspace / "features").iterdir():
+            (features / source.name).write_bytes(source.read_bytes())
+        sidecar = features / "seq_0000.csv.meta.json"
+        edited = edit(json.loads(sidecar.read_text()))
+        sidecar.write_text(edited if isinstance(edited, str) else json.dumps(edited))
+        result = runner.invoke(main, [
+            "train", "--features", str(features),
+            "--manifest", str(workspace / "data" / "manifest.csv"),
+            "--out", str(tmp_path / "model.txt"), "--topology", "toy5", "--epochs", "1",
+        ])
+        assert_one_line_diagnostic(result, 1)
+        assert "seq_0000.csv.meta.json" in result.stderr

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freqgcn.errors import InsufficientLengthError
+from freqgcn import frequency
+from freqgcn.errors import FormatError, InsufficientLengthError
 from freqgcn.frequency import (
     BinSpec,
     bin_edges,
@@ -15,9 +18,10 @@ from freqgcn.frequency import (
     magnitude_half_spectrum,
     read_features_csv,
     required_min_frames,
+    unpack_real_pair,
     write_features_csv,
 )
-from freqgcn.pose import sequence_from_arrays
+from freqgcn.pose import PoseSequence
 
 
 class TestDftNaive:
@@ -70,6 +74,46 @@ class TestFftBluestein:
         assert np.max(np.abs(fft_bluestein(x) - dft_naive(x))) < 1e-9
 
 
+class TestBatchedFftBluestein:
+    """The batched transform against the direct DFT, one row at a time."""
+
+    @pytest.mark.parametrize("batch", [(), (3,), (5, 2)])
+    @pytest.mark.parametrize("length", list(range(1, 65)) + [1009, 2003])
+    def test_rows_match_oracle(self, length, batch):
+        rng = np.random.default_rng([length, len(batch)])
+        shape = batch + (length,)
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got = fft_bluestein(x)
+        assert got.shape == shape
+        rows = x.reshape(-1, length)
+        for row, spectrum in zip(rows, got.reshape(-1, length)):
+            assert np.max(np.abs(spectrum - dft_naive(row))) < 1e-9
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 5, 17, 64, 97, 1000, 1009])
+    def test_two_for_one_unpacking_matches_separate_transforms(self, length):
+        rng = np.random.default_rng(length)
+        x = rng.normal(size=(4, length))
+        y = rng.normal(size=(4, length))
+        spec_x, spec_y = unpack_real_pair(fft_bluestein(x + 1j * y))
+        assert np.max(np.abs(spec_x - fft_bluestein(x))) < 1e-12
+        assert np.max(np.abs(spec_y - fft_bluestein(y))) < 1e-12
+
+    def test_per_length_cache_stays_bounded(self):
+        for length in range(300, 400):
+            fft_bluestein(np.ones(length))
+        for plan in (frequency._chirp_plan, frequency._pow2_plan):
+            info = plan.cache_info()
+            assert info.maxsize is not None
+            assert info.currsize <= info.maxsize
+
+    def test_cached_plans_are_read_only(self):
+        fft_bluestein(np.ones(37))
+        chirp, kernel = frequency._chirp_plan(37)
+        with pytest.raises(ValueError):
+            kernel[0] = 0.0
+        assert fft_bluestein(np.ones(37))[0] == pytest.approx(37.0)
+
+
 class TestMagnitudeHalfSpectrum:
     def test_constant(self):
         assert np.allclose(magnitude_half_spectrum(dft_naive([1, 1, 1, 1])), [4, 0, 0])
@@ -112,6 +156,11 @@ class TestBinWidths:
             grown = spec.f0 * c**n
             if grown >= spec.threshold:
                 assert width >= grown
+
+    @pytest.mark.parametrize("c,num_bins", [(1e300, 10), (1.15, 10**6)])
+    def test_growth_that_overflows_is_rejected(self, c, num_bins):
+        with pytest.raises(ValueError, match="overflows"):
+            BinSpec(c=c, num_bins=num_bins)
 
     def test_growth_parameter_must_exceed_one(self):
         with pytest.raises(ValueError):
@@ -161,10 +210,10 @@ class TestExtractFeatures:
         t = np.arange(frames)
         pos = np.zeros((frames, joints, 2))
         pos[:, joint, 0] = amp * np.sin(2 * np.pi * peak_index * t / frames)
-        return sequence_from_arrays(pos + 10.0, fps=fps)
+        return PoseSequence(pos + 10.0, fps=fps)
 
     def test_static_pose_gives_zero_features(self):
-        seq = sequence_from_arrays(np.full((40, 2, 2), 7.5), fps=30.0)
+        seq = PoseSequence(np.full((40, 2, 2), 7.5), fps=30.0)
         features = extract_features(seq, BinSpec(c=2.0, num_bins=3))
         assert np.allclose(features.data, 0.0, atol=1e-12)
 
@@ -182,12 +231,12 @@ class TestExtractFeatures:
         rng = np.random.default_rng(2)
         pos = rng.normal(size=(50, 2, 2))
         spec = BinSpec(c=2.0, num_bins=3)
-        a = extract_features(sequence_from_arrays(pos, fps=30.0), spec)
-        b = extract_features(sequence_from_arrays(pos + 123.456, fps=30.0), spec)
+        a = extract_features(PoseSequence(pos, fps=30.0), spec)
+        b = extract_features(PoseSequence(pos + 123.456, fps=30.0), spec)
         assert np.allclose(a.data, b.data, atol=1e-9)
 
     def test_short_sequence_raises_with_requirement(self):
-        seq = sequence_from_arrays(np.random.default_rng(0).normal(size=(6, 2, 2)), fps=30.0)
+        seq = PoseSequence(np.random.default_rng(0).normal(size=(6, 2, 2)), fps=30.0)
         spec = BinSpec(c=2.0, num_bins=3)
         with pytest.raises(InsufficientLengthError) as excinfo:
             extract_features(seq, spec)
@@ -221,3 +270,39 @@ class TestFeatureCsvRoundTrip:
         write_features_csv(extract_features(seq, spec), spec, tmp_path / "f.csv")
         rows = (tmp_path / "f.csv").read_text().splitlines()
         assert len(rows) == 1 + 3 * 5 * 2
+
+
+class TestFeatureSidecar:
+    """A defective sidecar is a FormatError, never a raw exception."""
+
+    @pytest.fixture()
+    def written(self, tmp_path):
+        seq = TestExtractFeatures().tone_sequence(peak_index=2, frames=60, joints=3)
+        spec = BinSpec(c=1.3, num_bins=5)
+        path = tmp_path / "f.csv"
+        write_features_csv(extract_features(seq, spec), spec, path)
+        return path
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda meta: "{not json", "invalid JSON"),
+        (lambda meta: {k: v for k, v in meta.items() if k != "fps"}, "missing keys"),
+        (lambda meta: {**meta, "num_bins": "x"}, "positive integers"),
+        (lambda meta: {**meta, "bin_edges": [1, 2]}, "bin_edges"),
+        (lambda meta: {**meta, "fps": "abc"}, "fps"),
+        (lambda meta: {**meta, "bin_edges": [1, 2, 3, 4, 5, 7]}, "bin_edges"),
+        (lambda meta: {**meta, "c": 0.5}, "growth parameter"),
+        (lambda meta: {**meta, "c": 1e300}, "overflows"),
+        (lambda meta: {**meta, "num_joints": 10**12}, "missing rows"),
+        (lambda meta: {**meta, "num_bins": 10**12}, "overflows"),
+        (lambda meta: {**meta, "num_bins": 10**12, "c": 1.0 + 1e-15}, "bin_edges"),
+        (lambda meta: {**meta, "c": 10**400}, "finite number"),
+        (lambda meta: {**meta, "fps": 10**400}, "fps"),
+        (lambda meta: {**meta, "bin_edges": None}, "bin_edges"),
+        (lambda meta: [meta], "unrecognized"),
+    ])
+    def test_defect_raises_format_error(self, written, edit, message):
+        sidecar = frequency.sidecar_path(written)
+        edited = edit(json.loads(sidecar.read_text()))
+        sidecar.write_text(edited if isinstance(edited, str) else json.dumps(edited))
+        with pytest.raises(FormatError, match=message):
+            read_features_csv(written)

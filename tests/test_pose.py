@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -14,12 +15,11 @@ from freqgcn.errors import (
     UnrecoverableJointError,
 )
 from freqgcn.pose import (
-    Keypoint,
+    PoseSequence,
     interpolate_missing,
     load_sequence,
     normalize_sequence,
     parse_keypoint_frame,
-    sequence_from_arrays,
     serialize_keypoint_frame,
     write_sequence,
     write_sequence_csv,
@@ -33,14 +33,14 @@ def frame_doc(triples):
 class TestParseKeypointFrame:
     def test_flat_triples_map_to_keypoints(self):
         frame = parse_keypoint_frame(frame_doc([10.0, 20.0, 0.9, 0, 0, 0]), expected_joints=2)
-        assert frame.joints[0] == Keypoint(10.0, 20.0, 0.9)
-        assert frame.joints[1].missing
+        assert frame[0].tolist() == [10.0, 20.0, 0.9]
+        assert frame[1, 2] == 0.0  # confidence 0 marks the joint missing
 
     def test_empty_people_yields_all_missing_frame(self):
         raw = json.dumps({"people": []}).encode()
         frame = parse_keypoint_frame(raw, expected_joints=25)
-        assert frame.num_joints == 25
-        assert all(kp.confidence == 0.0 for kp in frame.joints)
+        assert frame.shape == (25, 3)
+        assert (frame[:, 2] == 0.0).all()
 
     def test_length_not_divisible_by_three(self):
         with pytest.raises(FormatError, match="divisible by 3"):
@@ -65,11 +65,18 @@ class TestParseKeypointFrame:
             }
         ).encode()
         frame = parse_keypoint_frame(doc)
-        assert frame.joints[0].x == 1.0
+        assert frame[0, 0] == 1.0
 
     def test_confidence_out_of_range_rejected(self):
         with pytest.raises(FormatError):
             parse_keypoint_frame(frame_doc([1.0, 2.0, 1.5]))
+
+    @pytest.mark.parametrize("triple", [
+        ["1.0", 2.0, 0.5], [[1.0], 2.0, 0.5], [None, 2.0, 0.5], [float("nan"), 2.0, 0.5],
+    ])
+    def test_non_numeric_or_non_finite_rejected(self, triple):
+        with pytest.raises(FormatError):
+            parse_keypoint_frame(frame_doc(triple))
 
     @given(
         st.lists(
@@ -86,7 +93,8 @@ class TestParseKeypointFrame:
         flat = [v for triple in triples for v in triple]
         first = parse_keypoint_frame(frame_doc(flat))
         second = parse_keypoint_frame(serialize_keypoint_frame(first))
-        assert first.joints == second.joints
+        assert first.shape == second.shape
+        assert first.tobytes() == second.tobytes()
 
 
 class TestLoadSequence:
@@ -102,7 +110,7 @@ class TestLoadSequence:
         self.write_frames(tmp_path / "seq", ["seq_000.json", "seq_001.json"])
         seq = load_sequence(tmp_path / "seq", fps=30.0)
         assert len(seq) == 2
-        assert [f.frame_index for f in seq.frames] == [0, 1]
+        assert seq.positions[:, 0, 0].tolist() == [0.0, 1.0]
 
     def test_numeric_not_lexical_order(self, tmp_path):
         d = tmp_path / "seq"
@@ -110,7 +118,7 @@ class TestLoadSequence:
         (d / "f_10.json").write_bytes(frame_doc([10.0, 0.0, 1.0]))
         (d / "f_2.json").write_bytes(frame_doc([2.0, 0.0, 1.0]))
         seq = load_sequence(d, fps=30.0)
-        assert [f.joints[0].x for f in seq.frames] == [2.0, 10.0]
+        assert seq.positions[:, 0, 0].tolist() == [2.0, 10.0]
 
     def test_empty_directory(self, tmp_path):
         d = tmp_path / "empty"
@@ -137,44 +145,62 @@ class TestLoadSequence:
         path = tmp_path / "clip.json"
         path.write_text(json.dumps(docs))
         seq = load_sequence(path, fps=30.0)
-        assert [f.joints[0].x for f in seq.frames] == [0.0, 1.0, 2.0]
+        assert seq.positions[:, 0, 0].tolist() == [0.0, 1.0, 2.0]
 
     def test_write_sequence_round_trip(self, tmp_path):
-        seq = sequence_from_arrays(np.arange(12, dtype=float).reshape(3, 2, 2), fps=30.0)
+        seq = PoseSequence(np.arange(12, dtype=float).reshape(3, 2, 2), fps=30.0)
         write_sequence(seq, tmp_path / "out")
         again = load_sequence(tmp_path / "out", fps=30.0)
-        assert np.array_equal(again.positions(), seq.positions())
+        assert np.array_equal(again.positions, seq.positions)
 
-    def test_fps_warning_outside_range(self):
-        pos = np.zeros((2, 1, 2))
-        pos[1, 0, 0] = 1.0
+    def test_fps_warning_outside_range(self, tmp_path):
+        self.write_frames(tmp_path / "seq", ["f_0.json", "f_1.json"], n_joints=1)
         with pytest.warns(UserWarning, match="fps"):
-            sequence_from_arrays(pos, fps=120.0)
+            load_sequence(tmp_path / "seq", fps=120.0)
+
+    def test_fps_warning_fires_once_per_ingest(self, tmp_path):
+        d = tmp_path / "seq"
+        d.mkdir()
+        for k in range(4):  # joint 1 is missing in frame 1, so gap filling builds a new sequence
+            (d / f"f_{k}.json").write_bytes(frame_doc([k, 0.0, 1.0, k, 1.0, float(k != 1)]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            seq = load_sequence(tmp_path / "seq", fps=120.0)
+            seq = interpolate_missing(seq)
+            normalize_sequence(seq, root=0, neck=1)
+        assert [w.category for w in caught] == [UserWarning]
+
+    def test_non_json_entries_are_skipped(self, tmp_path):
+        self.write_frames(tmp_path / "seq", ["f_0.json", "f_1.json"])
+        (tmp_path / "seq" / "notes_9.txt").write_text("not a frame")
+        (tmp_path / "seq" / "sub_5.json").mkdir()
+        seq = load_sequence(tmp_path / "seq", fps=30.0)
+        assert seq.positions[:, 0, 0].tolist() == [0.0, 1.0]
 
 
 class TestInterpolateMissing:
     def test_linear_midpoint(self):
         pos = np.array([[[0.0, 0.0]], [[9.0, 9.0]], [[2.0, 2.0]]])
         conf = np.array([[1.0], [0.0], [1.0]])
-        seq = sequence_from_arrays(pos, fps=30.0, confidences=conf)
+        seq = PoseSequence(pos, fps=30.0, confidence=conf)
         filled = interpolate_missing(seq)
-        assert filled.frames[1].joints[0].x == 1.0
-        assert filled.frames[1].joints[0].y == 1.0
+        assert filled.positions[1, 0, 0] == 1.0
+        assert filled.positions[1, 0, 1] == 1.0
 
     def test_constant_extension_at_edges(self):
         pos = np.zeros((4, 1, 2))
         pos[2, 0] = (5.0, 5.0)
         conf = np.array([[0.0], [0.0], [1.0], [0.0]])
-        seq = sequence_from_arrays(pos, fps=30.0, confidences=conf)
+        seq = PoseSequence(pos, fps=30.0, confidence=conf)
         filled = interpolate_missing(seq)
         for t in (0, 1, 3):
-            assert filled.frames[t].joints[0].x == 5.0
-            assert filled.frames[t].joints[0].y == 5.0
+            assert filled.positions[t, 0, 0] == 5.0
+            assert filled.positions[t, 0, 1] == 5.0
 
     def test_all_missing_joint_is_unrecoverable(self):
         conf = np.zeros((3, 2))
         conf[:, 0] = 1.0
-        seq = sequence_from_arrays(np.zeros((3, 2, 2)), fps=30.0, confidences=conf)
+        seq = PoseSequence(np.zeros((3, 2, 2)), fps=30.0, confidence=conf)
         with pytest.raises(UnrecoverableJointError) as excinfo:
             interpolate_missing(seq)
         assert excinfo.value.joint == 1
@@ -184,41 +210,41 @@ class TestInterpolateMissing:
         pos = rng.normal(size=(20, 3, 2))
         conf = (rng.random((20, 3)) > 0.4).astype(float)
         conf[0, :] = 1.0  # keep every joint observable
-        seq = sequence_from_arrays(pos, fps=30.0, confidences=conf)
+        seq = PoseSequence(pos, fps=30.0, confidence=conf)
         filled = interpolate_missing(seq)
-        assert (filled.confidences() > 0).all()
+        assert (filled.confidence > 0).all()
 
     def test_idempotent(self):
         rng = np.random.default_rng(11)
         pos = rng.normal(size=(15, 4, 2))
         conf = (rng.random((15, 4)) > 0.5).astype(float)
         conf[3, :] = 1.0
-        seq = sequence_from_arrays(pos, fps=30.0, confidences=conf)
+        seq = PoseSequence(pos, fps=30.0, confidence=conf)
         once = interpolate_missing(seq)
         twice = interpolate_missing(once)
-        assert np.array_equal(once.positions(), twice.positions())
-        assert np.array_equal(once.confidences(), twice.confidences())
+        assert np.array_equal(once.positions, twice.positions)
+        assert np.array_equal(once.confidence, twice.confidence)
 
 
 class TestNormalizeSequence:
     def build(self, joints):
         # Two identical frames so the torso median equals the per-frame distance.
         pos = np.array([joints, joints], dtype=float)
-        return sequence_from_arrays(pos, fps=30.0)
+        return PoseSequence(pos, fps=30.0)
 
     def test_hand_computed_example(self):
         seq = self.build([[100.0, 200.0], [100.0, 150.0], [110.0, 200.0]])
         out = normalize_sequence(seq, root=0, neck=1)
-        frame = out.frames[0]
-        assert (frame.joints[0].x, frame.joints[0].y) == (0.0, 0.0)
-        assert frame.joints[2].x == pytest.approx(0.2, abs=1e-12)
-        assert frame.joints[2].y == 0.0
+        frame = out.positions[0]
+        assert (frame[0, 0], frame[0, 1]) == (0.0, 0.0)
+        assert frame[2, 0] == pytest.approx(0.2, abs=1e-12)
+        assert frame[2, 1] == 0.0
 
     def test_idempotent_on_normalized_input(self):
         seq = self.build([[0.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
         out = normalize_sequence(seq, root=0, neck=1)
         again = normalize_sequence(out, root=0, neck=1)
-        assert np.array_equal(out.positions(), again.positions())
+        assert np.array_equal(out.positions, again.positions)
 
     def test_degenerate_pose(self):
         seq = self.build([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
@@ -234,20 +260,42 @@ class TestNormalizeSequence:
     def test_invariant_under_similarity_transform(self, scale, tx, ty):
         rng = np.random.default_rng(5)
         pos = rng.normal(scale=50.0, size=(6, 4, 2)) + 200.0
-        seq = sequence_from_arrays(pos, fps=30.0)
+        seq = PoseSequence(pos, fps=30.0)
         base = normalize_sequence(seq, root=0, neck=1)
-        moved = sequence_from_arrays(pos * scale + np.array([tx, ty]), fps=30.0)
+        moved = PoseSequence(pos * scale + np.array([tx, ty]), fps=30.0)
         transformed = normalize_sequence(moved, root=0, neck=1)
-        assert np.allclose(base.positions(), transformed.positions(), atol=1e-9)
+        assert np.allclose(base.positions, transformed.positions, atol=1e-9)
 
 
 class TestSequenceInvariants:
+    def test_arrays_are_read_only_copies(self):
+        pos = np.zeros((3, 2, 2))
+        seq = PoseSequence(pos, fps=30.0)
+        pos[0, 0, 0] = 9.0
+        assert seq.positions[0, 0, 0] == 0.0 and pos.flags.writeable
+        assert (seq.confidence == 1.0).all()
+        for array in (seq.positions, seq.confidence):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+
+    @pytest.mark.parametrize("positions,confidence,fps", [
+        (np.full((3, 2, 2), np.nan), None, 30.0),
+        (np.zeros((3, 2, 2)), np.full((3, 2), 1.5), 30.0),
+        (np.zeros((3, 2, 2)), np.full((3, 2), np.nan), 30.0),
+        (np.zeros((3, 2, 2)), np.ones((3, 3)), 30.0),
+        (np.zeros((3, 2, 3)), None, 30.0),
+        (np.zeros((3, 2, 2)), None, 0.0),
+    ])
+    def test_invalid_arrays_rejected(self, positions, confidence, fps):
+        with pytest.raises(ValueError):
+            PoseSequence(positions, fps=fps, confidence=confidence)
+
     def test_sequence_needs_two_frames(self):
         with pytest.raises(ValueError):
-            sequence_from_arrays(np.zeros((1, 2, 2)), fps=30.0)
+            PoseSequence(np.zeros((1, 2, 2)), fps=30.0)
 
     def test_csv_export(self, tmp_path):
-        seq = sequence_from_arrays(np.arange(8, dtype=float).reshape(2, 2, 2), fps=30.0)
+        seq = PoseSequence(np.arange(8, dtype=float).reshape(2, 2, 2), fps=30.0)
         path = tmp_path / "seq.csv"
         write_sequence_csv(seq, path)
         lines = path.read_text().splitlines()

@@ -40,24 +40,24 @@ class TestGenerateSequence:
         rest = rest_pose(builtin_topology("toy5"))
         # Only the signal joints still carry the (negligible) oscillation.
         still = [j for j in range(5) if j not in cfg.signal_joints]
-        assert np.allclose(seq.positions()[:, still], rest[still], atol=1e-9)
+        assert np.allclose(seq.positions[:, still], rest[still], atol=1e-9)
 
     def test_deterministic_per_seed_triple(self):
         cfg = SynthConfig(num_frames=60)
         a = generate_sequence(cfg, label=1, seed=7)
         b = generate_sequence(cfg, label=1, seed=7)
-        assert np.array_equal(a.positions(), b.positions())
+        assert np.array_equal(a.positions, b.positions)
 
     def test_different_seed_changes_sequence(self):
         cfg = SynthConfig(num_frames=60)
         a = generate_sequence(cfg, label=1, seed=7)
         b = generate_sequence(cfg, label=1, seed=8)
-        assert not np.array_equal(a.positions(), b.positions())
+        assert not np.array_equal(a.positions, b.positions)
 
     def test_spectrum_peak_falls_in_band_index_range(self):
         cfg = SynthConfig(num_frames=300, fps=30.0, noise_sigma=0.0, class1_band=(3.0, 4.0))
         seq = generate_sequence(cfg, label=1, seed=3)
-        pos = seq.positions()
+        pos = seq.positions
         for joint in cfg.signal_joints:
             x = pos[:, joint, 0]
             spectrum = np.abs(dft_naive(x - x.mean()))[: len(x) // 2 + 1]
@@ -67,7 +67,7 @@ class TestGenerateSequence:
     def test_noiseless_energy_stays_in_band(self):
         cfg = SynthConfig(num_frames=200, fps=30.0, noise_sigma=0.0)
         seq = generate_sequence(cfg, label=0, seed=11)
-        pos = seq.positions()
+        pos = seq.positions
         k_lo, k_hi = 4, 10  # [0.5, 1.5] Hz at T=200, fps=30
         for joint in cfg.signal_joints:
             x = pos[:, joint, 0]
@@ -81,7 +81,7 @@ class TestGenerateSequence:
         seq = generate_sequence(cfg, label=0, seed=2)
         assert len(seq) == 40
         assert seq.num_joints == 25
-        assert (seq.confidences() > 0).all()
+        assert (seq.confidence > 0).all()
         filled = interpolate_missing(seq)  # no-op on complete data
         topo = builtin_topology("body25")
         normalized = normalize_sequence(filled, topo.root, topo.neck)
@@ -111,7 +111,7 @@ class TestGenerateDataset:
         b = generate_dataset(cfg, n_per_class=3, seed=1)
         assert len(a.samples) == len(b.samples)
         assert not np.array_equal(
-            a.samples[0].sequence.positions(), b.samples[0].sequence.positions()
+            a.samples[0].sequence.positions, b.samples[0].sequence.positions
         )
 
     def test_band_energy_oracle_separates_noiseless_classes(self):
@@ -151,7 +151,7 @@ class TestGenerateDataset:
         assert len(rows) == 4
         sample = dataset.samples[0]
         loaded = load_sequence(tmp_path / "sequences" / sample.sequence_id, fps=cfg.fps)
-        assert np.array_equal(loaded.positions(), sample.sequence.positions())
+        assert np.array_equal(loaded.positions, sample.sequence.positions)
 
     def test_n_per_class_minimum(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ from freqgcn.errors import DegenerateDatasetError
 from freqgcn.frequency import BinSpec, FrequencyFeatures, bin_edges, extract_features
 from freqgcn.graph import builtin_topology
 from freqgcn.model import model_forward
-from freqgcn.pose import sequence_from_arrays
+from freqgcn.pose import PoseSequence
 from freqgcn.training import TrainConfig, evaluate, train
 
 TOY = builtin_topology("toy5")
@@ -39,7 +39,7 @@ def tone_dataset(count=8, frames=120):
         rng = np.random.default_rng(k)
         pos += rng.normal(scale=0.01, size=pos.shape)
         pos[:, 1, 0] += np.sin(2 * np.pi * peak * t / frames)
-        seq = sequence_from_arrays(pos, fps=30.0)
+        seq = PoseSequence(pos, fps=30.0)
         samples.append((extract_features(seq, BinSpec(c=1.5, num_bins=5)), label))
     return samples
 
