@@ -27,7 +27,6 @@ from .model import (
     attention_report,
     attention_weights,
     backward,
-    gcn_forward,
     init_model,
     load_model,
     loss,
@@ -72,7 +71,6 @@ __all__ = [
     "evaluate",
     "extract_features",
     "fft_bluestein",
-    "gcn_forward",
     "generate_dataset",
     "generate_sequence",
     "gradient_check",

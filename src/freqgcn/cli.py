@@ -12,7 +12,6 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -33,16 +32,6 @@ EXIT_INPUT_MISSING = 2
 EXIT_INSUFFICIENT_DATA = 3
 EXIT_DEGENERATE_DATASET = 4
 EXIT_MODEL_MISMATCH = 5
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings shared by the training pipeline."""
-
-    topology: SkeletonTopology
-    bin_spec: frequency.BinSpec
-    channel_widths: tuple[int, ...]
-    train: training.TrainConfig
 
 
 def _fail(code: int, exc: BaseException) -> None:
@@ -246,19 +235,17 @@ def cmd_train(features_dir, manifest, out_path, topology, channels, epochs, lr, 
             f"has {topo.num_joints}"
         )
 
-    cfg = RunConfig(
-        topology=topo,
-        bin_spec=bin_spec,
-        channel_widths=_parse_widths(channels),
-        train=training.TrainConfig(
+    try:
+        config = training.TrainConfig(
             epochs=epochs, learning_rate=lr, seed=seed,
             full_batch=not per_example, init_scale=init_scale,
-        ),
-    )
+        )
+    except ValueError as exc:
+        raise FreqGcnError(f"--epochs {epochs} --lr {lr:g}: {exc}") from None
     train_set = [(f, label) for _, f, _, label, split in table if split == "train"]
     test_set = [(sid, f, label) for sid, f, _, label, split in table if split == "test"]
     trained, history = training.train(
-        train_set, cfg.train, cfg.topology, cfg.bin_spec, channel_widths=cfg.channel_widths
+        train_set, config, topo, bin_spec, channel_widths=_parse_widths(channels)
     )
     model_mod.save_model(trained, out_path)
 
@@ -400,8 +387,14 @@ def cmd_explain(model_path, input_path, out_prefix, fps, bars):
 @click.option("--trials", type=int, default=3, show_default=True)
 @click.option("--threshold", type=float, default=1e-4, show_default=True,
               help="Maximum acceptable relative error.")
+@guarded
 def cmd_gradcheck(eps, seed, trials, threshold):
     """Verify analytic gradients against central differences on a toy model."""
+    if trials < 1 or not (eps > 0 and threshold > 0):
+        raise FreqGcnError(
+            f"--trials must be at least 1 and --eps and --threshold positive, "
+            f"got {trials}, {eps:g} and {threshold:g}"
+        )
     rng = np.random.default_rng(seed)
     topo = builtin_topology("toy5")
     spec = frequency.BinSpec(c=1.3, num_bins=3)

@@ -53,6 +53,10 @@ class ContractViolationError(FreqGcnError):
     """Caller broke an operation precondition (shape, symmetry, finiteness)."""
 
 
+class NonFiniteError(ContractViolationError):
+    """Finite inputs produced non-finite values, as when training diverges."""
+
+
 class DegenerateDatasetError(FreqGcnError):
     """Training data does not contain both classes."""
 

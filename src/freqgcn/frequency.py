@@ -324,7 +324,10 @@ def read_features_csv(path: str | Path) -> tuple[FrequencyFeatures, BinSpec]:
     if not meta_file.exists():
         raise FormatError(f"missing feature sidecar {meta_file}")
     n, b, spec, edges, fps = _read_sidecar(meta_file)
-    lines = path.read_text("utf-8").splitlines()
+    try:
+        lines = path.read_text("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path.name}: not a UTF-8 text file: {exc}") from None
     if not lines or lines[0] != "joint,bin,channel,value":
         raise FormatError(f"{path.name}: expected header 'joint,bin,channel,value'")
     cells: dict[tuple[int, int, int], float] = {}

@@ -15,11 +15,12 @@ analytic gradients without an autodiff framework.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractViolationError, ModelMismatchError
+from .errors import ContractViolationError, ModelMismatchError, NonFiniteError
 from .frequency import BinSpec, FrequencyFeatures
 from .graph import FeatureGraph, SkeletonTopology, build_feature_graph
 
@@ -30,30 +31,32 @@ LABELS = {0: (1.0, 0.0), 1: (0.0, 1.0)}
 
 @dataclass(eq=False)
 class AttentionParams:
-    """Learnable attention parameters: feature transform and scoring vector."""
+    """Attention parameters passed on their own to :func:`attention_weights`."""
 
     w_z: np.ndarray  # (C, C)
     w_alpha: np.ndarray  # (C,)
 
 
-@dataclass(eq=False)
-class GcnLayerParams:
-    weight: np.ndarray  # (C_in, C_out)
+def parameter_schema(channel_widths: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
+    """Ordered name -> shape of every learnable array for these channel widths.
 
-
-@dataclass(eq=False)
-class HeadParams:
-    weight: np.ndarray  # (C_last, 2)
-    bias: np.ndarray  # (2,)
+    The model's parameters, the gradients of :func:`backward`, the
+    optimizer's moments and the model document all follow this order.
+    """
+    c_in = channel_widths[0]
+    schema = {"w_z": (c_in, c_in), "w_alpha": (c_in,)}
+    for l in range(len(channel_widths) - 1):
+        schema[f"layer{l}"] = (channel_widths[l], channel_widths[l + 1])
+    schema["head_weight"] = (channel_widths[-1], NUM_CLASSES)
+    schema["head_bias"] = (NUM_CLASSES,)
+    return schema
 
 
 @dataclass(eq=False)
 class Model:
-    """All parameters plus the fixed graph/binning context they assume."""
+    """All parameters, in schema order, plus the fixed graph/binning context they assume."""
 
-    attention: AttentionParams
-    layers: list[GcnLayerParams]
-    head: HeadParams
+    params: dict[str, np.ndarray]
     graph: FeatureGraph
     bin_spec: BinSpec
     channel_widths: tuple[int, ...]
@@ -61,14 +64,10 @@ class Model:
     def __post_init__(self):
         if len(self.channel_widths) < 2:
             raise ValueError("channel_widths needs at least an input and one layer width")
-        if len(self.layers) != len(self.channel_widths) - 1:
-            raise ValueError("one weight matrix per layer transition required")
-        for l, layer in enumerate(self.layers):
-            expect = (self.channel_widths[l], self.channel_widths[l + 1])
-            if layer.weight.shape != expect:
-                raise ValueError(f"layer {l} weight is {layer.weight.shape}, expected {expect}")
-        if self.head.weight.shape != (self.channel_widths[-1], NUM_CLASSES):
-            raise ValueError("head weight shape mismatch")
+        shapes = [(name, p.shape) for name, p in self.params.items()]
+        schema = list(parameter_schema(self.channel_widths).items())
+        if shapes != schema:
+            raise ValueError(f"parameters {shapes} do not match the schema {schema}")
 
     @property
     def num_joints(self) -> int:
@@ -84,35 +83,11 @@ class Model:
 
     @property
     def num_layers(self) -> int:
-        return len(self.layers)
+        return len(self.channel_widths) - 1
 
     def parameter_groups(self) -> dict[str, np.ndarray]:
-        """Live views of every parameter array, keyed by group name."""
-        groups = {"w_z": self.attention.w_z, "w_alpha": self.attention.w_alpha}
-        for l, layer in enumerate(self.layers):
-            groups[f"layer{l}"] = layer.weight
-        groups["head_weight"] = self.head.weight
-        groups["head_bias"] = self.head.bias
-        return groups
-
-
-@dataclass(eq=False)
-class Gradients:
-    """Loss gradients mirroring the parameter layout of a Model."""
-
-    w_z: np.ndarray
-    w_alpha: np.ndarray
-    layers: list[np.ndarray]
-    head_weight: np.ndarray
-    head_bias: np.ndarray
-
-    def groups(self) -> dict[str, np.ndarray]:
-        out = {"w_z": self.w_z, "w_alpha": self.w_alpha}
-        for l, g in enumerate(self.layers):
-            out[f"layer{l}"] = g
-        out["head_weight"] = self.head_weight
-        out["head_bias"] = self.head_bias
-        return out
+        """Live views of every parameter array, keyed by schema name."""
+        return self.params
 
 
 @dataclass(frozen=True)
@@ -128,12 +103,18 @@ class AttentionReport:
 
     Importance of a joint is its largest deviation from uniform attention,
     max over bins of |alpha - 1/B|; ranking sorts joints by importance,
-    descending, stable on ties.
+    descending, stable on ties. Both are computed on first access.
     """
 
     alpha: np.ndarray  # (N, B)
-    joint_importance: np.ndarray  # (N,)
-    ranking: np.ndarray  # (N,) joint indices
+
+    @cached_property
+    def joint_importance(self) -> np.ndarray:  # (N,)
+        return np.abs(self.alpha - 1.0 / self.alpha.shape[1]).max(axis=1)
+
+    @cached_property
+    def ranking(self) -> np.ndarray:  # (N,) joint indices
+        return np.argsort(-self.joint_importance, kind="stable")
 
 
 @dataclass(eq=False)
@@ -142,12 +123,9 @@ class ForwardCache:
 
     model: Model
     features: np.ndarray  # (N, B, C)
-    pre_tanh: np.ndarray  # (N, B, C)
-    z: np.ndarray  # (N, B, C)
-    scores: np.ndarray  # (N, B)
+    z: np.ndarray  # (N, B, C) tanh(W_z h)
     alpha: np.ndarray  # (N, B)
-    gated: np.ndarray  # (L, C)
-    layer_inputs: list[np.ndarray]  # X_l, length S+1
+    layer_inputs: list[np.ndarray]  # X_l, length S+1; X_0 is the gated input
     aggregated: list[np.ndarray]  # P_l = A_hat X_l, length S
     pre_relu: list[np.ndarray]  # Z_l = P_l W_l, length S
     pooled: np.ndarray  # (C_last,)
@@ -167,64 +145,53 @@ def init_model(
     seed: int = 0,
     init_scale: float = 1.0,
 ) -> Model:
-    """Fresh model with Glorot-uniform weights.
+    """Fresh model: Glorot-uniform matrices, drawn in schema order, and zero vectors.
 
-    w_alpha starts at zero so the first forward pass uses uniform attention
-    and the gating is exactly the identity.
+    The scoring vector starts at zero, so the first forward pass uses
+    uniform attention and the gating is exactly the identity.
     """
     rng = np.random.default_rng(seed)
-    c_in = channel_widths[0]
-    attention = AttentionParams(
-        w_z=glorot_uniform(rng, c_in, c_in, init_scale),
-        w_alpha=np.zeros(c_in),
-    )
-    layers = [
-        GcnLayerParams(weight=glorot_uniform(rng, channel_widths[l], channel_widths[l + 1], init_scale))
-        for l in range(len(channel_widths) - 1)
-    ]
-    head = HeadParams(
-        weight=glorot_uniform(rng, channel_widths[-1], NUM_CLASSES, init_scale),
-        bias=np.zeros(NUM_CLASSES),
-    )
+    params = {
+        name: glorot_uniform(rng, *shape, init_scale) if len(shape) == 2 else np.zeros(shape)
+        for name, shape in parameter_schema(channel_widths).items()
+    }
     return Model(
-        attention=attention,
-        layers=layers,
-        head=head,
+        params=params,
         graph=build_feature_graph(topology, bin_spec.num_bins),
         bin_spec=bin_spec,
         channel_widths=tuple(channel_widths),
     )
 
 
-def _check_finite(name: str, array: np.ndarray) -> None:
-    if not np.isfinite(array).all():
-        raise ContractViolationError(f"{name} contains non-finite values")
-
-
 def attention_weights(features_h: np.ndarray, params: AttentionParams) -> np.ndarray:
     """Per-joint softmax over bins of the scores w_alpha . tanh(W_z h)."""
-    alpha, _ = _attention_forward(features_h, params)
+    alpha, _ = _attention_forward(features_h, params.w_z, params.w_alpha)
     return alpha
 
 
-def _attention_forward(features_h: np.ndarray, params: AttentionParams):
+def _attention_forward(features_h: np.ndarray, w_z: np.ndarray, w_alpha: np.ndarray):
+    """(alpha, z) for features h of shape (N, B, C)."""
     h = np.asarray(features_h, dtype=np.float64)
     if h.ndim != 3:
         raise ContractViolationError(f"features must be (N, B, C), got shape {h.shape}")
-    _check_finite("features", h)
-    pre_tanh = h @ params.w_z.T
-    z = np.tanh(pre_tanh)
-    scores = z @ params.w_alpha
+    if not np.isfinite(h).all():
+        raise ContractViolationError("features contains non-finite values")
+    z = np.tanh(h @ w_z.T)
+    scores = z @ w_alpha
     shifted = scores - scores.max(axis=1, keepdims=True)  # overflow safety
     exp = np.exp(shifted)
-    alpha = exp / exp.sum(axis=1, keepdims=True)
-    return alpha, (pre_tanh, z, scores)
+    return exp / exp.sum(axis=1, keepdims=True), z
+
+
+def _gate(h: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """G = B * alpha * h, so uniform attention reproduces the raw features."""
+    return h.shape[1] * alpha[:, :, None] * h
 
 
 def attention_aggregate(
     features_h: np.ndarray, alpha: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Aggregate V_i = sum_b alpha h and gate G = B * alpha * h.
+    """Aggregate V_i = sum_b alpha h and gate G = B * alpha * h for a caller's alpha.
 
     The B factor makes uniform attention reproduce the raw features, so an
     untrained (zero-score) model sees its input unchanged.
@@ -235,18 +202,7 @@ def attention_aggregate(
         raise ContractViolationError(f"alpha shape {a.shape} does not match features {h.shape[:2]}")
     if not np.allclose(a.sum(axis=1), 1.0, atol=1e-6):
         raise ContractViolationError("alpha rows must sum to 1")
-    aggregate = np.einsum("nb,nbc->nc", a, h)
-    gated = h.shape[1] * a[:, :, None] * h
-    return aggregate, gated
-
-
-def gcn_forward(a_hat: np.ndarray, h: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """One propagation step: ReLU(A_hat @ H @ W)."""
-    if a_hat.shape[1] != h.shape[0] or h.shape[1] != weight.shape[0]:
-        raise ContractViolationError(
-            f"shape chain broken: A_hat {a_hat.shape}, H {h.shape}, W {weight.shape}"
-        )
-    return np.maximum(a_hat @ h @ weight, 0.0)
+    return np.einsum("nb,nbc->nc", a, h), _gate(h, a)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -258,7 +214,10 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 def model_forward(
     features: FrequencyFeatures | np.ndarray, model: Model
 ) -> tuple[Prediction, AttentionReport, ForwardCache]:
-    """Full pipeline from binned features to a 0/1 prediction."""
+    """Full pipeline from binned features to a 0/1 prediction.
+
+    Raises NonFiniteError when finite features give non-finite logits.
+    """
     h = features.data if isinstance(features, FrequencyFeatures) else np.asarray(features)
     h = h.astype(np.float64)
     n, b = model.num_joints, model.num_bins
@@ -266,38 +225,36 @@ def model_forward(
         raise ContractViolationError(
             f"features shape {h.shape} does not match model ({n}, {b}, {model.in_channels})"
         )
-    alpha, (pre_tanh, z, scores) = _attention_forward(h, model.attention)
-    _, gated = attention_aggregate(h, alpha)
-    # (N, B, C) rows land at node index i*B + b, matching FeatureGraph.node_index.
-    x = gated.reshape(n * b, model.in_channels)
+    w_z, w_alpha, *layers, head_weight, head_bias = model.params.values()  # schema order
+    # Overflow shows up in the logits, which are checked below instead of warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha, z = _attention_forward(h, w_z, w_alpha)
+        # (N, B, C) rows land at node index i*B + b, matching FeatureGraph.node_index.
+        layer_inputs = [_gate(h, alpha).reshape(n * b, model.in_channels)]
+        aggregated = []
+        pre_relu = []
+        for weight in layers:
+            p = model.graph.propagate(layer_inputs[-1])
+            zl = p @ weight
+            aggregated.append(p)
+            pre_relu.append(zl)
+            layer_inputs.append(np.maximum(zl, 0.0))
 
-    layer_inputs = [x]
-    aggregated = []
-    pre_relu = []
-    for layer in model.layers:
-        p = model.graph.propagate(layer_inputs[-1])
-        zl = p @ layer.weight
-        aggregated.append(p)
-        pre_relu.append(zl)
-        layer_inputs.append(np.maximum(zl, 0.0))
-
-    pooled = layer_inputs[-1].mean(axis=0)
-    logits = pooled @ model.head.weight + model.head.bias
+        pooled = layer_inputs[-1].mean(axis=0)
+        logits = pooled @ head_weight + head_bias
+    if not np.isfinite(logits).all():
+        raise NonFiniteError(f"logits {logits.tolist()} are not finite")
     probability = _softmax(logits)
     prediction = Prediction(
         logits=(float(logits[0]), float(logits[1])),
         probability=(float(probability[0]), float(probability[1])),
         label=int(np.argmax(logits)),
     )
-    report = _build_report(alpha)
     cache = ForwardCache(
         model=model,
         features=h,
-        pre_tanh=pre_tanh,
         z=z,
-        scores=scores,
         alpha=alpha,
-        gated=x,
         layer_inputs=layer_inputs,
         aggregated=aggregated,
         pre_relu=pre_relu,
@@ -305,20 +262,12 @@ def model_forward(
         logits=logits,
         probability=probability,
     )
-    return prediction, report, cache
-
-
-def _build_report(alpha: np.ndarray) -> AttentionReport:
-    uniform = 1.0 / alpha.shape[1]
-    importance = np.abs(alpha - uniform).max(axis=1)
-    ranking = np.argsort(-importance, kind="stable")
-    return AttentionReport(alpha=alpha, joint_importance=importance, ranking=ranking)
+    return prediction, AttentionReport(alpha), cache
 
 
 def attention_report(model: Model, features: FrequencyFeatures | np.ndarray) -> AttentionReport:
     """Attention weights and joint ranking for one input."""
-    _, report, _ = model_forward(features, model)
-    return report
+    return model_forward(features, model)[1]
 
 
 def one_hot(label: int) -> np.ndarray:
@@ -327,47 +276,48 @@ def one_hot(label: int) -> np.ndarray:
     return np.array(LABELS[label])
 
 
+def _label_vector(label_onehot: np.ndarray) -> np.ndarray:
+    y = np.asarray(label_onehot, dtype=np.float64)
+    if y.shape != (NUM_CLASSES,) or not ((y == LABELS[0]).all() or (y == LABELS[1]).all()):
+        raise ContractViolationError(f"label must be one-hot (1,0) or (0,1), got {y!r}")
+    return y
+
+
 def loss(logits: np.ndarray, label_onehot: np.ndarray) -> float:
     """Softmax cross-entropy, stabilized through log-sum-exp."""
-    y = np.asarray(label_onehot, dtype=np.float64)
-    if y.shape != (NUM_CLASSES,) or not (
-        (y == LABELS[0]).all() or (y == LABELS[1]).all()
-    ):
-        raise ContractViolationError(f"label must be one-hot (1,0) or (0,1), got {y!r}")
+    y = _label_vector(label_onehot)
     u = np.asarray(logits, dtype=np.float64)
     lse = float(np.logaddexp(u[0], u[1]))
     return lse - float(u @ y)
 
 
-def backward(cache: ForwardCache, label_onehot: np.ndarray) -> Gradients:
-    """Exact gradients of the cross-entropy loss for every parameter.
+def backward(cache: ForwardCache, label_onehot: np.ndarray) -> dict[str, np.ndarray]:
+    """Exact gradients of the cross-entropy loss, keyed like the model's parameters.
 
     Reverse-mode chain rule through the head, the mean pool, each
     ReLU(A_hat X W) layer, the B*alpha gating, the per-joint softmax, and
     the tanh transform.
     """
-    y = np.asarray(label_onehot, dtype=np.float64)
-    if y.shape != (NUM_CLASSES,) or not ((y == LABELS[0]).all() or (y == LABELS[1]).all()):
-        raise ContractViolationError(f"label must be one-hot (1,0) or (0,1), got {y!r}")
+    y = _label_vector(label_onehot)
     model = cache.model
     n, b = model.num_joints, model.num_bins
     length = n * b
     if cache.features.shape != (n, b, model.in_channels):
         raise ContractViolationError("cache does not match the model it claims to come from")
+    _, w_alpha, *layers, head_weight, _ = model.params.values()  # schema order
 
-    # Head and pooling.
+    # Head and pooling; every node receives the same share of the pooled gradient.
     d_logits = cache.probability - y
     d_head_weight = np.outer(cache.pooled, d_logits)
     d_head_bias = d_logits.copy()
-    d_pooled = model.head.weight @ d_logits
-    d_x = np.tile(d_pooled / length, (length, 1))
+    d_x = np.broadcast_to(head_weight @ d_logits / length, cache.layer_inputs[-1].shape)
 
     # GCN layers, last to first. A_hat is symmetric so A_hat.T @ v = A_hat @ v.
     d_layers: list[np.ndarray] = [None] * model.num_layers
     for l in range(model.num_layers - 1, -1, -1):
         d_pre = d_x * (cache.pre_relu[l] > 0.0)
         d_layers[l] = cache.aggregated[l].T @ d_pre
-        d_x = model.graph.propagate(d_pre @ model.layers[l].weight.T)
+        d_x = model.graph.propagate(d_pre @ layers[l].T)
 
     # Gating G = B * alpha * h.
     d_gated = d_x.reshape(n, b, model.in_channels)
@@ -379,17 +329,12 @@ def backward(cache: ForwardCache, label_onehot: np.ndarray) -> Gradients:
 
     # Scores s = w_alpha . z with z = tanh(W_z h).
     d_w_alpha = np.einsum("nb,nbc->c", d_scores, cache.z)
-    d_z = d_scores[:, :, None] * model.attention.w_alpha
+    d_z = d_scores[:, :, None] * w_alpha
     d_pre_tanh = d_z * (1.0 - cache.z**2)
     d_w_z = np.einsum("nbr,nbc->rc", d_pre_tanh, cache.features)
 
-    return Gradients(
-        w_z=d_w_z,
-        w_alpha=d_w_alpha,
-        layers=d_layers,
-        head_weight=d_head_weight,
-        head_bias=d_head_bias,
-    )
+    grads = (d_w_z, d_w_alpha, *d_layers, d_head_weight, d_head_bias)
+    return dict(zip(model.params, grads))
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +371,10 @@ def save_model(model: Model, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> Model:
     path = Path(path)
-    lines = path.read_text("utf-8").splitlines()
+    try:
+        lines = path.read_text("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ModelMismatchError(f"{path.name}: not a UTF-8 text document: {exc}") from None
     cursor = 0
 
     def take() -> str:
@@ -472,57 +420,32 @@ def load_model(path: str | Path) -> Model:
     except (ValueError, ModelMismatchError) as exc:
         raise ModelMismatchError(f"{path.name}: malformed header: {exc}") from exc
 
+    # One block per schema entry, in schema order; vectors are stored as 1-row matrices.
     params: dict[str, np.ndarray] = {}
-    while True:
+    for name, shape in parameter_schema(widths).items():
+        rows, cols = (1, *shape) if len(shape) == 1 else shape
+        block = f"param {name} {rows} {cols}"
         line = take()
-        if line == "end":
-            break
-        parts = line.split()
-        if len(parts) != 4 or parts[0] != "param":
-            raise ModelMismatchError(f"{path.name}: expected a param block, found {line!r}")
-        name = parts[1]
+        if line != block:
+            raise ModelMismatchError(f"{path.name}: expected {block!r}, found {line!r}")
         try:
-            rows, cols = int(parts[2]), int(parts[3])
             mat = np.array(
                 [[float(v) for v in take().split()] for _ in range(rows)], dtype=np.float64
             )
         except ValueError as exc:
             raise ModelMismatchError(f"{path.name}: bad values in param {name}: {exc}") from exc
-        if not np.isfinite(mat).all():
-            raise ModelMismatchError(f"{path.name}: param {name} holds non-finite values")
         if mat.shape != (rows, cols):
             raise ModelMismatchError(
                 f"{path.name}: param {name} declared {rows}x{cols}, got {mat.shape}"
             )
-        params[name] = mat
-
-    expected = ["w_z", "w_alpha"] + [f"layer{l}" for l in range(len(widths) - 1)] + [
-        "head_weight",
-        "head_bias",
-    ]
-    if list(params) != expected:
-        raise ModelMismatchError(
-            f"{path.name}: parameter groups {list(params)} do not match model shape {expected}"
-        )
-    c_in = widths[0]
-    shapes = {
-        "w_z": (c_in, c_in),
-        "w_alpha": (1, c_in),
-        "head_weight": (widths[-1], NUM_CLASSES),
-        "head_bias": (1, NUM_CLASSES),
-    }
-    for l in range(len(widths) - 1):
-        shapes[f"layer{l}"] = (widths[l], widths[l + 1])
-    for name, shape in shapes.items():
-        if params[name].shape != shape:
-            raise ModelMismatchError(
-                f"{path.name}: param {name} has shape {params[name].shape}, expected {shape}"
-            )
+        if not np.isfinite(mat).all():
+            raise ModelMismatchError(f"{path.name}: param {name} holds non-finite values")
+        params[name] = mat.reshape(shape)
+    if take() != "end":
+        raise ModelMismatchError(f"{path.name}: expected 'end' after the parameter blocks")
 
     return Model(
-        attention=AttentionParams(w_z=params["w_z"], w_alpha=params["w_alpha"][0]),
-        layers=[GcnLayerParams(weight=params[f"layer{l}"]) for l in range(len(widths) - 1)],
-        head=HeadParams(weight=params["head_weight"], bias=params["head_bias"][0]),
+        params=params,
         graph=build_feature_graph(topology, num_bins),
         bin_spec=spec,
         channel_widths=widths,

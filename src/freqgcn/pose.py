@@ -220,12 +220,15 @@ def load_sequence(
     if n is None:
         raise EmptyInputError(f"every frame in {path} is empty; joint count unknown")
     table = _keypoint_table(flats, n)
-    seq = PoseSequence(
-        positions=table[..., :2],
-        fps=fps,
-        confidence=table[..., 2],
-        subject_id=subject_id if subject_id is not None else path.name,
-    )
+    try:
+        seq = PoseSequence(
+            positions=table[..., :2],
+            fps=fps,
+            confidence=table[..., 2],
+            subject_id=subject_id if subject_id is not None else path.name,
+        )
+    except ValueError as exc:  # fps or frame count
+        raise FormatError(f"{path.name}: {exc}") from None
     if not FPS_QUIET_RANGE[0] <= fps <= FPS_QUIET_RANGE[1]:
         warnings.warn(
             f"fps {fps} outside the expected {FPS_QUIET_RANGE[0]:g}-"

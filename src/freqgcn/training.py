@@ -6,18 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDatasetError
+from .errors import DegenerateDatasetError, NonFiniteError
 from .frequency import BinSpec, FrequencyFeatures
 from .graph import SkeletonTopology
-from .model import (
-    Gradients,
-    Model,
-    backward,
-    init_model,
-    loss,
-    model_forward,
-    one_hot,
-)
+from .model import Model, backward, init_model, loss, model_forward, one_hot
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -46,18 +38,19 @@ class TrainHistory:
 
 
 class _Adam:
-    """Adaptive-moment update over a fixed list of parameter arrays."""
+    """Adaptive-moment update of a model's parameters, moments keyed like them."""
 
-    def __init__(self, params: list[np.ndarray], learning_rate: float):
+    def __init__(self, params: dict[str, np.ndarray], learning_rate: float):
         self.params = params
         self.lr = learning_rate
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = {name: np.zeros_like(p) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p) for name, p in params.items()}
         self.t = 0
 
-    def step(self, grads: list[np.ndarray]) -> None:
+    def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+        for name, p in self.params.items():
+            g, m, v = grads[name], self.m[name], self.v[name]
             m *= ADAM_BETA1
             m += (1 - ADAM_BETA1) * g
             v *= ADAM_BETA2
@@ -65,14 +58,6 @@ class _Adam:
             m_hat = m / (1 - ADAM_BETA1**self.t)
             v_hat = v / (1 - ADAM_BETA2**self.t)
             p -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-
-
-def _grad_arrays(g: Gradients) -> list[np.ndarray]:
-    return [g.w_z, g.w_alpha, *g.layers, g.head_weight, g.head_bias]
-
-
-def _param_arrays(model: Model) -> list[np.ndarray]:
-    return list(model.parameter_groups().values())
 
 
 def train(
@@ -86,7 +71,9 @@ def train(
 
     Gradients are averaged over examples in dataset order, so two runs with
     the same seed produce bitwise-identical parameters. With
-    ``full_batch=False`` the step runs per example instead, in order.
+    ``full_batch=False`` each batch is one example, in order. Raises
+    NonFiniteError, naming the epoch, when the logits or the parameters
+    stop being finite.
     """
     if not dataset:
         raise DegenerateDatasetError("training dataset is empty")
@@ -102,33 +89,40 @@ def train(
         seed=config.seed,
         init_scale=config.init_scale,
     )
-    params = _param_arrays(model)
-    optimizer = _Adam(params, config.learning_rate)
+    optimizer = _Adam(model.params, config.learning_rate)
     history = TrainHistory()
+    batches = [dataset] if config.full_batch else [[example] for example in dataset]
 
-    for _ in range(config.epochs):
-        epoch_loss = 0.0
-        correct = 0
-        if config.full_batch:
-            total = [np.zeros_like(p) for p in params]
-            for features, label in dataset:
-                target = one_hot(label)
-                prediction, _, cache = model_forward(features, model)
-                epoch_loss += loss(cache.logits, target)
-                correct += prediction.label == label
-                for acc, g in zip(total, _grad_arrays(backward(cache, target))):
-                    acc += g
-            optimizer.step([g / len(dataset) for g in total])
-        else:
-            for features, label in dataset:
-                target = one_hot(label)
-                prediction, _, cache = model_forward(features, model)
-                epoch_loss += loss(cache.logits, target)
-                correct += prediction.label == label
-                optimizer.step(_grad_arrays(backward(cache, target)))
-        history.losses.append(epoch_loss / len(dataset))
-        history.accuracies.append(correct / len(dataset))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught as non-finite values
+        for epoch in range(1, config.epochs + 1):
+            try:
+                epoch_loss, correct = _run_epoch(model, optimizer, batches)
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"training diverged at epoch {epoch}: {exc}") from None
+            history.losses.append(epoch_loss / len(dataset))
+            history.accuracies.append(correct / len(dataset))
     return model, history
+
+
+def _run_epoch(
+    model: Model, optimizer: _Adam, batches: list[list[tuple[FrequencyFeatures, int]]]
+) -> tuple[float, int]:
+    """One Adam step per batch on its mean gradient; (summed loss, correct count)."""
+    epoch_loss = 0.0
+    correct = 0
+    for batch in batches:
+        total = dict.fromkeys(model.params, 0.0)
+        for features, label in batch:
+            target = one_hot(label)
+            prediction, _, cache = model_forward(features, model)
+            epoch_loss += loss(cache.logits, target)
+            correct += prediction.label == label
+            for name, g in backward(cache, target).items():
+                total[name] = total[name] + g
+        optimizer.step({name: g / len(batch) for name, g in total.items()})
+    if not all(np.isfinite(p).all() for p in model.params.values()):
+        raise NonFiniteError("parameters are not finite")
+    return epoch_loss, correct
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +170,7 @@ def gradient_check(
     """Max relative error of analytic vs central-difference gradients, per group."""
     target = one_hot(label)
     _, _, cache = model_forward(features, model)
-    analytic = backward(cache, target).groups()
+    analytic = backward(cache, target)
     numeric = finite_difference_gradients(model, features, label, eps=eps)
     return {
         name: max_relative_error(analytic[name], numeric[name].reshape(analytic[name].shape))

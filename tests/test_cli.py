@@ -365,6 +365,28 @@ class TestHostileModelDocument:
         assert_one_line_diagnostic(result, 5)
         assert "overflows" in result.stderr
 
+    def test_non_finite_prediction_exits_5(self, runner, workspace, tmp_path):
+        def edit(lines):
+            for name in ("layer0", "layer1"):
+                header = next(i for i, line in enumerate(lines) if line.startswith(f"param {name} "))
+                rows, cols = (int(v) for v in lines[header].split()[2:])
+                lines[header + 1:header + 1 + rows] = [" ".join(["1e300"] * cols)] * rows
+
+        result = predict_with_model(runner, workspace, tmp_path, edit)
+        assert_one_line_diagnostic(result, 5)
+        assert "not finite" in result.stderr
+        assert result.stdout == ""
+
+    def test_non_utf8_document_exits_5(self, runner, workspace, tmp_path):
+        model = tmp_path / "model.txt"
+        model.write_bytes((workspace / "model.txt").read_bytes().replace(b"toy5", b"toy\xff", 1))
+        result = runner.invoke(main, [
+            "predict", "--model", str(model),
+            "--input", str(workspace / "features" / "seq_0000.csv"),
+        ])
+        assert_one_line_diagnostic(result, 5)
+        assert "UTF-8" in result.stderr
+
     def test_edge_outside_skeleton_exits_5(self, runner, workspace, tmp_path):
         def edit(lines):
             lines[lines.index("edges 4") + 1] = "0 9"
@@ -399,6 +421,22 @@ class TestHostileFeatureFile:
         assert_one_line_diagnostic(result, 1)
 
 
+    def test_non_utf8_file_exits_1(self, runner, workspace, tmp_path):
+        target = tmp_path / "seq_0000.csv"
+        body = (workspace / "features" / "seq_0000.csv").read_bytes()
+        target.write_bytes(body + b"0,0,x,0.\xff\n")
+        (tmp_path / "seq_0000.csv.meta.json").write_bytes(
+            (workspace / "features" / "seq_0000.csv.meta.json").read_bytes()
+        )
+        with pytest.raises(FormatError, match="UTF-8"):
+            read_features_csv(target)
+        result = runner.invoke(main, [
+            "predict", "--model", str(workspace / "model.txt"), "--input", str(target),
+        ])
+        assert_one_line_diagnostic(result, 1)
+        assert "UTF-8" in result.stderr
+
+
 class TestHostileFeatureSidecar:
     @pytest.mark.parametrize("edit", [
         lambda meta: "{not json",
@@ -424,3 +462,58 @@ class TestHostileFeatureSidecar:
         ])
         assert_one_line_diagnostic(result, 1)
         assert "seq_0000.csv.meta.json" in result.stderr
+
+
+class TestNumericFlagEdges:
+    @pytest.mark.parametrize("fps", ["0", "-30", "nan"])
+    def test_extract_bad_fps_exits_1(self, runner, workspace, tmp_path, fps):
+        result = runner.invoke(main, [
+            "extract", "--input", str(workspace / "data" / "sequences" / "seq_0000"),
+            "--out", str(tmp_path / "f.csv"), "--topology", "toy5",
+            "--c", "1.15", "--bins", "14", "--fps", fps,
+        ])
+        assert_one_line_diagnostic(result, 1)
+        assert "fps" in result.stderr
+        assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("command", ["predict", "explain"])
+    def test_raw_input_bad_fps_exits_1(self, runner, workspace, tmp_path, command):
+        args = [command, "--model", str(workspace / "model.txt"),
+                "--input", str(workspace / "data" / "sequences" / "seq_0000"), "--fps", "0"]
+        if command == "explain":
+            args += ["--out", str(tmp_path / "report")]
+        result = runner.invoke(main, args)
+        assert_one_line_diagnostic(result, 1)
+        assert "fps" in result.stderr
+
+    def test_train_zero_epochs_exits_1(self, runner, workspace, tmp_path):
+        result = runner.invoke(main, [
+            "train", "--features", str(workspace / "features"),
+            "--manifest", str(workspace / "data" / "manifest.csv"),
+            "--out", str(tmp_path / "model.txt"), "--topology", "toy5", "--epochs", "0",
+        ])
+        assert_one_line_diagnostic(result, 1)
+        assert "epochs" in result.stderr
+
+    @pytest.mark.parametrize("flags", [
+        ["--trials", "0"], ["--eps", "0"], ["--eps", "nan"], ["--threshold", "nan"],
+    ])
+    def test_gradcheck_flag_edges_exit_1(self, runner, flags):
+        result = runner.invoke(main, ["gradcheck", "--trials", "1", *flags])
+        assert_one_line_diagnostic(result, 1)
+        assert "passed" not in result.output
+
+    @pytest.mark.parametrize("mode", [[], ["--per-example"]])
+    def test_diverging_training_is_named_and_writes_nothing(self, runner, workspace, tmp_path,
+                                                             mode):
+        out = tmp_path / "out"
+        out.mkdir()
+        result = runner.invoke(main, [
+            "train", "--features", str(workspace / "features"),
+            "--manifest", str(workspace / "data" / "manifest.csv"),
+            "--out", str(out / "model.txt"), "--topology", "toy5", "--epochs", "5",
+            "--lr", "1e300", *mode,
+        ])
+        assert_one_line_diagnostic(result, 1)
+        assert "diverged at epoch" in result.stderr
+        assert list(out.iterdir()) == []

@@ -39,24 +39,24 @@ class TestGradientCorrectness:
         # Drive the prediction to match the label almost exactly; every
         # gradient then inherits the near-zero loss slope.
         model = randomized_model(np.random.default_rng(1), 1)
-        model.head.bias += np.array([60.0, -60.0])
+        model.params["head_bias"] += np.array([60.0, -60.0])
         features = np.abs(np.random.default_rng(2).normal(size=(5, 3, 2)))
         _, _, cache = model_forward(features, model)
         grads = backward(cache, one_hot(0))
-        total = sum(float(np.abs(g).sum()) for g in grads.groups().values())
+        total = sum(float(np.abs(g).sum()) for g in grads.values())
         assert total < 1e-8
 
     def test_disconnected_parameter_has_exactly_zero_gradient(self):
         model = randomized_model(np.random.default_rng(3), 3)
         # Make every layer-0 output unit that column 4 feeds ReLU-dead.
         dead_col = 4
-        model.layers[0].weight[:, dead_col] = -10.0  # strongly negative pre-activations
+        model.params["layer0"][:, dead_col] = -10.0  # strongly negative pre-activations
         features = np.abs(np.random.default_rng(5).normal(size=(5, 3, 2))) + 0.5
         _, _, cache = model_forward(features, model)
         assert np.all(cache.pre_relu[0][:, dead_col] < 0.0)
         grads = backward(cache, one_hot(1))
         # Column feeds only dead units, so its weight gradient vanishes.
-        assert np.array_equal(grads.layers[0][:, dead_col], np.zeros(2))
+        assert np.array_equal(grads["layer0"][:, dead_col], np.zeros(2))
 
     def test_finite_difference_oracle_shim(self):
         # The oracle itself on the head bias: d loss / d bias = p - y.

@@ -6,21 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freqgcn.errors import ContractViolationError, ModelMismatchError
+from freqgcn.errors import ContractViolationError, ModelMismatchError, NonFiniteError
 from freqgcn.frequency import BinSpec
 from freqgcn.graph import SkeletonTopology, builtin_topology
 from freqgcn.model import (
     AttentionParams,
+    AttentionReport,
     attention_aggregate,
     attention_report,
     attention_weights,
     backward,
-    gcn_forward,
     init_model,
     load_model,
     loss,
     model_forward,
     one_hot,
+    parameter_schema,
     save_model,
 )
 
@@ -32,7 +33,7 @@ def toy_model(seed=0, widths=(2, 16, 16), randomize_attention=False):
     model = init_model(TOY, SPEC3, channel_widths=widths, seed=seed)
     if randomize_attention:
         rng = np.random.default_rng(seed + 1000)
-        model.attention.w_alpha += rng.normal(size=model.attention.w_alpha.shape)
+        model.params["w_alpha"] += rng.normal(size=model.params["w_alpha"].shape)
     return model
 
 
@@ -114,6 +115,15 @@ class TestAttentionAggregate:
             attention_aggregate(np.zeros((1, 2, 2)), np.array([[0.9, 0.9]]))
 
 
+def gcn_forward(a_hat: np.ndarray, h: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Oracle for one GCN layer: ReLU(A_hat @ H @ W) with a dense A_hat."""
+    if a_hat.shape[1] != h.shape[0] or h.shape[1] != weight.shape[0]:
+        raise ContractViolationError(
+            f"shape chain broken: A_hat {a_hat.shape}, H {h.shape}, W {weight.shape}"
+        )
+    return np.maximum(a_hat @ h @ weight, 0.0)
+
+
 class TestGcnForward:
     def test_identity_weight_with_relu_clip(self):
         out = gcn_forward(np.array([[1.0]]), np.array([[2.0, -1.0]]), np.eye(2))
@@ -137,11 +147,26 @@ class TestGcnForward:
         out = gcn_forward(np.eye(4), rng.normal(size=(4, 3)), rng.normal(size=(3, 5)))
         assert np.all(out >= 0.0)
 
+    @pytest.mark.parametrize("preset,bins,widths", [
+        ("toy5", 3, (2, 16, 16)), ("toy5", 4, (2, 8, 8, 4)), ("body25", 22, (2, 16, 16)),
+    ])
+    def test_every_model_layer_matches_the_dense_oracle(self, preset, bins, widths):
+        rng = np.random.default_rng(bins)
+        model = init_model(builtin_topology(preset), BinSpec(c=1.15, num_bins=bins),
+                           channel_widths=widths, seed=bins)
+        model.params["w_alpha"] += rng.normal(size=2)
+        feats = np.abs(rng.normal(size=(model.num_joints, bins, 2)))
+        _, _, cache = model_forward(feats, model)
+        layers = [model.params[f"layer{l}"] for l in range(model.num_layers)]
+        for l, weight in enumerate(layers):
+            want = gcn_forward(model.graph.normalized, cache.layer_inputs[l], weight)
+            np.testing.assert_allclose(cache.layer_inputs[l + 1], want, rtol=0, atol=1e-12)
+
 
 class TestModelForward:
     def test_zero_features_predict_head_bias(self):
         model = toy_model()
-        model.head.bias += np.array([0.3, -0.2])
+        model.params["head_bias"] += np.array([0.3, -0.2])
         prediction, _, _ = model_forward(np.zeros((5, 3, 2)), model)
         assert prediction.logits == pytest.approx((0.3, -0.2))
         assert prediction.label == 0
@@ -162,6 +187,13 @@ class TestModelForward:
             assert sum(prediction.probability) == pytest.approx(1.0, abs=1e-9)
             assert prediction.label == int(np.argmax(prediction.logits))
 
+    def test_overflowing_weights_raise_instead_of_predicting_nan(self):
+        model = toy_model()
+        model.params["layer0"][:] = 1e300
+        model.params["layer1"][:] = 1e300
+        with pytest.raises(NonFiniteError, match="logits"):
+            model_forward(np.ones((5, 3, 2)), model)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ContractViolationError):
             model_forward(np.zeros((4, 3, 2)), toy_model())
@@ -179,8 +211,8 @@ class TestModelForward:
         feats = np.abs(rng.normal(size=(5, 3, 2)))
         base = init_model(topo, SPEC3, seed=3)
         conjugated = init_model(permuted_topo, SPEC3, seed=3)
-        base.attention.w_alpha += 0.7
-        conjugated.attention.w_alpha += 0.7
+        base.params["w_alpha"] += 0.7
+        conjugated.params["w_alpha"] += 0.7
         p_base, _, _ = model_forward(feats, base)
         permuted_feats = np.empty_like(feats)
         permuted_feats[perm] = feats
@@ -215,8 +247,8 @@ class TestStructuredPropagationInModel:
             for got, want in zip(getattr(cache, name), getattr(dense_cache, name)):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(cache.logits, dense_cache.logits, rtol=0, atol=1e-12)
-        grads = backward(cache, one_hot(1)).groups()
-        dense_grads = backward(dense_cache, one_hot(1)).groups()
+        grads = backward(cache, one_hot(1))
+        dense_grads = backward(dense_cache, one_hot(1))
         assert list(grads) == list(dense_grads)
         for name, got in grads.items():
             np.testing.assert_allclose(got, dense_grads[name], rtol=1e-10, atol=1e-12)
@@ -238,6 +270,45 @@ class TestStructuredPropagationInModel:
         assert peak < dense_bytes
         for graph in (built.graph, loaded.graph):
             assert "adjacency" not in vars(graph) and "normalized" not in vars(graph)
+
+
+class TestParameterSchema:
+    @pytest.mark.parametrize("widths", [(2, 16, 16), (2, 8, 8, 4)])
+    def test_model_gradients_and_document_follow_the_schema(self, tmp_path, widths):
+        schema = parameter_schema(widths)
+        model = toy_model(widths=widths, randomize_attention=True)
+        assert list(schema) == ["w_z", "w_alpha"] + [
+            f"layer{l}" for l in range(len(widths) - 1)
+        ] + ["head_weight", "head_bias"]
+        groups = model.parameter_groups()
+        assert list(groups) == list(schema)
+        assert [p.shape for p in groups.values()] == list(schema.values())
+        feats = np.abs(np.random.default_rng(0).normal(size=(5, 3, 2)))
+        _, _, cache = model_forward(feats, model)
+        grads = backward(cache, one_hot(0))
+        assert list(grads) == list(schema)
+        assert [g.shape for g in grads.values()] == list(schema.values())
+        save_model(model, tmp_path / "model.txt")
+        blocks = [line.split()[1] for line in (tmp_path / "model.txt").read_text().splitlines()
+                  if line.startswith("param ")]
+        assert blocks == list(schema)
+
+    def test_init_draws_matrices_in_schema_order_and_zeroes_vectors(self):
+        model = toy_model(seed=21, widths=(2, 8, 4))
+        rng = np.random.default_rng(21)
+        for name, shape in parameter_schema((2, 8, 4)).items():
+            param = model.params[name]
+            if len(shape) == 1:
+                assert np.array_equal(param, np.zeros(shape)), name
+            else:
+                bound = np.sqrt(6.0 / sum(shape))
+                assert np.array_equal(param, rng.uniform(-bound, bound, size=shape)), name
+
+    def test_parameters_out_of_schema_rejected(self):
+        model = toy_model()
+        params = dict(reversed(model.params.items()))
+        with pytest.raises(ValueError, match="schema"):
+            dataclasses.replace(model, params=params)
 
 
 class TestLoss:
@@ -268,12 +339,16 @@ class TestAttentionReportOp:
         assert list(report.ranking) == [0, 1, 2, 3, 4]
 
     def test_concentrated_attention_ranks_first(self):
-        from freqgcn.model import _build_report
-
         alpha = np.full((4, 5), 0.2)
         alpha[3] = (1.0, 0.0, 0.0, 0.0, 0.0)
-        report = _build_report(alpha)
+        report = AttentionReport(alpha)
         assert report.ranking[0] == 3
+
+    def test_ranking_is_computed_on_first_access_only(self):
+        _, report, _ = model_forward(np.ones((5, 3, 2)), toy_model())
+        assert "ranking" not in vars(report) and "joint_importance" not in vars(report)
+        assert list(report.ranking) == [0, 1, 2, 3, 4]
+        assert "ranking" in vars(report) and "joint_importance" in vars(report)
 
     def test_alpha_rows_sum_to_one(self):
         model = toy_model(seed=11, randomize_attention=True)
@@ -321,6 +396,23 @@ class TestPersistence:
         body = path.read_text().replace("freqgcn-model v1", "freqgcn-model v9", 1)
         path.write_text(body)
         with pytest.raises(ModelMismatchError, match="unsupported"):
+            load_model(path)
+
+    def test_non_utf8_document_rejected(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save_model(toy_model(), path)
+        path.write_bytes(path.read_bytes().replace(b"toy5", b"toy\xff", 1))
+        with pytest.raises(ModelMismatchError, match="UTF-8"):
+            load_model(path)
+
+    def test_blocks_out_of_schema_order_rejected(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save_model(toy_model(), path)
+        lines = path.read_text().splitlines()
+        w_z = lines.index("param w_z 2 2")
+        lines[w_z:w_z + 5] = lines[w_z + 3:w_z + 5] + lines[w_z:w_z + 3]  # w_alpha first
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelMismatchError, match="expected 'param w_z 2 2'"):
             load_model(path)
 
     def test_truncated_document_rejected(self, tmp_path):

@@ -170,6 +170,17 @@ class TestLoadSequence:
             normalize_sequence(seq, root=0, neck=1)
         assert [w.category for w in caught] == [UserWarning]
 
+    @pytest.mark.parametrize("fps", [0.0, -30.0, float("nan")])
+    def test_invalid_fps_is_a_format_error(self, tmp_path, fps):
+        self.write_frames(tmp_path / "seq", ["f_0.json", "f_1.json"])
+        with pytest.raises(FormatError, match="fps"):
+            load_sequence(tmp_path / "seq", fps=fps)
+
+    def test_single_frame_is_a_format_error(self, tmp_path):
+        self.write_frames(tmp_path / "seq", ["f_0.json"])
+        with pytest.raises(FormatError, match="2 frames"):
+            load_sequence(tmp_path / "seq", fps=30.0)
+
     def test_non_json_entries_are_skipped(self, tmp_path):
         self.write_frames(tmp_path / "seq", ["f_0.json", "f_1.json"])
         (tmp_path / "seq" / "notes_9.txt").write_text("not a frame")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from freqgcn.errors import DegenerateDatasetError
+from freqgcn.errors import DegenerateDatasetError, NonFiniteError
 from freqgcn.frequency import BinSpec, FrequencyFeatures, bin_edges, extract_features
 from freqgcn.graph import builtin_topology
 from freqgcn.model import model_forward
@@ -62,7 +62,7 @@ class TestTrain:
         dataset = separable_pair()
         model_a, _ = train(dataset, TrainConfig(epochs=5, seed=0), TOY, SPEC3)
         model_b, _ = train(dataset, TrainConfig(epochs=5, seed=1), TOY, SPEC3)
-        assert not np.array_equal(model_a.head.weight, model_b.head.weight)
+        assert not np.array_equal(model_a.params["head_weight"], model_b.params["head_weight"])
 
     def test_single_class_dataset_rejected(self):
         with pytest.raises(DegenerateDatasetError):
@@ -95,6 +95,12 @@ class TestTrain:
             prediction, _, _ = model_forward(features, model)
             correct += prediction.label == label
         assert correct == len(dataset)
+
+    @pytest.mark.parametrize("full_batch", [True, False])
+    def test_divergence_names_its_epoch(self, full_batch):
+        config = TrainConfig(epochs=5, learning_rate=1e300, full_batch=full_batch)
+        with pytest.raises(NonFiniteError, match=r"diverged at epoch [12]: logits"):
+            train(tone_dataset(), config, TOY, BinSpec(c=1.5, num_bins=5))
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
