@@ -161,7 +161,7 @@ def cmd_extract(input_path, out_path, fps, growth, bins, topology, pose_csv):
         for seq_dir in sub:
             seq = _ingest(seq_dir, fps, topo)
             features = frequency.extract_features(seq, spec)
-            frequency.write_features_csv(features, spec, out_dir / f"{seq_dir.name}.csv")
+            frequency.write_features_csv(features, out_dir / f"{seq_dir.name}.csv")
         click.echo(f"extracted {len(sub)} sequences -> {out_dir}")
         return
 
@@ -169,30 +169,32 @@ def cmd_extract(input_path, out_path, fps, growth, bins, topology, pose_csv):
     if pose_csv:
         pose.write_sequence_csv(seq, pose_csv)
     features = frequency.extract_features(seq, spec)
-    frequency.write_features_csv(features, spec, out_path)
+    frequency.write_features_csv(features, out_path)
     click.echo(f"extracted {features.num_joints * features.num_bins * 2} feature rows -> {out_path}")
 
 
 def _load_feature_table(
-    features_dir: Path, manifest_rows: list[dict[str, str]]
-) -> list[tuple[str, frequency.FrequencyFeatures, frequency.BinSpec, int, str]]:
+    features_dir: Path, manifest_rows: list[dict[str, str]], topology: SkeletonTopology
+) -> list[tuple[str, frequency.FrequencyFeatures, int, str]]:
+    """(id, features, label, split) per manifest row; every file shares the first one's
+    bin spec and the topology's joint count."""
     table = []
     for row in manifest_rows:
         seq_id = row["sequence_id"]
-        label = int(row["label"])
-        split = row.get("split", "train") or "train"
         csv_path = features_dir / f"{seq_id}.csv"
         if not csv_path.exists():
             raise FileNotFoundError(f"missing feature file: {csv_path}")
         features, spec = frequency.read_features_csv(csv_path)
-        table.append((seq_id, features, spec, label, split))
-    first = table[0][2]
-    for seq_id, features, spec, _, _ in table:
-        if spec != first or features.num_joints != table[0][1].num_joints:
+        if table and spec != table[0][1].spec:
             raise ModelMismatchError(
-                f"feature file for {seq_id} disagrees with the rest of the dataset "
-                f"(bin spec or joint count)"
+                f"feature file for {seq_id} has bin spec {spec}, the first file {table[0][1].spec}"
             )
+        if features.num_joints != topology.num_joints:
+            raise ModelMismatchError(
+                f"feature file for {seq_id} carries {features.num_joints} joints, "
+                f"topology {topology.name} has {topology.num_joints}"
+            )
+        table.append((seq_id, features, int(row["label"]), row.get("split", "train") or "train"))
     return table
 
 
@@ -209,7 +211,6 @@ def _load_feature_table(
 @click.option("--epochs", type=int, default=200, show_default=True)
 @click.option("--lr", type=float, default=1e-3, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--init-scale", type=float, default=1.0, show_default=True)
 @click.option("--per-example", is_flag=True, help="Update per example instead of full batch.")
 @click.option("--history", "history_path", type=click.Path(), default=None,
               help="Per-epoch loss/accuracy CSV [default: <out>.history.csv].")
@@ -217,7 +218,7 @@ def _load_feature_table(
               help="Held-out metrics CSV [default: <out>.metrics.csv].")
 @guarded
 def cmd_train(features_dir, manifest, out_path, topology, channels, epochs, lr, seed,
-              init_scale, per_example, history_path, metrics_path):
+              per_example, history_path, metrics_path):
     """Train the classifier on extracted features."""
     features_dir = Path(features_dir)
     if not features_dir.is_dir():
@@ -227,25 +228,18 @@ def cmd_train(features_dir, manifest, out_path, topology, channels, epochs, lr, 
         raise FileNotFoundError(f"no such manifest: {manifest_path}")
     topo = _resolve_topology(topology)
     rows = synthetic.read_manifest(manifest_path)
-    table = _load_feature_table(features_dir, rows)
-    bin_spec = table[0][2]
-    if table[0][1].num_joints != topo.num_joints:
-        raise ModelMismatchError(
-            f"features carry {table[0][1].num_joints} joints, topology {topo.name} "
-            f"has {topo.num_joints}"
-        )
+    table = _load_feature_table(features_dir, rows, topo)
 
     try:
         config = training.TrainConfig(
-            epochs=epochs, learning_rate=lr, seed=seed,
-            full_batch=not per_example, init_scale=init_scale,
+            epochs=epochs, learning_rate=lr, seed=seed, full_batch=not per_example
         )
     except ValueError as exc:
         raise FreqGcnError(f"--epochs {epochs} --lr {lr:g}: {exc}") from None
-    train_set = [(f, label) for _, f, _, label, split in table if split == "train"]
-    test_set = [(sid, f, label) for sid, f, _, label, split in table if split == "test"]
+    train_set = [(f, label) for _, f, label, split in table if split == "train"]
+    test_set = [(sid, f, label) for sid, f, label, split in table if split == "test"]
     trained, history = training.train(
-        train_set, config, topo, bin_spec, channel_widths=_parse_widths(channels)
+        train_set, config, topo, table[0][1].spec, channel_widths=_parse_widths(channels)
     )
     model_mod.save_model(trained, out_path)
 
@@ -281,13 +275,7 @@ def _features_for_input(
 ) -> tuple[str, frequency.FrequencyFeatures, float]:
     """(sequence id, features, seconds spent on extraction) for one input."""
     if path.suffix == ".csv":
-        features, spec = frequency.read_features_csv(path)
-        if spec != loaded.bin_spec or features.num_joints != loaded.num_joints:
-            raise ModelMismatchError(
-                f"{path.name}: features ({features.num_joints} joints, spec {spec}) do not "
-                f"match the model ({loaded.num_joints} joints, spec {loaded.bin_spec})"
-            )
-        return path.stem, features, 0.0
+        return path.stem, frequency.read_features_csv(path)[0], 0.0
     start = time.perf_counter()
     seq = _ingest(path, fps, loaded.graph.topology)
     features = frequency.extract_features(seq, loaded.bin_spec)
@@ -440,19 +428,28 @@ def cmd_gradcheck(eps, seed, trials, threshold):
 def cmd_synth(out_dir, n_per_class, frames, fps, band0, band1, signal_joints,
               amplitude, noise, seed, topology, off_grid):
     """Generate a labeled synthetic dataset in keypoint-file form."""
-    cfg = synthetic.SynthConfig(
-        topology=topology,
-        num_frames=frames,
-        fps=fps,
-        class0_band=_parse_band(band0),
-        class1_band=_parse_band(band1),
-        signal_joints=tuple(int(v) for v in signal_joints.split(",")),
-        amplitude=amplitude,
-        noise_sigma=noise,
-        seed=seed,
-        on_grid=not off_grid,
-    )
-    dataset = synthetic.generate_dataset(cfg, n_per_class=n_per_class, seed=seed)
+    try:
+        joints = tuple(int(v) for v in signal_joints.split(","))
+    except ValueError:
+        raise FreqGcnError(
+            f"--signal-joints expects comma-separated joint indices, got {signal_joints!r}"
+        ) from None
+    try:
+        cfg = synthetic.SynthConfig(
+            topology=topology,
+            num_frames=frames,
+            fps=fps,
+            class0_band=_parse_band(band0),
+            class1_band=_parse_band(band1),
+            signal_joints=joints,
+            amplitude=amplitude,
+            noise_sigma=noise,
+            seed=seed,
+            on_grid=not off_grid,
+        )
+        dataset = synthetic.generate_dataset(cfg, n_per_class=n_per_class, seed=seed)
+    except ValueError as exc:
+        raise FreqGcnError(f"synth: {exc}") from None
     manifest = synthetic.write_dataset(dataset, out_dir)
     click.echo(
         f"wrote {len(dataset.samples)} sequences "

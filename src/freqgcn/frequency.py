@@ -158,27 +158,25 @@ def magnitude_half_spectrum(spectrum: np.ndarray) -> np.ndarray:
     return np.abs(spec[..., : t // 2 + 1])
 
 
+# Fixed by the binning rule: the first width, and where Round gives way to Ceiling.
+F0 = 1.0
+THRESHOLD = 3.0
+
+
 @dataclass(frozen=True)
 class BinSpec:
-    """Exponential binning rule parameters.
+    """Exponential binning rule: growth ``c`` and the number of bins.
 
-    Bin n has width Round(f0 * c^n) while f0 * c^n < threshold and
-    Ceiling(f0 * c^n) once it reaches it; Round is half-away-from-zero.
-    f0 and the switch constant are fixed by the rule.
+    Bin n has width Round(F0 * c^n) while F0 * c^n < THRESHOLD and
+    Ceiling(F0 * c^n) once it reaches it; Round is half-away-from-zero.
     """
 
     c: float
     num_bins: int
-    f0: float = 1.0
-    threshold: float = 3.0
 
     def __post_init__(self):
         if not (self.c > 1.0 and math.isfinite(self.c)):
             raise ValueError(f"growth parameter c must be finite and exceed 1, got {self.c}")
-        if self.f0 != 1.0:
-            raise ValueError("first bin width f0 is fixed at 1")
-        if self.threshold != 3.0:
-            raise ValueError("round/ceiling switch constant is fixed at 3")
         if self.num_bins < 1:
             raise ValueError(f"num_bins must be >= 1, got {self.num_bins}")
         try:
@@ -197,8 +195,8 @@ def bin_widths(spec: BinSpec) -> list[int]:
     """Widths of the num_bins bins, in spectrum indices; non-decreasing."""
     widths = []
     for n in range(spec.num_bins):
-        grown = spec.f0 * spec.c**n
-        widths.append(_round_half_away(grown) if grown < spec.threshold else math.ceil(grown))
+        grown = F0 * spec.c**n
+        widths.append(_round_half_away(grown) if grown < THRESHOLD else math.ceil(grown))
     return widths
 
 
@@ -215,7 +213,7 @@ def required_min_frames(spec: BinSpec) -> int:
     return 2 * sum(bin_widths(spec))
 
 
-def bin_spectrum(magnitudes: np.ndarray, spec: BinSpec) -> tuple[np.ndarray, list[int]]:
+def bin_spectrum(magnitudes: np.ndarray, spec: BinSpec) -> np.ndarray:
     """Average magnitudes into consecutive bins starting at index 1, along the last axis.
 
     Index 0 (DC) is excluded; indices past the last edge are discarded,
@@ -229,10 +227,9 @@ def bin_spectrum(magnitudes: np.ndarray, spec: BinSpec) -> tuple[np.ndarray, lis
             f"(signals must have at least {required_min_frames(spec)} frames)",
             required_frames=required_min_frames(spec),
         )
-    binned = np.stack(
+    return np.stack(
         [mags[..., lo:hi].mean(axis=-1) for lo, hi in zip(edges, edges[1:])], axis=-1
     )
-    return binned, edges
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,11 +237,12 @@ class FrequencyFeatures:
     """Binned magnitudes per joint, bin, and coordinate channel.
 
     ``data`` has shape (N joints, B bins, 2 channels); channel 0 is the x
-    trajectory, channel 1 the y trajectory.
+    trajectory, channel 1 the y trajectory. ``spec`` is the bin layout the
+    magnitudes were averaged over.
     """
 
     data: np.ndarray
-    bin_edges: tuple[int, ...]
+    spec: BinSpec
     fps: float
 
     def __post_init__(self):
@@ -253,10 +251,8 @@ class FrequencyFeatures:
             raise ValueError(f"feature data must be (N, B, 2), got {d.shape}")
         if not np.isfinite(d).all() or (d < 0).any():
             raise ValueError("feature values must be finite and nonnegative")
-        if len(self.bin_edges) != d.shape[1] + 1:
-            raise ValueError("bin_edges must have B+1 entries")
-        if any(b <= a for a, b in zip(self.bin_edges, self.bin_edges[1:])):
-            raise ValueError("bin_edges must be strictly increasing")
+        if d.shape[1] != self.spec.num_bins:
+            raise ValueError(f"feature data has {d.shape[1]} bins, the spec {self.spec.num_bins}")
 
     @property
     def num_joints(self) -> int:
@@ -285,12 +281,12 @@ def extract_features(seq: PoseSequence, spec: BinSpec) -> FrequencyFeatures:
     traj = np.moveaxis(seq.positions, 0, -1)  # (N joints, 2 channels, T)
     traj = traj - traj.mean(axis=-1, keepdims=True)
     spectra = unpack_real_pair(fft_bluestein(traj[:, 0] + 1j * traj[:, 1]))
-    binned, edges = bin_spectrum(magnitude_half_spectrum(np.stack(spectra, axis=1)), spec)
-    return FrequencyFeatures(data=np.moveaxis(binned, 1, 2), bin_edges=tuple(edges), fps=seq.fps)
+    binned = bin_spectrum(magnitude_half_spectrum(np.stack(spectra, axis=1)), spec)
+    return FrequencyFeatures(data=np.moveaxis(binned, 1, 2), spec=spec, fps=seq.fps)
 
 
-def write_features_csv(features: FrequencyFeatures, spec: BinSpec, path: str | Path) -> None:
-    """Write ``joint,bin,channel,value`` rows plus a JSON sidecar at <path>.meta.json."""
+def write_features_csv(features: FrequencyFeatures, path: str | Path) -> None:
+    """Write one ``joint,bin,channel,value`` row per cell, in that key order, and the sidecar."""
     path = Path(path)
     lines = ["joint,bin,channel,value"]
     for joint in range(features.num_joints):
@@ -304,10 +300,10 @@ def write_features_csv(features: FrequencyFeatures, spec: BinSpec, path: str | P
         "num_joints": features.num_joints,
         "num_bins": features.num_bins,
         "channels": list(CHANNELS),
-        "c": spec.c,
-        "f0": spec.f0,
-        "threshold": spec.threshold,
-        "bin_edges": list(features.bin_edges),
+        "c": features.spec.c,
+        "f0": F0,
+        "threshold": THRESHOLD,
+        "bin_edges": bin_edges(features.spec),
         "fps": features.fps,
     }
     sidecar_path(path).write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
@@ -318,51 +314,41 @@ def sidecar_path(features_path: str | Path) -> Path:
 
 
 def read_features_csv(path: str | Path) -> tuple[FrequencyFeatures, BinSpec]:
-    """Inverse of :func:`write_features_csv`."""
+    """Inverse of :func:`write_features_csv`, accepting rows only in the order it writes.
+
+    Blank lines aside, row r must be ``i,k,ch,value`` for cell r, value finite
+    and >= 0; the first row that is not, or one past the last cell, is a FormatError.
+    """
     path = Path(path)
     meta_file = sidecar_path(path)
     if not meta_file.exists():
         raise FormatError(f"missing feature sidecar {meta_file}")
-    n, b, spec, edges, fps = _read_sidecar(meta_file)
+    n, spec, fps = _read_sidecar(meta_file)
     try:
         lines = path.read_text("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path.name}: not a UTF-8 text file: {exc}") from None
     if not lines or lines[0] != "joint,bin,channel,value":
         raise FormatError(f"{path.name}: expected header 'joint,bin,channel,value'")
-    cells: dict[tuple[int, int, int], float] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise FormatError(f"{path.name}:{lineno}: expected 4 fields")
-        joint, bin_idx, label, value = parts
-        try:
-            ch = CHANNELS.index(label)
+    rows = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line]
+    num_cells = n * spec.num_bins * len(CHANNELS)
+    if len(rows) < num_cells:  # before any per-cell work, so huge claimed sizes fail at once
+        raise FormatError(f"{path.name}:{len(lines) + 1}: missing rows, {len(rows)} of {num_cells}")
+    prefixes = (f"{i},{k},{ch}," for i in range(n) for k in range(spec.num_bins) for ch in CHANNELS)
+    values = []
+    for (lineno, line), prefix in zip(rows, prefixes):
+        try:  # a row for another cell leaves "", which float rejects too
+            values.append(float(line[len(prefix) :] if line.startswith(prefix) else ""))
         except ValueError:
-            raise FormatError(f"{path.name}:{lineno}: unknown channel {label!r}") from None
-        try:
-            i, k, v = int(joint), int(bin_idx), float(value)
-        except ValueError:
-            raise FormatError(f"{path.name}:{lineno}: malformed row {line!r}") from None
-        if not (0 <= i < n and 0 <= k < b):
-            raise FormatError(
-                f"{path.name}:{lineno}: (joint {i}, bin {k}) outside {n} joints x {b} bins"
-            )
-        if not math.isfinite(v):
-            raise FormatError(f"{path.name}:{lineno}: non-finite value {value!r}")
-        if (i, k, ch) in cells:
-            raise FormatError(
-                f"{path.name}:{lineno}: duplicate row for joint {i}, bin {k}, channel {label}"
-            )
-        cells[i, k, ch] = v
-    if len(cells) != n * b * len(CHANNELS):
-        raise FormatError(f"{path.name}: missing rows for some (joint, bin, channel) cells")
-    data = np.zeros((n, b, len(CHANNELS)))
-    joints, bins, channels = np.array(list(cells)).T
-    data[joints, bins, channels] = list(cells.values())
-    return FrequencyFeatures(data=data, bin_edges=edges, fps=fps), spec
+            raise FormatError(f"{path.name}:{lineno}: expected {prefix}<value>: {line!r}") from None
+    data = np.array(values).reshape(n, spec.num_bins, len(CHANNELS))
+    bad = np.flatnonzero(~(np.isfinite(data) & (data >= 0)))  # magnitudes, so never negative
+    if bad.size:
+        lineno, line = rows[bad[0]]
+        raise FormatError(f"{path.name}:{lineno}: non-finite or negative value in {line!r}")
+    if len(rows) > num_cells:
+        raise FormatError(f"{path.name}:{rows[num_cells][0]}: row past the last cell")
+    return FrequencyFeatures(data=data, spec=spec, fps=fps), spec
 
 
 def _finite_number(value) -> float | None:
@@ -376,8 +362,8 @@ def _finite_number(value) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _read_sidecar(meta_file: Path) -> tuple[int, int, BinSpec, tuple[int, ...], float]:
-    """(num_joints, num_bins, bin spec, bin edges, fps) of a features sidecar.
+def _read_sidecar(meta_file: Path) -> tuple[int, BinSpec, float]:
+    """(num_joints, bin spec, fps) of a features sidecar.
 
     Any defect raises FormatError: invalid JSON, a missing key, a value of
     the wrong type or range, or bin edges that the bin spec does not give.
@@ -414,10 +400,9 @@ def _read_sidecar(meta_file: Path) -> tuple[int, int, BinSpec, tuple[int, ...], 
     except ValueError as exc:
         raise FormatError(f"{name}: {exc}") from None
     # Checking the length first bounds bin_edges' O(num_bins) loop by the sidecar's size.
-    edges = bin_edges(spec) if isinstance(listed, list) and len(listed) == b + 1 else None
-    if edges is None or listed != edges:
+    if not (isinstance(listed, list) and len(listed) == b + 1 and listed == bin_edges(spec)):
         raise FormatError(
             f"{name}: bin_edges {listed!r} differ from the {b + 1} edges given by "
             f"c={c!r} and {b} bins"
         )
-    return n, b, spec, tuple(edges), fps
+    return n, spec, fps

@@ -154,33 +154,43 @@ def read_topology(path: str | Path) -> SkeletonTopology:
     neck = 1
     names: dict[int, str] = {}
     edges: list[tuple[int, int]] = []
-    for lineno, line in enumerate(path.read_text("utf-8").splitlines(), start=1):
+    try:
+        text = path.read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path.name}: not a UTF-8 text file: {exc}") from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("N="):
-                n = int(body[2:])
-            elif body.startswith("root="):
-                root = int(body[5:])
-            elif body.startswith("neck="):
-                neck = int(body[5:])
-            elif body.startswith("joint "):
-                _, idx, label = body.split(maxsplit=2)
-                names[int(idx)] = label
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"{path.name}:{lineno}: expected 'i j', got {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("N="):
+                    n = int(body[2:])
+                elif body.startswith("root="):
+                    root = int(body[5:])
+                elif body.startswith("neck="):
+                    neck = int(body[5:])
+                elif body.startswith("joint "):
+                    _, idx, label = body.split(maxsplit=2)
+                    names[int(idx)] = label
+                continue
+            i, j = line.split()
+            edges.append((int(i), int(j)))
+        except ValueError:
+            raise FormatError(f"{path.name}:{lineno}: cannot parse {line!r}") from None
     if n is None:
         raise FormatError(f"{path.name}: missing '# N=<n>' header")
+    if n > len(edges) + 1:  # before any per-joint work, so a huge N fails at once
+        raise FormatError(f"{path.name}: {len(edges)} edges cannot connect {n} joints")
     name_tuple = tuple(names.get(i, f"j{i}") for i in range(n)) if names else ()
-    return SkeletonTopology(
-        num_joints=n, edges=tuple(edges), root=root, neck=neck,
-        names=name_tuple, name=path.stem,
-    )
+    try:
+        return SkeletonTopology(
+            num_joints=n, edges=tuple(edges), root=root, neck=neck,
+            names=name_tuple, name=path.stem,
+        )
+    except ValueError as exc:
+        raise FormatError(f"{path.name}: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -133,8 +133,8 @@ class ForwardCache:
     probability: np.ndarray  # (2,)
 
 
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, scale: float = 1.0) -> np.ndarray:
-    bound = scale * np.sqrt(6.0 / (fan_in + fan_out))
+def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
@@ -143,7 +143,6 @@ def init_model(
     bin_spec: BinSpec,
     channel_widths: tuple[int, ...] = (2, 16, 16),
     seed: int = 0,
-    init_scale: float = 1.0,
 ) -> Model:
     """Fresh model: Glorot-uniform matrices, drawn in schema order, and zero vectors.
 
@@ -152,7 +151,7 @@ def init_model(
     """
     rng = np.random.default_rng(seed)
     params = {
-        name: glorot_uniform(rng, *shape, init_scale) if len(shape) == 2 else np.zeros(shape)
+        name: glorot_uniform(rng, *shape) if len(shape) == 2 else np.zeros(shape)
         for name, shape in parameter_schema(channel_widths).items()
     }
     return Model(
@@ -218,8 +217,13 @@ def model_forward(
 
     Raises NonFiniteError when finite features give non-finite logits.
     """
-    h = features.data if isinstance(features, FrequencyFeatures) else np.asarray(features)
-    h = h.astype(np.float64)
+    if isinstance(features, FrequencyFeatures):
+        if features.spec != model.bin_spec:
+            raise ContractViolationError(
+                f"features binned with {features.spec} do not match the model's {model.bin_spec}"
+            )
+        features = features.data
+    h = np.asarray(features).astype(np.float64)
     n, b = model.num_joints, model.num_bins
     if h.shape != (n, b, model.in_channels):
         raise ContractViolationError(

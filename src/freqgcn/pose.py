@@ -55,7 +55,6 @@ class PoseSequence:
     positions: np.ndarray
     fps: float
     confidence: np.ndarray | None = None
-    subject_id: str = ""
 
     def __post_init__(self):
         pos = np.array(self.positions, dtype=np.float64)
@@ -188,7 +187,6 @@ def load_sequence(
     path: str | Path,
     fps: float,
     expected_joints: int | None = None,
-    subject_id: str | None = None,
 ) -> PoseSequence:
     """Load a sequence from a directory of per-frame documents or a container file.
 
@@ -221,12 +219,7 @@ def load_sequence(
         raise EmptyInputError(f"every frame in {path} is empty; joint count unknown")
     table = _keypoint_table(flats, n)
     try:
-        seq = PoseSequence(
-            positions=table[..., :2],
-            fps=fps,
-            confidence=table[..., 2],
-            subject_id=subject_id if subject_id is not None else path.name,
-        )
+        seq = PoseSequence(positions=table[..., :2], fps=fps, confidence=table[..., 2])
     except ValueError as exc:  # fps or frame count
         raise FormatError(f"{path.name}: {exc}") from None
     if not FPS_QUIET_RANGE[0] <= fps <= FPS_QUIET_RANGE[1]:
@@ -275,7 +268,7 @@ def interpolate_missing(seq: PoseSequence) -> PoseSequence:
         pos[:, j, 0] = np.interp(t_axis, t_obs, pos[seen, j, 0])
         pos[:, j, 1] = np.interp(t_axis, t_obs, pos[seen, j, 1])
         conf[:, j] = np.interp(t_axis, t_obs, conf[seen, j])
-    return PoseSequence(pos, fps=seq.fps, confidence=conf, subject_id=seq.subject_id)
+    return PoseSequence(pos, fps=seq.fps, confidence=conf)
 
 
 def normalize_sequence(seq: PoseSequence, root: int, neck: int) -> PoseSequence:
@@ -294,9 +287,7 @@ def normalize_sequence(seq: PoseSequence, root: int, neck: int) -> PoseSequence:
             f"median root-to-neck distance {torso:g} is too small to scale against"
         )
     centered = pos - pos[:, root : root + 1, :]
-    return PoseSequence(
-        centered / torso, fps=seq.fps, confidence=seq.confidence, subject_id=seq.subject_id
-    )
+    return PoseSequence(centered / torso, fps=seq.fps, confidence=seq.confidence)
 
 
 def write_sequence_csv(seq: PoseSequence, path: str | Path) -> None:

@@ -133,7 +133,7 @@ def generate_sequence(cfg: SynthConfig, label: int, seed: int) -> PoseSequence:
         positions[:, joint, 0] += cfg.amplitude * torso * np.sin(
             2.0 * np.pi * freq * time_axis / cfg.fps + phase
         )
-    return PoseSequence(positions, fps=cfg.fps, subject_id=f"synth{label}_{seed:06d}")
+    return PoseSequence(positions, fps=cfg.fps)
 
 
 @dataclass(frozen=True)
@@ -203,15 +203,24 @@ def write_manifest(dataset: SynthDataset, path: str | Path) -> None:
 
 
 def read_manifest(path: str | Path) -> list[dict[str, str]]:
-    """Rows of the dataset manifest; requires sequence_id and label columns."""
+    """Rows of the dataset manifest; each needs a sequence_id and a label of 0 or 1."""
     path = Path(path)
+    rows = []
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
-        rows = list(reader)
+        try:
+            missing = {"sequence_id", "label"} - set(reader.fieldnames or ())
+            if reader.fieldnames and missing:
+                raise FormatError(f"{path.name}: manifest missing columns {sorted(missing)}")
+            for row in reader:
+                if not row["sequence_id"] or row["label"] not in ("0", "1"):
+                    raise FormatError(
+                        f"{path.name}:{reader.line_num}: expected a sequence_id and a label "
+                        f"of 0 or 1, got {row['sequence_id']!r} and {row['label']!r}"
+                    )
+                rows.append(row)
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path.name}: not a UTF-8 text file: {exc}") from None
     if not rows:
         raise FormatError(f"{path.name}: empty manifest")
-    required = {"sequence_id", "label"}
-    missing = required - set(rows[0])
-    if missing:
-        raise FormatError(f"{path.name}: manifest missing columns {sorted(missing)}")
     return rows

@@ -22,7 +22,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     seed: int = 0
     full_batch: bool = True
-    init_scale: float = 1.0
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -82,13 +81,7 @@ def train(
         raise DegenerateDatasetError(
             f"training data must contain both classes, found labels {sorted(labels)}"
         )
-    model = init_model(
-        topology,
-        bin_spec,
-        channel_widths=channel_widths,
-        seed=config.seed,
-        init_scale=config.init_scale,
-    )
+    model = init_model(topology, bin_spec, channel_widths=channel_widths, seed=config.seed)
     optimizer = _Adam(model.params, config.learning_rate)
     history = TrainHistory()
     batches = [dataset] if config.full_batch else [[example] for example in dataset]

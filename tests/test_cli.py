@@ -182,6 +182,25 @@ class TestTrainCommand:
         ])
         assert result.exit_code == 4
 
+    def test_features_with_mixed_bin_specs_exit_5(self, runner, workspace, tmp_path):
+        features = tmp_path / "features"
+        features.mkdir()
+        for source in (workspace / "features").iterdir():
+            (features / source.name).write_bytes(source.read_bytes())
+        result = run(runner, "extract",
+                     "--input", workspace / "data" / "sequences" / "seq_0003",
+                     "--out", features / "seq_0003.csv", "--topology", "toy5",
+                     "--c", 1.2, "--bins", 14)
+        assert result.exit_code == 0
+        result = runner.invoke(main, [
+            "train", "--features", str(features),
+            "--manifest", str(workspace / "data" / "manifest.csv"),
+            "--out", str(tmp_path / "m.txt"), "--topology", "toy5", "--epochs", "2",
+        ])
+        assert_one_line_diagnostic(result, 5)
+        assert "seq_0003" in result.stderr and "bin spec" in result.stderr
+        assert not (tmp_path / "m.txt").exists()
+
     def test_wrong_topology_exits_5(self, runner, workspace, tmp_path):
         result = runner.invoke(main, [
             "train", "--features", str(workspace / "features"),
@@ -241,6 +260,21 @@ class TestPredictCommand:
             "predict", "--model", str(workspace / "model.txt"), "--input", str(other),
         ])
         assert result.exit_code == 5
+
+    def test_features_binned_with_another_growth_exit_5(self, runner, workspace, tmp_path):
+        # Same (5, 14, 2) shape as the model expects, but c=1.2 bins cover other frequencies.
+        other = tmp_path / "other.csv"
+        result = run(runner, "extract",
+                     "--input", workspace / "data" / "sequences" / "seq_0000",
+                     "--out", other, "--topology", "toy5", "--c", 1.2, "--bins", 14)
+        assert result.exit_code == 0
+        for command in ("predict", "explain"):
+            result = runner.invoke(main, [
+                command, "--model", str(workspace / "model.txt"), "--input", str(other),
+                "--out", str(tmp_path / "report"),
+            ])
+            assert_one_line_diagnostic(result, 5)
+            assert "binned with" in result.stderr
 
     def test_timing_goes_to_stderr_not_stdout(self, runner, workspace):
         result = run(runner, "predict", "--model", workspace / "model.txt",
@@ -421,6 +455,31 @@ class TestHostileFeatureFile:
         assert_one_line_diagnostic(result, 1)
 
 
+    @pytest.mark.parametrize("row,lineno", [
+        ("7,0,x,0.5", 2),
+        ("-1,0,x,0.5", 2),
+        ("0,0,x,0.5", 3),  # in place of the "0,0,y" row: a duplicate of line 2
+        ("1.5,0,x,0.5", 2),
+        ("0,0,x,abc", 2),
+        ("0,0,x,inf", 2),
+        ("0,0,x,-0.5", 2),  # a magnitude cannot be negative
+    ])
+    def test_bad_row_in_place_exits_1(self, runner, workspace, tmp_path, row, lineno):
+        def edit(lines):
+            lines[lineno - 1] = row
+
+        assert_rejected_at(runner, workspace, tmp_path, edit, lineno)
+
+    def test_swapped_rows_exit_1(self, runner, workspace, tmp_path):
+        def edit(lines):
+            lines[6], lines[7] = lines[7], lines[6]
+
+        assert_rejected_at(runner, workspace, tmp_path, edit, 7)
+
+    def test_dropped_last_row_exits_1(self, runner, workspace, tmp_path):
+        last = len((workspace / "features" / "seq_0000.csv").read_text().splitlines())
+        assert_rejected_at(runner, workspace, tmp_path, lambda lines: lines.pop(), last)
+
     def test_non_utf8_file_exits_1(self, runner, workspace, tmp_path):
         target = tmp_path / "seq_0000.csv"
         body = (workspace / "features" / "seq_0000.csv").read_bytes()
@@ -435,6 +494,25 @@ class TestHostileFeatureFile:
         ])
         assert_one_line_diagnostic(result, 1)
         assert "UTF-8" in result.stderr
+
+
+def assert_rejected_at(runner, workspace, tmp_path, edit, lineno):
+    """seq_0000's features with ``edit`` applied to its lines fail at ``lineno``, in
+    the reader and through predict."""
+    lines = (workspace / "features" / "seq_0000.csv").read_text().splitlines()
+    edit(lines)
+    target = tmp_path / "seq_0000.csv"
+    target.write_text("\n".join(lines) + "\n")
+    (tmp_path / "seq_0000.csv.meta.json").write_bytes(
+        (workspace / "features" / "seq_0000.csv.meta.json").read_bytes()
+    )
+    with pytest.raises(FormatError, match=f"seq_0000.csv:{lineno}: "):
+        read_features_csv(target)
+    result = runner.invoke(main, [
+        "predict", "--model", str(workspace / "model.txt"), "--input", str(target),
+    ])
+    assert_one_line_diagnostic(result, 1)
+    assert f"seq_0000.csv:{lineno}: " in result.stderr
 
 
 class TestHostileFeatureSidecar:
@@ -517,3 +595,76 @@ class TestNumericFlagEdges:
         assert_one_line_diagnostic(result, 1)
         assert "diverged at epoch" in result.stderr
         assert list(out.iterdir()) == []
+
+
+class TestHostileTopologyFile:
+    @pytest.mark.parametrize("text,where", [
+        ("# N=abc\n0 1\n", "bad.topo:1: "),
+        ("# N=5\n0 1\n1 2\n1 3\n1 4\n0 9\n", "bad.topo: "),  # edge to a joint past N
+        ("# N=5\n# joint 3\n0 1\n1 2\n1 3\n1 4\n", "bad.topo:2: "),  # joint with no name
+        ("# N=5\n0 1\n1 2 3\n", "bad.topo:3: "),
+        ("# N=5\n0 x\n", "bad.topo:2: "),
+        ("# N=7\n0 1\n1 2\n1 3\n1 4\n", "bad.topo: "),  # too few edges to connect N
+        ("# N=5\n# joint 0 r\xf6ot\n", "bad.topo: "),  # written below as Latin-1
+    ], ids=["n-text", "edge-past-n", "joint-no-name", "three-fields", "edge-text",
+            "n-unconnectable", "non-utf8"])
+    def test_extract_exits_1(self, runner, workspace, tmp_path, text, where):
+        topo = tmp_path / "bad.topo"
+        topo.write_bytes(text.encode("latin-1"))
+        result = runner.invoke(main, [
+            "extract", "--input", str(workspace / "data" / "sequences" / "seq_0000"),
+            "--out", str(tmp_path / "f.csv"), "--topology", str(topo),
+            "--c", "1.15", "--bins", "14",
+        ])
+        assert_one_line_diagnostic(result, 1)
+        assert where in result.stderr
+        assert not (tmp_path / "f.csv").exists()
+
+
+class TestHostileManifest:
+    @pytest.mark.parametrize("row,shown", [
+        ("seq_0000,x,train", "'x'"),  # label that is not a number
+        ("seq_0000", "None"),  # row with no label cell
+        ("seq_0000,2,train", "'2'"),  # a number but not a class
+        (",1,train", "''"),  # empty sequence_id
+    ], ids=["label-text", "no-label-cell", "label-2", "empty-id"])
+    def test_train_exits_1(self, runner, workspace, tmp_path, row, shown):
+        lines = (workspace / "data" / "manifest.csv").read_text().splitlines()
+        lines[3] = row
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, [
+            "train", "--features", str(workspace / "features"), "--manifest", str(manifest),
+            "--out", str(tmp_path / "m.txt"), "--topology", "toy5", "--epochs", "2",
+        ])
+        assert_one_line_diagnostic(result, 1)
+        assert "manifest.csv:4: " in result.stderr and shown in result.stderr
+        assert not (tmp_path / "m.txt").exists()
+
+    def test_non_utf8_manifest_exits_1(self, runner, workspace, tmp_path):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_bytes((workspace / "data" / "manifest.csv").read_bytes() + b"s\xff,1\n")
+        result = runner.invoke(main, [
+            "train", "--features", str(workspace / "features"), "--manifest", str(manifest),
+            "--out", str(tmp_path / "m.txt"), "--topology", "toy5", "--epochs", "2",
+        ])
+        assert_one_line_diagnostic(result, 1)
+        assert "UTF-8" in result.stderr
+
+
+class TestSynthFlagEdges:
+    @pytest.mark.parametrize("flags,message", [
+        (["--frames", "1"], "num_frames"),
+        (["--n-per-class", "1"], "n_per_class"),
+        (["--band0", "2:1"], "band"),
+        (["--signal-joints", "a"], "--signal-joints"),
+        (["--signal-joints", "9"], "signal joints"),
+        (["--amplitude", "0"], "amplitude"),
+        (["--fps", "0"], "fps"),
+    ])
+    def test_exits_1_and_writes_nothing(self, runner, tmp_path, flags, message):
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["synth", "--out", str(out), "--frames", "40", *flags])
+        assert_one_line_diagnostic(result, 1)
+        assert message in result.stderr
+        assert not out.exists()

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from freqgcn import frequency
 from freqgcn.errors import FormatError, InsufficientLengthError
 from freqgcn.frequency import (
     BinSpec,
+    FrequencyFeatures,
     bin_edges,
     bin_spectrum,
     bin_widths,
@@ -153,8 +155,8 @@ class TestBinWidths:
     def test_ceiling_dominates_past_threshold(self, c, num_bins):
         spec = BinSpec(c=c, num_bins=num_bins)
         for n, width in enumerate(bin_widths(spec)):
-            grown = spec.f0 * c**n
-            if grown >= spec.threshold:
+            grown = frequency.F0 * c**n
+            if grown >= frequency.THRESHOLD:
                 assert width >= grown
 
     @pytest.mark.parametrize("c,num_bins", [(1e300, 10), (1.15, 10**6)])
@@ -175,18 +177,20 @@ class TestBinWidths:
 class TestBinSpectrum:
     def test_hand_computed_means(self):
         # widths [1, 2]: DC skipped, trailing index 4 discarded.
-        binned, edges = bin_spectrum(np.array([9.0, 1.0, 2.0, 3.0, 4.0]), BinSpec(c=2.0, num_bins=2))
+        spec = BinSpec(c=2.0, num_bins=2)
+        binned = bin_spectrum(np.array([9.0, 1.0, 2.0, 3.0, 4.0]), spec)
         assert np.allclose(binned, [1.0, 2.5])
-        assert edges == [1, 2, 4]
+        assert bin_edges(spec) == [1, 2, 4]
 
     def test_all_zero_magnitudes(self):
-        binned, _ = bin_spectrum(np.zeros(8), BinSpec(c=2.0, num_bins=2))
+        binned = bin_spectrum(np.zeros(8), BinSpec(c=2.0, num_bins=2))
         assert np.array_equal(binned, [0.0, 0.0])
 
     def test_exact_fit_discards_nothing(self):
         mags = np.arange(4, dtype=float)  # widths [1, 2] end exactly at len-1
-        binned, edges = bin_spectrum(mags, BinSpec(c=2.0, num_bins=2))
-        assert edges[-1] == len(mags)
+        spec = BinSpec(c=2.0, num_bins=2)
+        binned = bin_spectrum(mags, spec)
+        assert bin_edges(spec)[-1] == len(mags)
         assert np.allclose(binned, [1.0, 2.5])
 
     def test_too_short_reports_required_frames(self):
@@ -247,7 +251,8 @@ class TestExtractFeatures:
         spec = BinSpec(c=1.15, num_bins=10)
         features = extract_features(seq, spec)
         assert features.data.shape == (4, 10, 2)
-        assert features.bin_edges == (1, 2, 3, 4, 6, 8, 10, 12, 15, 19, 23)
+        assert features.spec == spec
+        assert bin_edges(features.spec) == [1, 2, 3, 4, 6, 8, 10, 12, 15, 19, 23]
         assert features.fps == 30.0
 
 
@@ -257,17 +262,41 @@ class TestFeatureCsvRoundTrip:
         spec = BinSpec(c=1.5, num_bins=4)
         features = extract_features(seq, spec)
         path = tmp_path / "features.csv"
-        write_features_csv(features, spec, path)
+        write_features_csv(features, path)
         loaded, loaded_spec = read_features_csv(path)
         assert np.array_equal(loaded.data, features.data)
-        assert loaded.bin_edges == features.bin_edges
+        assert bin_edges(loaded.spec) == bin_edges(features.spec)
         assert loaded.fps == features.fps
         assert loaded_spec == spec
+
+    @given(
+        c=st.floats(1.0, 3.0, exclude_min=True),
+        num_bins=st.integers(1, 12),
+        num_joints=st.integers(1, 6),
+        fps=st.floats(1e-3, 1e3),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_write_then_read_is_bit_exact(self, tmp_path_factory, c, num_bins, num_joints, fps,
+                                          data):
+        values = data.draw(arrays(np.float64, (num_joints, num_bins, 2),
+                                  elements=st.floats(0.0, 1e300)))
+        spec = BinSpec(c=c, num_bins=num_bins)
+        path = tmp_path_factory.mktemp("round") / "f.csv"
+        write_features_csv(FrequencyFeatures(data=values, spec=spec, fps=fps), path)
+        loaded, loaded_spec = read_features_csv(path)
+        assert loaded.data.tobytes() == values.tobytes()
+        assert loaded.spec == loaded_spec == spec
+        assert loaded.fps == fps
+
+    def test_data_must_have_the_spec_bin_count(self):
+        with pytest.raises(ValueError, match="bins"):
+            FrequencyFeatures(data=np.zeros((2, 4, 2)), spec=BinSpec(c=2.0, num_bins=3), fps=30.0)
 
     def test_row_count_contract(self, tmp_path):
         seq = TestExtractFeatures().tone_sequence(peak_index=2, frames=60, joints=3)
         spec = BinSpec(c=1.3, num_bins=5)
-        write_features_csv(extract_features(seq, spec), spec, tmp_path / "f.csv")
+        write_features_csv(extract_features(seq, spec), tmp_path / "f.csv")
         rows = (tmp_path / "f.csv").read_text().splitlines()
         assert len(rows) == 1 + 3 * 5 * 2
 
@@ -280,7 +309,7 @@ class TestFeatureSidecar:
         seq = TestExtractFeatures().tone_sequence(peak_index=2, frames=60, joints=3)
         spec = BinSpec(c=1.3, num_bins=5)
         path = tmp_path / "f.csv"
-        write_features_csv(extract_features(seq, spec), spec, path)
+        write_features_csv(extract_features(seq, spec), path)
         return path
 
     @pytest.mark.parametrize("edit,message", [

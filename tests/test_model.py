@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqgcn.errors import ContractViolationError, ModelMismatchError, NonFiniteError
-from freqgcn.frequency import BinSpec
+from freqgcn.frequency import BinSpec, FrequencyFeatures
 from freqgcn.graph import SkeletonTopology, builtin_topology
 from freqgcn.model import (
     AttentionParams,
@@ -197,6 +197,15 @@ class TestModelForward:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ContractViolationError):
             model_forward(np.zeros((4, 3, 2)), toy_model())
+
+    def test_features_binned_with_another_spec_rejected(self):
+        # Same (N, B, C) shape, different growth: the bins cover other frequencies.
+        data = np.ones((5, 3, 2))
+        other = FrequencyFeatures(data=data, spec=BinSpec(c=1.5, num_bins=3), fps=30.0)
+        with pytest.raises(ContractViolationError, match="binned with"):
+            model_forward(other, toy_model())
+        same = FrequencyFeatures(data=data, spec=BinSpec(c=1.3, num_bins=3), fps=30.0)
+        assert model_forward(same, toy_model())[0] == model_forward(data, toy_model())[0]
 
     def test_joint_permutation_leaves_logits_unchanged(self):
         rng = np.random.default_rng(8)

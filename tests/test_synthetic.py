@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from freqgcn.errors import AliasingConfigError
-from freqgcn.frequency import BinSpec, dft_naive, extract_features
+from freqgcn.frequency import BinSpec, bin_edges, dft_naive, extract_features
 from freqgcn.graph import builtin_topology
 from freqgcn.pose import interpolate_missing, load_sequence, normalize_sequence
 from freqgcn.synthetic import (
@@ -126,7 +126,7 @@ class TestGenerateDataset:
 
         def band_mass(features, band):
             lo_idx, hi_idx = band[0] / step, band[1] / step
-            edges = features.bin_edges
+            edges = bin_edges(features.spec)
             mass = 0.0
             for b in range(len(edges) - 1):
                 if edges[b + 1] > lo_idx and edges[b] <= hi_idx + 1:

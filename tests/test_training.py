@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from freqgcn.errors import DegenerateDatasetError, NonFiniteError
-from freqgcn.frequency import BinSpec, FrequencyFeatures, bin_edges, extract_features
+from freqgcn.frequency import BinSpec, FrequencyFeatures, extract_features
 from freqgcn.graph import builtin_topology
 from freqgcn.model import model_forward
 from freqgcn.pose import PoseSequence
@@ -10,11 +10,10 @@ from freqgcn.training import TrainConfig, evaluate, train
 
 TOY = builtin_topology("toy5")
 SPEC3 = BinSpec(c=1.3, num_bins=3)
-EDGES3 = tuple(bin_edges(SPEC3))
 
 
 def features_from(data):
-    return FrequencyFeatures(data=np.asarray(data, dtype=float), bin_edges=EDGES3, fps=30.0)
+    return FrequencyFeatures(data=np.asarray(data, dtype=float), spec=SPEC3, fps=30.0)
 
 
 def separable_pair():
