@@ -68,8 +68,8 @@ def _config_callback(ctx: click.Context, param: click.Parameter, value):
     if not path.exists():
         raise click.BadParameter(f"no such config file: {path}")
     try:
-        loaded = json.loads(path.read_text("utf-8"))
-    except json.JSONDecodeError as exc:
+        loaded = json.loads(path.read_bytes())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise click.BadParameter(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(loaded, dict):
         raise click.BadParameter("config file must hold a JSON object")
@@ -108,8 +108,6 @@ def _parse_widths(text: str) -> tuple[int, ...]:
         widths = tuple(int(v) for v in text.split(","))
     except ValueError:
         raise click.BadParameter(f"expected comma-separated integers, got {text!r}") from None
-    if len(widths) < 2:
-        raise click.BadParameter("need at least input and one layer width")
     return widths
 
 
@@ -143,13 +141,8 @@ def main():
 def cmd_extract(input_path, out_path, fps, growth, bins, topology, pose_csv):
     """Convert keypoint files to binned frequency features."""
     topo = _resolve_topology(topology)
-    try:
-        spec = frequency.BinSpec(c=growth, num_bins=bins)
-    except ValueError as exc:
-        raise FreqGcnError(f"--c {growth:g} --bins {bins}: {exc}") from None
-    src = Path(input_path)
-    if not src.exists():
-        raise FileNotFoundError(f"no such input: {src}")
+    spec = frequency.BinSpec(c=growth, num_bins=bins)
+    src = Path(input_path)  # load_sequence reports a missing input
 
     if src.is_dir() and not any(p.suffix == ".json" for p in src.iterdir()):
         # Batch mode: every subdirectory is one sequence.
@@ -230,12 +223,9 @@ def cmd_train(features_dir, manifest, out_path, topology, channels, epochs, lr, 
     rows = synthetic.read_manifest(manifest_path)
     table = _load_feature_table(features_dir, rows, topo)
 
-    try:
-        config = training.TrainConfig(
-            epochs=epochs, learning_rate=lr, seed=seed, full_batch=not per_example
-        )
-    except ValueError as exc:
-        raise FreqGcnError(f"--epochs {epochs} --lr {lr:g}: {exc}") from None
+    config = training.TrainConfig(
+        epochs=epochs, learning_rate=lr, seed=seed, full_batch=not per_example
+    )
     train_set = [(f, label) for _, f, label, split in table if split == "train"]
     test_set = [(sid, f, label) for sid, f, label, split in table if split == "test"]
     trained, history = training.train(
@@ -270,16 +260,28 @@ def cmd_train(features_dir, manifest, out_path, topology, channels, epochs, lr, 
         )
 
 
-def _features_for_input(
+def _classify(
     path: Path, loaded: model_mod.Model, fps: float
-) -> tuple[str, frequency.FrequencyFeatures, float]:
-    """(sequence id, features, seconds spent on extraction) for one input."""
+) -> tuple[str, model_mod.Prediction, model_mod.AttentionReport, float, float]:
+    """(sequence id, prediction, attention, extract and forward seconds) for one input; features
+    the model cannot take are a ModelMismatchError. Only extraction from raw frames is timed."""
+    if not path.exists():
+        raise FileNotFoundError(f"no such input: {path}")
+    extract_seconds = 0.0
     if path.suffix == ".csv":
-        return path.stem, frequency.read_features_csv(path)[0], 0.0
+        seq_id, features = path.stem, frequency.read_features_csv(path)[0]
+    else:
+        start = time.perf_counter()
+        seq = _ingest(path, fps, loaded.graph.topology)
+        seq_id = path.name if path.is_dir() else path.stem
+        features = frequency.extract_features(seq, loaded.bin_spec)
+        extract_seconds = time.perf_counter() - start
     start = time.perf_counter()
-    seq = _ingest(path, fps, loaded.graph.topology)
-    features = frequency.extract_features(seq, loaded.bin_spec)
-    return path.name if path.is_dir() else path.stem, features, time.perf_counter() - start
+    try:
+        prediction, report, _ = model_mod.model_forward(features, loaded)
+    except ContractViolationError as exc:
+        raise ModelMismatchError(f"{path.name}: {exc}") from exc
+    return seq_id, prediction, report, extract_seconds, time.perf_counter() - start
 
 
 @main.command("predict")
@@ -299,16 +301,9 @@ def cmd_predict(model_path, inputs, fps, out_path, timing):
     loaded = model_mod.load_model(model_path)
     lines = []
     for raw in inputs:
-        path = Path(raw)
-        if not path.exists():
-            raise FileNotFoundError(f"no such input: {path}")
-        seq_id, features, extract_seconds = _features_for_input(path, loaded, fps)
-        start = time.perf_counter()
-        try:
-            prediction, _, _ = model_mod.model_forward(features, loaded)
-        except ContractViolationError as exc:
-            raise ModelMismatchError(f"{path.name}: {exc}") from exc
-        forward_seconds = time.perf_counter() - start
+        seq_id, prediction, _, extract_seconds, forward_seconds = _classify(
+            Path(raw), loaded, fps
+        )
         lines.append(f"{seq_id},{prediction.label},{prediction.probability[1]!r}")
         if timing:
             click.echo(
@@ -337,14 +332,7 @@ def cmd_explain(model_path, input_path, out_prefix, fps, bars):
     if not Path(model_path).exists():
         raise FileNotFoundError(f"no such model: {model_path}")
     loaded = model_mod.load_model(model_path)
-    path = Path(input_path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such input: {path}")
-    _, features, _ = _features_for_input(path, loaded, fps)
-    try:
-        report = model_mod.attention_report(loaded, features)
-    except ContractViolationError as exc:
-        raise ModelMismatchError(f"{path.name}: {exc}") from exc
+    report = _classify(Path(input_path), loaded, fps)[2]
 
     names = loaded.graph.topology.names
     alpha_file = Path(str(out_prefix) + ".alpha.csv")
@@ -378,10 +366,10 @@ def cmd_explain(model_path, input_path, out_prefix, fps, bars):
 @guarded
 def cmd_gradcheck(eps, seed, trials, threshold):
     """Verify analytic gradients against central differences on a toy model."""
-    if trials < 1 or not (eps > 0 and threshold > 0):
+    if trials < 1 or seed < 0 or not (eps > 0 and threshold > 0):
         raise FreqGcnError(
-            f"--trials must be at least 1 and --eps and --threshold positive, "
-            f"got {trials}, {eps:g} and {threshold:g}"
+            f"--trials must be at least 1, --seed at least 0 and --eps and --threshold "
+            f"positive, got {trials}, {seed}, {eps:g} and {threshold:g}"
         )
     rng = np.random.default_rng(seed)
     topo = builtin_topology("toy5")
@@ -434,22 +422,19 @@ def cmd_synth(out_dir, n_per_class, frames, fps, band0, band1, signal_joints,
         raise FreqGcnError(
             f"--signal-joints expects comma-separated joint indices, got {signal_joints!r}"
         ) from None
-    try:
-        cfg = synthetic.SynthConfig(
-            topology=topology,
-            num_frames=frames,
-            fps=fps,
-            class0_band=_parse_band(band0),
-            class1_band=_parse_band(band1),
-            signal_joints=joints,
-            amplitude=amplitude,
-            noise_sigma=noise,
-            seed=seed,
-            on_grid=not off_grid,
-        )
-        dataset = synthetic.generate_dataset(cfg, n_per_class=n_per_class, seed=seed)
-    except ValueError as exc:
-        raise FreqGcnError(f"synth: {exc}") from None
+    cfg = synthetic.SynthConfig(
+        topology=topology,
+        num_frames=frames,
+        fps=fps,
+        class0_band=_parse_band(band0),
+        class1_band=_parse_band(band1),
+        signal_joints=joints,
+        amplitude=amplitude,
+        noise_sigma=noise,
+        seed=seed,
+        on_grid=not off_grid,
+    )
+    dataset = synthetic.generate_dataset(cfg, n_per_class=n_per_class, seed=seed)
     manifest = synthetic.write_dataset(dataset, out_dir)
     click.echo(
         f"wrote {len(dataset.samples)} sequences "

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; ContractViolationError is its ValueError."""
 
 
 class FreqGcnError(Exception):
@@ -49,8 +49,8 @@ class UnknownPresetError(FreqGcnError):
     """Requested skeleton preset does not exist."""
 
 
-class ContractViolationError(FreqGcnError):
-    """Caller broke an operation precondition (shape, symmetry, finiteness)."""
+class ContractViolationError(FreqGcnError, ValueError):
+    """A value broke a precondition (shape, range, finiteness); the package's ValueError."""
 
 
 class NonFiniteError(ContractViolationError):

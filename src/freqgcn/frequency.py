@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InsufficientLengthError
+from .errors import ContractViolationError, FormatError, InsufficientLengthError
 from .pose import PoseSequence
 
 CHANNELS = ("x", "y")
@@ -26,9 +26,9 @@ CHANNELS = ("x", "y")
 def _as_complex_vector(signal, name: str) -> np.ndarray:
     x = np.asarray(signal)
     if x.ndim != 1 or x.shape[0] < 1:
-        raise ValueError(f"{name} expects a nonempty 1-D signal, got shape {x.shape}")
+        raise ContractViolationError(f"{name} expects a nonempty 1-D signal, got shape {x.shape}")
     if not np.isfinite(x).all():
-        raise ValueError(f"{name} requires finite values")
+        raise ContractViolationError(f"{name} requires finite values")
     return x.astype(np.complex128)
 
 
@@ -122,13 +122,11 @@ def fft_bluestein(signal) -> np.ndarray:
     """
     x = np.asarray(signal)
     if x.ndim < 1 or x.shape[-1] < 1:
-        raise ValueError(f"fft_bluestein expects signals of length >= 1, got shape {x.shape}")
+        raise ContractViolationError(f"fft_bluestein expects signals of length >= 1, got shape {x.shape}")
     if not np.isfinite(x).all():
-        raise ValueError("fft_bluestein requires finite values")
+        raise ContractViolationError("fft_bluestein requires finite values")
     x = x.astype(np.complex128)
     t = x.shape[-1]
-    if t == 1:
-        return x
     chirp, kernel = _chirp_plan(t)
     padded = np.zeros(x.shape[:-1] + kernel.shape, dtype=np.complex128)
     np.multiply(x, chirp, out=padded[..., :t])
@@ -153,7 +151,7 @@ def magnitude_half_spectrum(spectrum: np.ndarray) -> np.ndarray:
     real signal's spectrum is redundant."""
     spec = np.asarray(spectrum)
     if spec.ndim < 1 or spec.shape[-1] < 1:
-        raise ValueError(f"expected spectra of length >= 1, got shape {spec.shape}")
+        raise ContractViolationError(f"expected spectra of length >= 1, got shape {spec.shape}")
     t = spec.shape[-1]
     return np.abs(spec[..., : t // 2 + 1])
 
@@ -176,13 +174,13 @@ class BinSpec:
 
     def __post_init__(self):
         if not (self.c > 1.0 and math.isfinite(self.c)):
-            raise ValueError(f"growth parameter c must be finite and exceed 1, got {self.c}")
+            raise ContractViolationError(f"growth parameter c must be finite and exceed 1, got {self.c}")
         if self.num_bins < 1:
-            raise ValueError(f"num_bins must be >= 1, got {self.num_bins}")
+            raise ContractViolationError(f"num_bins must be >= 1, got {self.num_bins}")
         try:
             self.c ** (self.num_bins - 1)  # the widest bin's growth factor
         except OverflowError:
-            raise ValueError(
+            raise ContractViolationError(
                 f"growth parameter c={self.c} overflows over {self.num_bins} bins"
             ) from None
 
@@ -248,11 +246,11 @@ class FrequencyFeatures:
     def __post_init__(self):
         d = self.data
         if d.ndim != 3 or d.shape[2] != len(CHANNELS):
-            raise ValueError(f"feature data must be (N, B, 2), got {d.shape}")
+            raise ContractViolationError(f"feature data must be (N, B, 2), got {d.shape}")
         if not np.isfinite(d).all() or (d < 0).any():
-            raise ValueError("feature values must be finite and nonnegative")
+            raise ContractViolationError("feature values must be finite and nonnegative")
         if d.shape[1] != self.spec.num_bins:
-            raise ValueError(f"feature data has {d.shape[1]} bins, the spec {self.spec.num_bins}")
+            raise ContractViolationError(f"feature data has {d.shape[1]} bins, the spec {self.spec.num_bins}")
 
     @property
     def num_joints(self) -> int:
@@ -397,7 +395,7 @@ def _read_sidecar(meta_file: Path) -> tuple[int, BinSpec, float]:
         )
     try:
         spec = BinSpec(c=c, num_bins=b)
-    except ValueError as exc:
+    except ContractViolationError as exc:
         raise FormatError(f"{name}: {exc}") from None
     # Checking the length first bounds bin_edges' O(num_bins) loop by the sidecar's size.
     if not (isinstance(listed, list) and len(listed) == b + 1 and listed == bin_edges(spec)):

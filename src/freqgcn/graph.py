@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import ContractViolationError, FormatError, UnknownPresetError
 
+POWER_ITERATIONS = 1000  # steps of spectral_radius
+
 # OpenPose BODY_25 joint order.
 _BODY25_NAMES = (
     "nose", "neck", "r_shoulder", "r_elbow", "r_wrist",
@@ -63,28 +65,28 @@ class SkeletonTopology:
     def __post_init__(self):
         n = self.num_joints
         if n < 2:
-            raise ValueError("a topology needs at least 2 joints")
+            raise ContractViolationError("a topology needs at least 2 joints")
         canonical = []
         seen = set()
         for i, j in self.edges:
             if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i}, {j}) references a joint outside 0..{n - 1}")
+                raise ContractViolationError(f"edge ({i}, {j}) references a joint outside 0..{n - 1}")
             if i == j:
-                raise ValueError(f"self-loop on joint {i}")
+                raise ContractViolationError(f"self-loop on joint {i}")
             key = (min(i, j), max(i, j))
             if key in seen:
-                raise ValueError(f"duplicate edge {key}")
+                raise ContractViolationError(f"duplicate edge {key}")
             seen.add(key)
             canonical.append(key)
         object.__setattr__(self, "edges", tuple(canonical))
         if not (0 <= self.root < n and 0 <= self.neck < n):
-            raise ValueError("root/neck must be valid joint indices")
+            raise ContractViolationError("root/neck must be valid joint indices")
         if not self.names:
             object.__setattr__(self, "names", tuple(f"j{i}" for i in range(n)))
         elif len(self.names) != n:
-            raise ValueError(f"{len(self.names)} names for {n} joints")
+            raise ContractViolationError(f"{len(self.names)} names for {n} joints")
         if not self._connected():
-            raise ValueError("skeleton graph must be connected")
+            raise ContractViolationError("skeleton graph must be connected")
 
     def _connected(self) -> bool:
         adj = [[] for _ in range(self.num_joints)]
@@ -189,7 +191,7 @@ def read_topology(path: str | Path) -> SkeletonTopology:
             num_joints=n, edges=tuple(edges), root=root, neck=neck,
             names=name_tuple, name=path.stem,
         )
-    except ValueError as exc:
+    except ContractViolationError as exc:
         raise FormatError(f"{path.name}: {exc}") from None
 
 
@@ -263,7 +265,7 @@ class FeatureGraph:
 def build_feature_graph(topology: SkeletonTopology, num_bins: int) -> FeatureGraph:
     """Connect same-bin skeleton edges and the low-to-high bin chain per joint."""
     if num_bins < 1:
-        raise ValueError(f"num_bins must be >= 1, got {num_bins}")
+        raise ContractViolationError(f"num_bins must be >= 1, got {num_bins}")
     n = topology.num_joints
     joint_operator = np.eye(n)
     for i, j in topology.edges:
@@ -300,11 +302,11 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
     return with_loops * inv_sqrt_degree[:, None] * inv_sqrt_degree[None, :]
 
 
-def spectral_radius(matrix: np.ndarray, iterations: int = 1000) -> float:
+def spectral_radius(matrix: np.ndarray) -> float:
     """Dominant absolute eigenvalue estimate by power iteration."""
     m = np.asarray(matrix, dtype=np.float64)
     v = np.full(m.shape[0], 1.0 / np.sqrt(m.shape[0]))
-    for _ in range(iterations):
+    for _ in range(POWER_ITERATIONS):
         w = m @ v
         norm = np.linalg.norm(w)
         if norm == 0.0:

@@ -43,6 +43,10 @@ def parameter_schema(channel_widths: tuple[int, ...]) -> dict[str, tuple[int, ..
     The model's parameters, the gradients of :func:`backward`, the
     optimizer's moments and the model document all follow this order.
     """
+    if len(channel_widths) < 2 or min(channel_widths) < 1:
+        raise ContractViolationError(
+            f"channels {channel_widths} need an input and a layer width, each at least 1"
+        )
     c_in = channel_widths[0]
     schema = {"w_z": (c_in, c_in), "w_alpha": (c_in,)}
     for l in range(len(channel_widths) - 1):
@@ -62,12 +66,10 @@ class Model:
     channel_widths: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.channel_widths) < 2:
-            raise ValueError("channel_widths needs at least an input and one layer width")
         shapes = [(name, p.shape) for name, p in self.params.items()]
         schema = list(parameter_schema(self.channel_widths).items())
         if shapes != schema:
-            raise ValueError(f"parameters {shapes} do not match the schema {schema}")
+            raise ContractViolationError(f"parameters {shapes} do not match the schema {schema}")
 
     @property
     def num_joints(self) -> int:
@@ -176,10 +178,7 @@ def _attention_forward(features_h: np.ndarray, w_z: np.ndarray, w_alpha: np.ndar
     if not np.isfinite(h).all():
         raise ContractViolationError("features contains non-finite values")
     z = np.tanh(h @ w_z.T)
-    scores = z @ w_alpha
-    shifted = scores - scores.max(axis=1, keepdims=True)  # overflow safety
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True), z
+    return _softmax(z @ w_alpha), z
 
 
 def _gate(h: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -204,10 +203,10 @@ def attention_aggregate(
     return np.einsum("nb,nbc->nc", a, h), _gate(h, a)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum()
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, shifted by the maximum for overflow safety."""
+    exp = np.exp(x - x.max(axis=-1, keepdims=True))
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def model_forward(
@@ -412,10 +411,9 @@ def load_model(path: str | Path) -> Model:
         num_bins = int(expect_key("bins"))
         bin_c = float(expect_key("bin-c"))
         widths = tuple(int(v) for v in expect_key("channels").split())
+        schema = parameter_schema(widths)
         if len(names) != num_joints:
             raise ModelMismatchError(f"{len(names)} joint names for {num_joints} joints")
-        if len(widths) < 2:
-            raise ModelMismatchError(f"channels {widths} need an input and one layer width")
         topology = SkeletonTopology(
             num_joints=num_joints, edges=tuple(edges), root=root, neck=neck,
             names=names, name=topo_name,
@@ -426,7 +424,7 @@ def load_model(path: str | Path) -> Model:
 
     # One block per schema entry, in schema order; vectors are stored as 1-row matrices.
     params: dict[str, np.ndarray] = {}
-    for name, shape in parameter_schema(widths).items():
+    for name, shape in schema.items():
         rows, cols = (1, *shape) if len(shape) == 1 else shape
         block = f"param {name} {rows} {cols}"
         line = take()

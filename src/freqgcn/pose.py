@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    ContractViolationError,
     EmptyInputError,
     FormatError,
     ParseError,
@@ -59,18 +60,18 @@ class PoseSequence:
     def __post_init__(self):
         pos = np.array(self.positions, dtype=np.float64)
         if pos.ndim != 3 or pos.shape[2] != 2:
-            raise ValueError(f"positions must have shape (T, N, 2), got {pos.shape}")
+            raise ContractViolationError(f"positions must have shape (T, N, 2), got {pos.shape}")
         conf = np.ones(pos.shape[:2]) if self.confidence is None else self.confidence
         conf = np.array(conf, dtype=np.float64)
         if conf.shape != pos.shape[:2]:
-            raise ValueError(f"confidence shape {conf.shape} does not match {pos.shape[:2]}")
+            raise ContractViolationError(f"confidence shape {conf.shape} does not match {pos.shape[:2]}")
         if pos.shape[0] < 2:
-            raise ValueError(f"a sequence needs at least 2 frames, got {pos.shape[0]}")
+            raise ContractViolationError(f"a sequence needs at least 2 frames, got {pos.shape[0]}")
         if pos.shape[1] < 1:
-            raise ValueError("a frame must contain at least one joint")
+            raise ContractViolationError("a frame must contain at least one joint")
         if not (math.isfinite(self.fps) and self.fps > 0):
-            raise ValueError(f"fps must be a positive real, got {self.fps}")
-        _check_values(pos, conf, ValueError)
+            raise ContractViolationError(f"fps must be a positive real, got {self.fps}")
+        _check_values(pos, conf, ContractViolationError)
         pos.setflags(write=False)
         conf.setflags(write=False)
         object.__setattr__(self, "positions", pos)
@@ -127,9 +128,7 @@ def _keypoint_table(flats: list[list | None], n: int) -> np.ndarray:
         raise FormatError(_NOT_NUMERIC) from None
     if table.dtype.kind not in "biuf":
         raise FormatError(_NOT_NUMERIC)
-    table = table.astype(np.float64, copy=False).reshape(len(rows), n, 3)
-    _check_values(table[..., :2], table[..., 2], FormatError)
-    return table
+    return table.astype(np.float64, copy=False).reshape(len(rows), n, 3)
 
 
 def _inferred_joints(flats: list[list | None]) -> int | None:
@@ -158,7 +157,9 @@ def parse_keypoint_frame(raw: bytes | str, expected_joints: int | None = None) -
         raise FormatError(
             "empty 'people' array and no configured joint count to build a missing frame"
         )
-    return _keypoint_table(flats, n)[0]
+    frame = _keypoint_table(flats, n)[0]
+    _check_values(frame[:, :2], frame[:, 2], FormatError)
+    return frame
 
 
 def serialize_keypoint_frame(frame: np.ndarray) -> bytes:
@@ -220,7 +221,7 @@ def load_sequence(
     table = _keypoint_table(flats, n)
     try:
         seq = PoseSequence(positions=table[..., :2], fps=fps, confidence=table[..., 2])
-    except ValueError as exc:  # fps or frame count
+    except ContractViolationError as exc:  # fps, frame count or keypoint values
         raise FormatError(f"{path.name}: {exc}") from None
     if not FPS_QUIET_RANGE[0] <= fps <= FPS_QUIET_RANGE[1]:
         warnings.warn(
@@ -280,7 +281,7 @@ def normalize_sequence(seq: PoseSequence, root: int, neck: int) -> PoseSequence:
     pos = seq.positions
     n = seq.num_joints
     if not (0 <= root < n and 0 <= neck < n):
-        raise ValueError(f"root/neck indices ({root}, {neck}) out of range for {n} joints")
+        raise ContractViolationError(f"root/neck indices ({root}, {neck}) out of range for {n} joints")
     torso = float(np.median(np.linalg.norm(pos[:, root] - pos[:, neck], axis=1)))
     if torso <= 1e-9:
         raise DegeneratePoseError(

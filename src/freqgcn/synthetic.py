@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AliasingConfigError, FormatError
+from .errors import AliasingConfigError, ContractViolationError, FormatError
 from .graph import SkeletonTopology, builtin_topology
 from .pose import PoseSequence, write_sequence
 
@@ -70,14 +70,17 @@ class SynthConfig:
 
     def __post_init__(self):
         topo = builtin_topology(self.topology)
+        for name in ("fps", "amplitude", "noise_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ContractViolationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.num_frames < 2:
-            raise ValueError(f"num_frames must be >= 2, got {self.num_frames}")
+            raise ContractViolationError(f"num_frames must be >= 2, got {self.num_frames}")
         if self.fps <= 0:
-            raise ValueError(f"fps must be positive, got {self.fps}")
+            raise ContractViolationError(f"fps must be positive, got {self.fps}")
         nyquist = self.fps / 2.0
         for name, (lo, hi) in (("class0", self.class0_band), ("class1", self.class1_band)):
             if not 0.0 < lo < hi:
-                raise ValueError(f"{name} band must satisfy 0 < lo < hi, got ({lo}, {hi})")
+                raise ContractViolationError(f"{name} band must satisfy 0 < lo < hi, got ({lo}, {hi})")
             if hi >= nyquist:
                 raise AliasingConfigError(
                     f"{name} band edge {hi} Hz reaches the Nyquist limit {nyquist} Hz"
@@ -85,16 +88,18 @@ class SynthConfig:
         lo0, hi0 = self.class0_band
         lo1, hi1 = self.class1_band
         if max(lo0, lo1) <= min(hi0, hi1):
-            raise ValueError("class bands must be disjoint intervals")
+            raise ContractViolationError("class bands must be disjoint intervals")
         if not self.signal_joints:
-            raise ValueError("signal_joints must not be empty")
+            raise ContractViolationError("signal_joints must not be empty")
         bad = [j for j in self.signal_joints if not 0 <= j < topo.num_joints]
         if bad:
-            raise ValueError(f"signal joints {bad} outside topology with {topo.num_joints} joints")
+            raise ContractViolationError(f"signal joints {bad} outside topology with {topo.num_joints} joints")
         if not self.amplitude > 0:
-            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
+            raise ContractViolationError(f"amplitude must be positive, got {self.amplitude}")
         if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+            raise ContractViolationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise ContractViolationError(f"seed must be >= 0, got {self.seed}")
 
 
 def _draw_band_frequency(
@@ -107,7 +112,7 @@ def _draw_band_frequency(
     k_lo = max(1, math.ceil(band[0] / step))
     k_hi = math.floor(band[1] / step)
     if k_hi < k_lo:
-        raise ValueError(
+        raise ContractViolationError(
             f"band {band} contains no on-grid frequency at T={cfg.num_frames}, fps={cfg.fps}"
         )
     return float(rng.integers(k_lo, k_hi + 1) * step)
@@ -116,7 +121,7 @@ def _draw_band_frequency(
 def generate_sequence(cfg: SynthConfig, label: int, seed: int) -> PoseSequence:
     """One labeled sequence; deterministic per (cfg, label, seed)."""
     if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label!r}")
+        raise ContractViolationError(f"label must be 0 or 1, got {label!r}")
     topo = builtin_topology(cfg.topology)
     rest = rest_pose(topo)
     torso = float(np.linalg.norm(rest[topo.root] - rest[topo.neck]))
@@ -161,7 +166,7 @@ class SynthDataset:
 def generate_dataset(cfg: SynthConfig, n_per_class: int, seed: int) -> SynthDataset:
     """Balanced 2*n_per_class sequences, split 2:1 train:test per class."""
     if n_per_class < 2:
-        raise ValueError(f"n_per_class must be >= 2, got {n_per_class}")
+        raise ContractViolationError(f"n_per_class must be >= 2, got {n_per_class}")
     n_train = (2 * n_per_class) // 3
     samples = []
     index = 0

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDatasetError, NonFiniteError
+from .errors import ContractViolationError, DegenerateDatasetError, NonFiniteError
 from .frequency import BinSpec, FrequencyFeatures
 from .graph import SkeletonTopology
 from .model import Model, backward, init_model, loss, model_forward, one_hot
@@ -14,6 +14,8 @@ from .model import Model, backward, init_model, loss, model_forward, one_hot
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+RELATIVE_ERROR_FLOOR = 1e-6  # see max_relative_error
+KINK_MARGIN = 1e-3  # see draw_smooth_check_case
 
 
 @dataclass(frozen=True)
@@ -25,9 +27,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+            raise ContractViolationError(f"epochs must be >= 1, got {self.epochs}")
         if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+            raise ContractViolationError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ContractViolationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -146,11 +150,11 @@ def finite_difference_gradients(
     return out
 
 
-def max_relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-6) -> float:
-    """Worst-case |a - b| / max(|a|, |b|, floor) across entries."""
+def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """Worst-case |a - b| / max(|a|, |b|, RELATIVE_ERROR_FLOOR) across entries."""
     a = np.asarray(analytic, dtype=np.float64)
     b = np.asarray(numeric, dtype=np.float64)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), RELATIVE_ERROR_FLOOR)
     return float((np.abs(a - b) / denom).max())
 
 
@@ -172,19 +176,19 @@ def gradient_check(
 
 
 def draw_smooth_check_case(
-    model: Model, rng: np.random.Generator, margin: float = 1e-3, scale: float = 1.0
+    model: Model, rng: np.random.Generator, scale: float = 1.0
 ) -> np.ndarray:
     """Random features whose forward pass stays clear of every ReLU kink.
 
     Central differences assume local smoothness; a draw that leaves some
-    pre-activation within ``margin`` of zero would straddle the kink at
+    pre-activation within ``KINK_MARGIN`` of zero would straddle the kink at
     eps = 1e-5 and report a false mismatch. Rejected draws are resampled.
     """
     n, b, c = model.num_joints, model.num_bins, model.in_channels
     for _ in range(1000):
         candidate = scale * np.abs(rng.normal(size=(n, b, c)))
         _, _, cache = model_forward(candidate, model)
-        if all(np.abs(z).min() > margin for z in cache.pre_relu):
+        if all(np.abs(z).min() > KINK_MARGIN for z in cache.pre_relu):
             return candidate
     raise RuntimeError("could not draw a kink-free gradient-check case")
 
@@ -210,24 +214,17 @@ def evaluate(
     if not dataset:
         raise DegenerateDatasetError("evaluation dataset is empty")
     rows = []
-    tp = tn = fp = fn = 0
     for seq_id, features, label in dataset:
         prediction, _, _ = model_forward(features, model)
         rows.append((seq_id, label, prediction.label, prediction.probability[1]))
-        if label == 1 and prediction.label == 1:
-            tp += 1
-        elif label == 1:
-            fn += 1
-        elif prediction.label == 0:
-            tn += 1
-        else:
-            fp += 1
-    accuracy = (tp + tn) / len(dataset)
-    sensitivity = tp / (tp + fn) if (tp + fn) else 1.0
-    specificity = tn / (tn + fp) if (tn + fp) else 1.0
+
+    def recall(cls: int) -> float:
+        hits = [predicted == cls for _, label, predicted, _ in rows if label == cls]
+        return sum(hits) / len(hits) if hits else 1.0
+
     return MetricsReport(
-        accuracy=accuracy,
-        sensitivity=sensitivity,
-        specificity=specificity,
+        accuracy=sum(label == predicted for _, label, predicted, _ in rows) / len(rows),
+        sensitivity=recall(1),
+        specificity=recall(0),
         predictions=tuple(rows),
     )

@@ -575,6 +575,7 @@ class TestNumericFlagEdges:
 
     @pytest.mark.parametrize("flags", [
         ["--trials", "0"], ["--eps", "0"], ["--eps", "nan"], ["--threshold", "nan"],
+        ["--seed", "-1"],
     ])
     def test_gradcheck_flag_edges_exit_1(self, runner, flags):
         result = runner.invoke(main, ["gradcheck", "--trials", "1", *flags])
@@ -661,6 +662,11 @@ class TestSynthFlagEdges:
         (["--signal-joints", "9"], "signal joints"),
         (["--amplitude", "0"], "amplitude"),
         (["--fps", "0"], "fps"),
+        (["--seed", "-1"], "seed must be >= 0"),
+        (["--noise", "nan"], "noise_sigma must be finite"),
+        (["--amplitude", "inf"], "amplitude must be finite"),
+        (["--fps", "inf"], "fps must be finite"),
+        (["--fps", "nan"], "fps must be finite"),
     ])
     def test_exits_1_and_writes_nothing(self, runner, tmp_path, flags, message):
         out = tmp_path / "out"
@@ -668,3 +674,190 @@ class TestSynthFlagEdges:
         assert_one_line_diagnostic(result, 1)
         assert message in result.stderr
         assert not out.exists()
+
+
+
+def assert_usage_error(result):
+    """Exit 2 from click's parameter handling: one 'Error:' line after the usage hint."""
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.stderr
+    assert len([line for line in result.stderr.splitlines() if line.startswith("Error: ")]) == 1
+
+
+def written(name, body):
+    """Input builder: ``body`` written to tmp/<name>."""
+    def build(ws, tmp):
+        path = tmp / name
+        path.write_bytes(body.encode() if isinstance(body, str) else body)
+        return path
+    return build
+
+
+def frame_dir(docs, names=None):
+    """Input builder: a sequence directory holding one file per raw frame document."""
+    def build(ws, tmp):
+        seq = tmp / "seq"
+        seq.mkdir()
+        for k, doc in enumerate(docs):
+            (seq / (names[k] if names else f"frame_{k:06d}.json")).write_bytes(doc)
+        return seq
+    return build
+
+
+def edited_model(key, text, offset=0):
+    """Input builder: the workspace model with the line ``offset`` after ``key`` set to ``text``."""
+    def build(ws, tmp):
+        lines = (ws / "model.txt").read_text().splitlines()
+        lines[lines.index(key) + offset] = text
+        return written("model.txt", "\n".join(lines) + "\n")(ws, tmp)
+    return build
+
+
+def features_copy(header=None, sidecar=True):
+    """Input builder: seq_0000's feature file, with another header or without its sidecar."""
+    def build(ws, tmp):
+        lines = (ws / "features" / "seq_0000.csv").read_text().splitlines()
+        lines[0] = header or lines[0]
+        if sidecar:
+            written("seq_0000.csv.meta.json",
+                    (ws / "features" / "seq_0000.csv.meta.json").read_bytes())(ws, tmp)
+        return written("seq_0000.csv", "\n".join(lines) + "\n")(ws, tmp)
+    return build
+
+
+def absent(ws, tmp):
+    return tmp / "absent"
+
+
+def model_txt(ws, tmp):
+    return ws / "model.txt"
+
+
+def seq_0000_csv(ws, tmp):
+    return ws / "features" / "seq_0000.csv"
+
+
+def extract(src):
+    return lambda ws, tmp, out: [
+        "extract", "--input", src(ws, tmp), "--out", out / "f.csv",
+        "--topology", "toy5", "--c", "1.15", "--bins", "14",
+    ]
+
+
+def predict(model=model_txt, features=seq_0000_csv):
+    return lambda ws, tmp, out: [
+        "predict", "--model", model(ws, tmp), "--input", features(ws, tmp),
+        "--out", out / "pred.csv",
+    ]
+
+
+def explain(model=model_txt, features=seq_0000_csv):
+    return lambda ws, tmp, out: [
+        "explain", "--model", model(ws, tmp), "--input", features(ws, tmp),
+        "--out", out / "report",
+    ]
+
+
+def train(features=lambda ws, tmp: ws / "features",
+          manifest=lambda ws, tmp: ws / "data" / "manifest.csv", flags=()):
+    return lambda ws, tmp, out: [
+        "train", "--features", features(ws, tmp), "--manifest", manifest(ws, tmp),
+        "--out", out / "model.txt", "--topology", "toy5", "--epochs", "2", *flags,
+    ]
+
+
+def synth(config=None, flags=()):
+    return lambda ws, tmp, out: [
+        "synth", "--out", out / "data", "--frames", "40", *flags,
+        *(["--config", config(ws, tmp)] if config else []),
+    ]
+
+
+TOY5_FRAME = json.dumps({"people": [{"pose_keypoints_2d": [1.0, 2.0, 1.0] * 5}]})
+NAN_FRAME = json.dumps({"people": [{"pose_keypoints_2d": [float("nan")] + [1.0] * 14}]})
+
+ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring)
+    # Values that the type holding them rejects.
+    ("train-seed-negative", train(flags=["--seed", "-1"]), 1, "seed must be >= 0"),
+    ("train-width-zero", train(flags=["--channels", "2,0"]), 1, "channels (2, 0)"),
+    ("train-width-negative", train(flags=["--channels", "2,-1"]), 1, "channels (2, -1)"),
+    ("train-one-width", train(flags=["--channels", "5"]), 1, "channels (5,)"),
+    ("model-width-zero", predict(model=edited_model("channels 2 16 16", "channels 2 0")),
+     5, "channels (2, 0)"),
+    # Missing inputs.
+    ("predict-no-model", predict(model=absent), 2, "no such model"),
+    ("explain-no-model", explain(model=absent), 2, "no such model"),
+    ("predict-no-input", predict(features=absent), 2, "no such input"),
+    ("explain-no-input", explain(features=absent), 2, "no such input"),
+    ("train-no-features-dir", train(features=absent), 2, "no such feature directory"),
+    ("train-no-manifest", train(manifest=absent), 2, "no such manifest"),
+    ("train-missing-feature-file",
+     train(manifest=written("manifest.csv", "sequence_id,label\nseq_9999,0\n")),
+     2, "missing feature file"),
+    ("train-manifest-missing-columns",
+     train(manifest=written("manifest.csv", "sequence_id,split\nseq_0000,train\n")),
+     1, "manifest missing columns"),
+    ("train-empty-manifest", train(manifest=written("manifest.csv", "sequence_id,label\n")),
+     1, "empty manifest"),
+    ("extract-no-frames-no-sequences",
+     extract(lambda ws, tmp: (tmp / "seq").mkdir() or tmp / "seq"), 2, "holds neither"),
+    # Flags that do not parse, and --config files.
+    ("config-missing", synth(config=absent), 2, "no such config file"),
+    ("config-invalid-json", synth(config=written("cfg.json", "{x")), 2, "not valid JSON"),
+    ("config-not-object", synth(config=written("cfg.json", "[1]")), 2, "JSON object"),
+    ("config-not-utf8", synth(config=written("cfg.json", b'{"seed": "\xff"}')),
+     2, "not valid JSON"),
+    ("band0-text", synth(flags=["--band0", "x"]), 2, "expected LO:HI"),
+    ("channels-text", train(flags=["--channels", "a"]), 2, "comma-separated integers"),
+    # Feature files.
+    ("features-no-sidecar", predict(features=features_copy(sidecar=False)),
+     1, "missing feature sidecar"),
+    ("features-wrong-header", predict(features=features_copy(header="joint,bin,value")),
+     1, "expected header"),
+    # Model documents.
+    ("model-non-numeric-value", predict(model=edited_model("param head_bias 1 2", "0.5 abc", 1)),
+     5, "bad values in param head_bias"),
+    ("model-short-row", predict(model=edited_model("param head_bias 1 2", "0.5", 1)),
+     5, "param head_bias declared 1x2"),
+    ("model-no-end", predict(model=edited_model("end", "param extra 1 1")),
+     5, "expected 'end'"),
+    # Raw keypoint input.
+    ("frame-no-people", extract(frame_dir([b"{}"] * 2)), 1, "'people'"),
+    ("frame-people-not-list", extract(frame_dir([b'{"people": 3}'] * 2)), 1, "'people' is not"),
+    ("frame-no-keypoints", extract(frame_dir([b'{"people": [{}]}'] * 2)),
+     1, "pose_keypoints_2d"),
+    ("frame-keypoints-not-list",
+     extract(frame_dir([b'{"people": [{"pose_keypoints_2d": 3}]}'] * 2)),
+     1, "flat numeric array"),
+    ("frame-not-utf8", extract(frame_dir([TOY5_FRAME.encode(), b'{"people": "\xff"}'])),
+     1, "not UTF-8"),
+    ("frame-name-no-digits",
+     extract(frame_dir([TOY5_FRAME.encode()] * 2, ["a.json", "b.json"])),
+     1, "no numeric component"),
+    ("container-not-array", extract(written("clip.json", TOY5_FRAME)), 1, "JSON array"),
+    ("container-empty", extract(written("clip.json", "[]")), 2, "holds no frames"),
+    ("container-all-frames-empty",
+     extract(written("clip.json", '[{"people": []}, {"people": []}]')),
+     1, "missing in every frame"),
+    ("container-non-finite-keypoint",
+     extract(written("clip.json", f"[{TOY5_FRAME}, {NAN_FRAME}]")),
+     1, "clip.json: keypoint coordinates must be finite"),
+]
+
+
+class TestErrorBranches:
+    @pytest.mark.parametrize("build,exit_code,message",
+                             [case[1:] for case in ERROR_BRANCHES],
+                             ids=[case[0] for case in ERROR_BRANCHES])
+    def test_documented_exit_and_nothing_written(self, runner, workspace, tmp_path, build,
+                                                  exit_code, message):
+        out = tmp_path / "out"
+        out.mkdir()
+        result = runner.invoke(main, [str(a) for a in build(workspace, tmp_path, out)])
+        if exit_code == 2 and "Usage:" in result.stderr:
+            assert_usage_error(result)
+        else:
+            assert_one_line_diagnostic(result, exit_code)
+        assert message in result.stderr
+        assert list(out.iterdir()) == []

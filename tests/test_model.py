@@ -319,6 +319,13 @@ class TestParameterSchema:
         with pytest.raises(ValueError, match="schema"):
             dataclasses.replace(model, params=params)
 
+    @pytest.mark.parametrize("widths", [(2,), (2, 0), (2, -1), (0, 4), (2, 16, 0)])
+    def test_widths_below_two_or_one_rejected(self, widths):
+        with pytest.raises(ContractViolationError, match="channels"):
+            parameter_schema(widths)
+        with pytest.raises(ContractViolationError, match="channels"):
+            init_model(TOY, SPEC3, channel_widths=widths)
+
 
 class TestLoss:
     def test_uniform_logits(self):

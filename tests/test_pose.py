@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freqgcn import pose
 from freqgcn.errors import (
     DegeneratePoseError,
     EmptyInputError,
@@ -180,6 +181,28 @@ class TestLoadSequence:
         self.write_frames(tmp_path / "seq", ["f_0.json"])
         with pytest.raises(FormatError, match="2 frames"):
             load_sequence(tmp_path / "seq", fps=30.0)
+
+    def test_all_empty_frames_without_joint_count(self, tmp_path):
+        path = tmp_path / "clip.json"
+        path.write_text(json.dumps([{"people": []}, {"people": []}]))
+        with pytest.raises(EmptyInputError, match="every frame"):
+            load_sequence(path, fps=30.0)
+
+    def test_keypoint_values_checked_once_per_load(self, tmp_path, monkeypatch):
+        calls = []
+        check = pose._check_values
+        monkeypatch.setattr(pose, "_check_values", lambda *args: calls.append(1) or check(*args))
+        self.write_frames(tmp_path / "seq", ["f_0.json", "f_1.json"])
+        load_sequence(tmp_path / "seq", fps=30.0)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("triple", [[float("nan"), 2.0, 0.5], [1.0, 2.0, 1.5]])
+    def test_bad_keypoint_value_names_the_input(self, tmp_path, triple):
+        path = tmp_path / "clip.json"
+        path.write_text(json.dumps([json.loads(frame_doc([1.0, 2.0, 1.0])),
+                                    json.loads(frame_doc(triple))]))
+        with pytest.raises(FormatError, match="clip.json: keypoint"):
+            load_sequence(path, fps=30.0)
 
     def test_non_json_entries_are_skipped(self, tmp_path):
         self.write_frames(tmp_path / "seq", ["f_0.json", "f_1.json"])
