@@ -366,10 +366,10 @@ def cmd_explain(model_path, input_path, out_prefix, fps, bars):
 @guarded
 def cmd_gradcheck(eps, seed, trials, threshold):
     """Verify analytic gradients against central differences on a toy model."""
-    if trials < 1 or seed < 0 or not (eps > 0 and threshold > 0):
+    if trials < 1 or seed < 0 or not (0 < eps < np.inf and 0 < threshold < np.inf):
         raise FreqGcnError(
             f"--trials must be at least 1, --seed at least 0 and --eps and --threshold "
-            f"positive, got {trials}, {seed}, {eps:g} and {threshold:g}"
+            f"positive and finite, got {trials}, {seed}, {eps:g} and {threshold:g}"
         )
     rng = np.random.default_rng(seed)
     topo = builtin_topology("toy5")

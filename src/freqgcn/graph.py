@@ -222,18 +222,29 @@ class FeatureGraph:
             raise IndexError(f"(bin {b}, joint {i}) outside graph")
         return i * self.num_bins + b
 
-    def propagate(self, x: np.ndarray) -> np.ndarray:
-        """Normalized adjacency times node features: ``normalized @ x`` for x of shape (L, C).
+    def propagate(
+        self, x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Normalized adjacency times node features: ``normalized @ x`` for x of shape (L, C),
+        or for each of E graphs stacked as (E*L, C).
 
         With Y = s * X the product is s * ((A_skel + I) Y over joints +
         A_path Y over bins). The operator is symmetric, so the same call
-        serves the backward pass.
+        serves the backward pass. ``out`` (shaped like x) receives the
+        result and ``scratch`` (2 * x.size elements) holds the temporaries,
+        so a caller can reuse both.
         """
-        n, b = self.topology.num_joints, self.num_bins
-        y = self.scale * x.reshape(n, b, -1)
-        out = np.matmul(self.bin_operator, y)
-        out += (self.joint_operator @ y.reshape(n, -1)).reshape(y.shape)
-        out *= self.scale
+        n, b, c = self.topology.num_joints, self.num_bins, x.shape[-1]
+        if scratch is None:
+            scratch = np.empty(2 * x.size)
+        # Scaling by an (N, B, C) copy rather than the (N, B, 1) column keeps numpy's inner loops long.
+        scale = np.repeat(self.scale, c, axis=-1)
+        y = np.multiply(scale, x.reshape(-1, n, b, c), out=scratch[: x.size].reshape(-1, n, b, c))
+        joints = (len(y), n, b * c)  # per graph, one row per joint
+        joint = np.matmul(self.joint_operator, y.reshape(joints), out=scratch[x.size :].reshape(joints))
+        out = np.matmul(self.bin_operator, y, out=None if out is None else out.reshape(y.shape))
+        out += joint.reshape(y.shape)
+        out *= scale
         return out.reshape(x.shape)
 
     @cached_property

@@ -1,6 +1,6 @@
 """Attention-gated graph convolutional classifier.
 
-Forward pipeline for features H of shape (N joints, B bins, C channels):
+Forward pipeline, run on a chunk of E inputs H of shape (N joints, B bins, C channels):
 
 1. score each (bin, joint) cell: z = tanh(W_z h), s = w_alpha . z
 2. softmax the scores over bins within each joint -> alpha (N, B)
@@ -9,11 +9,12 @@ Forward pipeline for features H of shape (N joints, B bins, C channels):
 5. mean-pool the nodes and apply an affine head -> 2 logits
 
 Every intermediate is cached so the backward pass can produce exact
-analytic gradients without an autodiff framework.
+analytic gradients, summed over the chunk, without an autodiff framework.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -119,20 +120,33 @@ class AttentionReport:
         return np.argsort(-self.joint_importance, kind="stable")
 
 
+class Workspace(dict):
+    """Named float64 buffers that model_forward and backward fill with ``out=``, each grown
+    only when a call needs more elements than it holds. What a call takes from a workspace,
+    its ForwardCache included, stays valid until the next call given the same workspace."""
+
+    def take(self, name: str, *shape: int) -> np.ndarray:
+        size = math.prod(shape)
+        if name not in self or self[name].size < size:
+            self[name] = np.empty(size)
+        return self[name][:size].reshape(shape)
+
+
 @dataclass(eq=False)
 class ForwardCache:
-    """Intermediates retained by model_forward for the backward pass."""
+    """Intermediates of one chunk of E inputs, retained by model_forward for the backward pass."""
 
     model: Model
-    features: np.ndarray  # (N, B, C)
-    z: np.ndarray  # (N, B, C) tanh(W_z h)
-    alpha: np.ndarray  # (N, B)
-    layer_inputs: list[np.ndarray]  # X_l, length S+1; X_0 is the gated input
+    features: np.ndarray  # (E, N, B, C)
+    z: np.ndarray  # (E, N, B, C) tanh(W_z h)
+    alpha: np.ndarray  # (E, N, B)
+    layer_inputs: list[np.ndarray]  # X_l as (E*L, C_l), length S+1; X_0 is the gated input
     aggregated: list[np.ndarray]  # P_l = A_hat X_l, length S
     pre_relu: list[np.ndarray]  # Z_l = P_l W_l, length S
-    pooled: np.ndarray  # (C_last,)
-    logits: np.ndarray  # (2,)
-    probability: np.ndarray  # (2,)
+    pooled: np.ndarray  # (E, C_last)
+    logits: np.ndarray  # (E, 2)
+    probability: np.ndarray  # (E, 2)
+    workspace: Workspace  # holds the layer arrays; backward writes its scratch there too
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -171,19 +185,20 @@ def attention_weights(features_h: np.ndarray, params: AttentionParams) -> np.nda
 
 
 def _attention_forward(features_h: np.ndarray, w_z: np.ndarray, w_alpha: np.ndarray):
-    """(alpha, z) for features h of shape (N, B, C)."""
+    """(alpha, z) for features h of shape (N, B, C) or (E, N, B, C)."""
     h = np.asarray(features_h, dtype=np.float64)
-    if h.ndim != 3:
-        raise ContractViolationError(f"features must be (N, B, C), got shape {h.shape}")
+    if h.ndim not in (3, 4):
+        raise ContractViolationError(f"features must be (N, B, C) or (E, N, B, C), got {h.shape}")
     if not np.isfinite(h).all():
         raise ContractViolationError("features contains non-finite values")
-    z = np.tanh(h @ w_z.T)
-    return _softmax(z @ w_alpha), z
+    # One 2-D product over all (E*N*B) rows; a stacked matmul would run one small GEMM per row block.
+    z = np.tanh(h.reshape(-1, h.shape[-1]) @ w_z.T)
+    return _softmax((z @ w_alpha).reshape(h.shape[:-1])), z.reshape(h.shape)
 
 
 def _gate(h: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """G = B * alpha * h, so uniform attention reproduces the raw features."""
-    return h.shape[1] * alpha[:, :, None] * h
+    return h.shape[-2] * alpha[..., None] * h
 
 
 def attention_aggregate(
@@ -209,63 +224,67 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def model_forward(
-    features: FrequencyFeatures | np.ndarray, model: Model
-) -> tuple[Prediction, AttentionReport, ForwardCache]:
-    """Full pipeline from binned features to a 0/1 prediction.
+def _as_chunk(features, model: Model) -> tuple[np.ndarray, bool]:
+    """The inputs stacked as a float64 (E, N, B, C) array, and whether there was just one."""
+    single = not isinstance(features, (list, tuple))
+    expected = (model.num_joints, model.num_bins, model.in_channels)
+    arrays = []
+    for f in [features] if single else features:
+        if isinstance(f, FrequencyFeatures):
+            if f.spec != model.bin_spec:
+                raise ContractViolationError(
+                    f"features binned with {f.spec} do not match the model's {model.bin_spec}"
+                )
+            f = f.data
+        if np.shape(f) != expected:
+            raise ContractViolationError(f"features shape {np.shape(f)} does not match model {expected}")
+        arrays.append(f)
+    return np.array(arrays, dtype=np.float64), single
 
-    Raises NonFiniteError when finite features give non-finite logits.
+
+def model_forward(
+    features, model: Model, workspace: Workspace | None = None
+) -> tuple[Prediction | tuple, AttentionReport | tuple, ForwardCache]:
+    """Full pipeline from binned features to 0/1 predictions, for one input or a chunk.
+
+    One input (FrequencyFeatures or an (N, B, C) array) gives one Prediction and AttentionReport,
+    a list of E inputs a tuple of each; the cache holds the chunk (E = 1 for one input) in
+    ``workspace``, a fresh one unless passed. Raises NonFiniteError on non-finite logits.
     """
-    if isinstance(features, FrequencyFeatures):
-        if features.spec != model.bin_spec:
-            raise ContractViolationError(
-                f"features binned with {features.spec} do not match the model's {model.bin_spec}"
-            )
-        features = features.data
-    h = np.asarray(features).astype(np.float64)
-    n, b = model.num_joints, model.num_bins
-    if h.shape != (n, b, model.in_channels):
-        raise ContractViolationError(
-            f"features shape {h.shape} does not match model ({n}, {b}, {model.in_channels})"
-        )
+    h, single = _as_chunk(features, model)
+    ws = Workspace() if workspace is None else workspace
+    e, length = len(h), model.num_joints * model.num_bins
     w_z, w_alpha, *layers, head_weight, head_bias = model.params.values()  # schema order
     # Overflow shows up in the logits, which are checked below instead of warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         alpha, z = _attention_forward(h, w_z, w_alpha)
         # (N, B, C) rows land at node index i*B + b, matching FeatureGraph.node_index.
-        layer_inputs = [_gate(h, alpha).reshape(n * b, model.in_channels)]
-        aggregated = []
-        pre_relu = []
-        for weight in layers:
-            p = model.graph.propagate(layer_inputs[-1])
-            zl = p @ weight
+        layer_inputs = [_gate(h, alpha).reshape(e * length, model.in_channels)]
+        aggregated, pre_relu = [], []
+        for l, weight in enumerate(layers):
+            x = layer_inputs[-1]
+            p = model.graph.propagate(x, ws.take(f"p{l}", *x.shape), ws.take("scratch", 2 * x.size))
+            zl = np.matmul(p, weight, out=ws.take(f"z{l}", len(p), weight.shape[1]))
             aggregated.append(p)
             pre_relu.append(zl)
-            layer_inputs.append(np.maximum(zl, 0.0))
+            layer_inputs.append(np.maximum(zl, 0.0, out=ws.take(f"x{l + 1}", *zl.shape)))
 
-        pooled = layer_inputs[-1].mean(axis=0)
+        # Mean pool per example as a ones-vector product, far cheaper than .mean(axis=1).
+        pooled = np.ones(length) @ layer_inputs[-1].reshape(e, length, -1) / length
         logits = pooled @ head_weight + head_bias
-    if not np.isfinite(logits).all():
-        raise NonFiniteError(f"logits {logits.tolist()} are not finite")
+    finite = np.isfinite(logits).all(axis=1)
+    if not finite.all():
+        raise NonFiniteError(f"logits {logits[~finite][0].tolist()} are not finite")
     probability = _softmax(logits)
-    prediction = Prediction(
-        logits=(float(logits[0]), float(logits[1])),
-        probability=(float(probability[0]), float(probability[1])),
-        label=int(np.argmax(logits)),
+    predictions = tuple(
+        Prediction(logits=tuple(u), probability=tuple(p), label=label)
+        for u, p, label in zip(logits.tolist(), probability.tolist(), logits.argmax(axis=1).tolist())
     )
+    reports = tuple(AttentionReport(a) for a in alpha)
     cache = ForwardCache(
-        model=model,
-        features=h,
-        z=z,
-        alpha=alpha,
-        layer_inputs=layer_inputs,
-        aggregated=aggregated,
-        pre_relu=pre_relu,
-        pooled=pooled,
-        logits=logits,
-        probability=probability,
+        model, h, z, alpha, layer_inputs, aggregated, pre_relu, pooled, logits, probability, ws
     )
-    return prediction, AttentionReport(alpha), cache
+    return (predictions[0], reports[0], cache) if single else (predictions, reports, cache)
 
 
 def attention_report(model: Model, features: FrequencyFeatures | np.ndarray) -> AttentionReport:
@@ -279,62 +298,69 @@ def one_hot(label: int) -> np.ndarray:
     return np.array(LABELS[label])
 
 
-def _label_vector(label_onehot: np.ndarray) -> np.ndarray:
+def _label_vector(label_onehot: np.ndarray, logits: np.ndarray) -> np.ndarray:
     y = np.asarray(label_onehot, dtype=np.float64)
-    if y.shape != (NUM_CLASSES,) or not ((y == LABELS[0]).all() or (y == LABELS[1]).all()):
+    if y.shape not in ((NUM_CLASSES,), np.shape(logits)) or not (
+        (y == LABELS[0]).all(axis=-1) | (y == LABELS[1]).all(axis=-1)
+    ).all():
         raise ContractViolationError(f"label must be one-hot (1,0) or (0,1), got {y!r}")
     return y
 
 
 def loss(logits: np.ndarray, label_onehot: np.ndarray) -> float:
-    """Softmax cross-entropy, stabilized through log-sum-exp."""
-    y = _label_vector(label_onehot)
+    """Softmax cross-entropy, stabilized through log-sum-exp; summed over (E, 2) logits."""
     u = np.asarray(logits, dtype=np.float64)
-    lse = float(np.logaddexp(u[0], u[1]))
-    return lse - float(u @ y)
+    y = _label_vector(label_onehot, u)
+    return float((np.logaddexp(u[..., 0], u[..., 1]) - (u * y).sum(axis=-1)).sum())
 
 
 def backward(cache: ForwardCache, label_onehot: np.ndarray) -> dict[str, np.ndarray]:
-    """Exact gradients of the cross-entropy loss, keyed like the model's parameters.
+    """Exact cross-entropy gradients summed over the cached chunk, keyed like the parameters.
 
+    ``label_onehot`` holds one one-hot row per example, or one row for all.
     Reverse-mode chain rule through the head, the mean pool, each
     ReLU(A_hat X W) layer, the B*alpha gating, the per-joint softmax, and
-    the tanh transform.
+    the tanh transform. Scratch arrays go into the cache's workspace.
     """
-    y = _label_vector(label_onehot)
-    model = cache.model
-    n, b = model.num_joints, model.num_bins
+    y = _label_vector(label_onehot, cache.logits)
+    model, ws = cache.model, cache.workspace
+    e, n, b, c_in = cache.features.shape
     length = n * b
-    if cache.features.shape != (n, b, model.in_channels):
+    if (n, b, c_in) != (model.num_joints, model.num_bins, model.in_channels):
         raise ContractViolationError("cache does not match the model it claims to come from")
     _, w_alpha, *layers, head_weight, _ = model.params.values()  # schema order
 
-    # Head and pooling; every node receives the same share of the pooled gradient.
+    # Head and pooling; every node of an example receives the same share of its pooled gradient.
     d_logits = cache.probability - y
-    d_head_weight = np.outer(cache.pooled, d_logits)
-    d_head_bias = d_logits.copy()
-    d_x = np.broadcast_to(head_weight @ d_logits / length, cache.layer_inputs[-1].shape)
+    d_head_weight = cache.pooled.T @ d_logits
+    d_head_bias = d_logits.sum(axis=0)
+    d_x = (d_logits @ head_weight.T / length)[:, None, :]  # (E, 1, C_last)
 
-    # GCN layers, last to first. A_hat is symmetric so A_hat.T @ v = A_hat @ v.
+    # GCN layers, last to first, on (E*L, C) rows. A_hat is symmetric so A_hat.T @ v = A_hat @ v.
     d_layers: list[np.ndarray] = [None] * model.num_layers
     for l in range(model.num_layers - 1, -1, -1):
-        d_pre = d_x * (cache.pre_relu[l] > 0.0)
+        mask = cache.pre_relu[l].reshape(e, length, -1) > 0.0
+        # d_pre takes d_x's buffer (in place from the second layer on); propagate refills it.
+        d_pre = np.multiply(d_x, mask, out=ws.take("d_x", *mask.shape)).reshape(e * length, -1)
         d_layers[l] = cache.aggregated[l].T @ d_pre
-        d_x = model.graph.propagate(d_pre @ layers[l].T)
+        # A contiguous W^T: BLAS runs the thin product several times slower on a transposed view.
+        d_in = np.matmul(d_pre, layers[l].T.copy(), out=ws.take("d_in", e * length, len(layers[l])))
+        d_x = model.graph.propagate(d_in, ws.take("d_x", *d_in.shape), ws.take("scratch", 2 * d_in.size))
+        d_x = d_x.reshape(e, length, -1)
 
     # Gating G = B * alpha * h.
-    d_gated = d_x.reshape(n, b, model.in_channels)
-    d_alpha = b * np.einsum("nbc,nbc->nb", d_gated, cache.features)
+    d_gated = d_x.reshape(cache.features.shape)
+    d_alpha = b * np.einsum("...c,...c->...", d_gated, cache.features)
 
     # Softmax over bins within each joint.
-    weighted = (d_alpha * cache.alpha).sum(axis=1, keepdims=True)
-    d_scores = cache.alpha * (d_alpha - weighted)
+    weighted = (d_alpha * cache.alpha).sum(axis=-1, keepdims=True)
+    d_scores = (cache.alpha * (d_alpha - weighted)).reshape(-1)
 
-    # Scores s = w_alpha . z with z = tanh(W_z h).
-    d_w_alpha = np.einsum("nb,nbc->c", d_scores, cache.z)
-    d_z = d_scores[:, :, None] * w_alpha
-    d_pre_tanh = d_z * (1.0 - cache.z**2)
-    d_w_z = np.einsum("nbr,nbc->rc", d_pre_tanh, cache.features)
+    # Scores s = w_alpha . z with z = tanh(W_z h), on (E*N*B, C) rows.
+    z = cache.z.reshape(-1, c_in)
+    d_w_alpha = d_scores @ z
+    d_pre_tanh = d_scores[:, None] * w_alpha * (1.0 - z**2)
+    d_w_z = d_pre_tanh.T @ cache.features.reshape(-1, c_in)
 
     grads = (d_w_z, d_w_alpha, *d_layers, d_head_weight, d_head_bias)
     return dict(zip(model.params, grads))

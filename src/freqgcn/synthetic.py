@@ -167,6 +167,8 @@ def generate_dataset(cfg: SynthConfig, n_per_class: int, seed: int) -> SynthData
     """Balanced 2*n_per_class sequences, split 2:1 train:test per class."""
     if n_per_class < 2:
         raise ContractViolationError(f"n_per_class must be >= 2, got {n_per_class}")
+    if seed < 0:
+        raise ContractViolationError(f"seed must be >= 0, got {seed}")
     n_train = (2 * n_per_class) // 3
     samples = []
     index = 0

@@ -9,13 +9,14 @@ import numpy as np
 from .errors import ContractViolationError, DegenerateDatasetError, NonFiniteError
 from .frequency import BinSpec, FrequencyFeatures
 from .graph import SkeletonTopology
-from .model import Model, backward, init_model, loss, model_forward, one_hot
+from .model import Model, Workspace, backward, init_model, loss, model_forward, one_hot
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 RELATIVE_ERROR_FLOOR = 1e-6  # see max_relative_error
 KINK_MARGIN = 1e-3  # see draw_smooth_check_case
+CHUNK_BYTES = 512 * 1024  # see chunk_size
 
 
 @dataclass(frozen=True)
@@ -28,8 +29,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ContractViolationError(f"epochs must be >= 1, got {self.epochs}")
-        if not self.learning_rate > 0:
-            raise ContractViolationError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ContractViolationError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.seed < 0:
             raise ContractViolationError(f"seed must be >= 0, got {self.seed}")
 
@@ -63,6 +64,13 @@ class _Adam:
             p -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
+def chunk_size(model: Model) -> int:
+    """Examples per forward/backward call: as many as keep one (E*L, widest C) float64
+    layer array within CHUNK_BYTES, so a chunk's working set stays in cache."""
+    widest = 8 * model.num_joints * model.num_bins * max(model.channel_widths)
+    return max(1, CHUNK_BYTES // widest)
+
+
 def train(
     dataset: list[tuple[FrequencyFeatures, int]],
     config: TrainConfig,
@@ -72,8 +80,9 @@ def train(
 ) -> tuple[Model, TrainHistory]:
     """Full-batch gradient descent with Adam moments; deterministic per seed.
 
-    Gradients are averaged over examples in dataset order, so two runs with
-    the same seed produce bitwise-identical parameters. With
+    Gradients are summed over chunks of ``chunk_size`` examples in dataset
+    order, one forward and backward per chunk, and averaged, so two runs
+    with the same seed produce bitwise-identical parameters. With
     ``full_batch=False`` each batch is one example, in order. Raises
     NonFiniteError, naming the epoch, when the logits or the parameters
     stop being finite.
@@ -88,12 +97,15 @@ def train(
     model = init_model(topology, bin_spec, channel_widths=channel_widths, seed=config.seed)
     optimizer = _Adam(model.params, config.learning_rate)
     history = TrainHistory()
-    batches = [dataset] if config.full_batch else [[example] for example in dataset]
+    size = chunk_size(model) if config.full_batch else 1
+    chunks = [dataset[start : start + size] for start in range(0, len(dataset), size)]
+    batches = [chunks] if config.full_batch else [[chunk] for chunk in chunks]
+    workspace = Workspace()  # one set of layer buffers for every chunk and epoch
 
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught as non-finite values
         for epoch in range(1, config.epochs + 1):
             try:
-                epoch_loss, correct = _run_epoch(model, optimizer, batches)
+                epoch_loss, correct = _run_epoch(model, optimizer, batches, workspace)
             except NonFiniteError as exc:
                 raise NonFiniteError(f"training diverged at epoch {epoch}: {exc}") from None
             history.losses.append(epoch_loss / len(dataset))
@@ -102,21 +114,21 @@ def train(
 
 
 def _run_epoch(
-    model: Model, optimizer: _Adam, batches: list[list[tuple[FrequencyFeatures, int]]]
+    model: Model, optimizer: _Adam, batches: list[list[list]], workspace: Workspace
 ) -> tuple[float, int]:
-    """One Adam step per batch on its mean gradient; (summed loss, correct count)."""
+    """One Adam step per batch of chunks on its mean gradient; (summed loss, correct count)."""
     epoch_loss = 0.0
     correct = 0
     for batch in batches:
         total = dict.fromkeys(model.params, 0.0)
-        for features, label in batch:
-            target = one_hot(label)
-            prediction, _, cache = model_forward(features, model)
-            epoch_loss += loss(cache.logits, target)
-            correct += prediction.label == label
-            for name, g in backward(cache, target).items():
+        for chunk in batch:
+            targets = np.array([one_hot(label) for _, label in chunk])
+            predictions, _, cache = model_forward([f for f, _ in chunk], model, workspace)
+            epoch_loss += loss(cache.logits, targets)
+            correct += sum(p.label == label for p, (_, label) in zip(predictions, chunk))
+            for name, g in backward(cache, targets).items():
                 total[name] = total[name] + g
-        optimizer.step({name: g / len(batch) for name, g in total.items()})
+        optimizer.step({name: g / sum(map(len, batch)) for name, g in total.items()})
     if not all(np.isfinite(p).all() for p in model.params.values()):
         raise NonFiniteError("parameters are not finite")
     return epoch_loss, correct
@@ -214,9 +226,11 @@ def evaluate(
     if not dataset:
         raise DegenerateDatasetError("evaluation dataset is empty")
     rows = []
-    for seq_id, features, label in dataset:
-        prediction, _, _ = model_forward(features, model)
-        rows.append((seq_id, label, prediction.label, prediction.probability[1]))
+    size = chunk_size(model)
+    for start in range(0, len(dataset), size):
+        chunk = dataset[start : start + size]
+        predictions, _, _ = model_forward([f for _, f, _ in chunk], model)
+        rows += [(sid, y, p.label, p.probability[1]) for (sid, _, y), p in zip(chunk, predictions)]
 
     def recall(cls: int) -> float:
         hits = [predicted == cls for _, label, predicted, _ in rows if label == cls]

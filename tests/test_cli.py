@@ -582,6 +582,13 @@ class TestNumericFlagEdges:
         assert_one_line_diagnostic(result, 1)
         assert "passed" not in result.output
 
+    @pytest.mark.parametrize("flag", ["--eps", "--threshold"])
+    def test_gradcheck_infinite_flag_is_named(self, runner, flag):
+        result = runner.invoke(main, ["gradcheck", "--trials", "1", flag, "inf"])
+        assert_one_line_diagnostic(result, 1)
+        assert "positive and finite" in result.stderr and "inf" in result.stderr
+        assert "passed" not in result.output
+
     @pytest.mark.parametrize("mode", [[], ["--per-example"]])
     def test_diverging_training_is_named_and_writes_nothing(self, runner, workspace, tmp_path,
                                                              mode):
@@ -780,6 +787,8 @@ NAN_FRAME = json.dumps({"people": [{"pose_keypoints_2d": [float("nan")] + [1.0] 
 ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring)
     # Values that the type holding them rejects.
     ("train-seed-negative", train(flags=["--seed", "-1"]), 1, "seed must be >= 0"),
+    ("train-lr-inf", train(flags=["--lr", "inf"]), 1, "learning_rate must be finite and > 0, got inf"),
+    ("train-lr-nan", train(flags=["--lr", "nan"]), 1, "learning_rate must be finite and > 0, got nan"),
     ("train-width-zero", train(flags=["--channels", "2,0"]), 1, "channels (2, 0)"),
     ("train-width-negative", train(flags=["--channels", "2,-1"]), 1, "channels (2, -1)"),
     ("train-one-width", train(flags=["--channels", "5"]), 1, "channels (5,)"),

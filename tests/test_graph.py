@@ -152,6 +152,18 @@ class TestPropagate:
         x = np.random.default_rng(channels).normal(size=(fg.num_nodes, channels))
         self.assert_matches_dense(fg, x)
 
+    @pytest.mark.parametrize("graphs", [1, 3])
+    def test_stacked_graphs_into_caller_buffers(self, graphs):
+        fg = build_feature_graph(builtin_topology("body25"), num_bins=22)
+        x = np.random.default_rng(graphs).normal(size=(graphs * fg.num_nodes, 16))
+        out, scratch = np.empty_like(x), np.empty(2 * x.size)
+        result = fg.propagate(x, out, scratch)
+        assert np.shares_memory(result, out)
+        dense = normalize_adjacency(fg.adjacency)
+        for g, rows in enumerate(np.split(x, graphs)):
+            np.testing.assert_allclose(np.split(result, graphs)[g], dense @ rows, rtol=0, atol=1e-12)
+            assert np.array_equal(np.split(result, graphs)[g], fg.propagate(rows))
+
     def test_dense_forms_are_built_only_on_request(self):
         fg = build_feature_graph(builtin_topology("body25"), num_bins=22)
         assert "adjacency" not in vars(fg) and "normalized" not in vars(fg)

@@ -237,8 +237,8 @@ class DenseGraph:
         self.num_bins = graph.num_bins
         self.normalized = graph.normalized
 
-    def propagate(self, x):
-        return self.normalized @ x
+    def propagate(self, x, out=None, scratch=None):
+        return np.matmul(self.normalized, x, out=out)
 
 
 class TestStructuredPropagationInModel:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from freqgcn.errors import AliasingConfigError
+from freqgcn.errors import AliasingConfigError, ContractViolationError
 from freqgcn.frequency import BinSpec, bin_edges, dft_naive, extract_features
 from freqgcn.graph import builtin_topology
 from freqgcn.pose import interpolate_missing, load_sequence, normalize_sequence
@@ -113,6 +113,10 @@ class TestGenerateDataset:
         assert not np.array_equal(
             a.samples[0].sequence.positions, b.samples[0].sequence.positions
         )
+
+    def test_negative_seed_is_a_contract_violation(self):
+        with pytest.raises(ContractViolationError, match="seed must be >= 0, got -1"):
+            generate_dataset(SynthConfig(num_frames=40), 2, seed=-1)
 
     def test_band_energy_oracle_separates_noiseless_classes(self):
         # Independent separability check: compare binned energy inside each

@@ -6,6 +6,7 @@ from freqgcn.frequency import BinSpec, FrequencyFeatures, extract_features
 from freqgcn.graph import builtin_topology
 from freqgcn.model import model_forward
 from freqgcn.pose import PoseSequence
+from freqgcn import training
 from freqgcn.training import TrainConfig, evaluate, train
 
 TOY = builtin_topology("toy5")
@@ -106,6 +107,60 @@ class TestTrain:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
+
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan")])
+    def test_non_finite_learning_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match=f"learning_rate must be finite and > 0, got {rate}"):
+            TrainConfig(learning_rate=rate)
+
+
+def body25_examples(count):
+    rng = np.random.default_rng(count)
+    spec = BinSpec(c=1.15, num_bins=22)
+    return [(FrequencyFeatures(data=np.abs(rng.normal(size=(25, 22, 2))), spec=spec, fps=30.0),
+             i % 2) for i in range(count)], spec
+
+
+class TestChunkedTraining:
+    """train and evaluate run one forward and backward per chunk of examples."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = {"forward": [], "backward": 0, "steps": 0}
+        forward, backward, step = training.model_forward, training.backward, training._Adam.step
+
+        def counting_forward(features, model, workspace=None):
+            seen["forward"].append(len(features))
+            return forward(features, model, workspace)
+
+        def counting_backward(cache, targets):
+            seen["backward"] += 1
+            return backward(cache, targets)
+
+        def counting_step(self, grads):
+            seen["steps"] += 1
+            return step(self, grads)
+
+        monkeypatch.setattr(training, "model_forward", counting_forward)
+        monkeypatch.setattr(training, "backward", counting_backward)
+        monkeypatch.setattr(training._Adam, "step", counting_step)
+        return seen
+
+    def test_full_batch_runs_one_pass_per_chunk_and_one_step_per_epoch(self, calls):
+        dataset, spec = body25_examples(40)
+        model, _ = train(dataset, TrainConfig(epochs=2, seed=1), builtin_topology("body25"), spec)
+        assert calls["forward"] == [7, 7, 7, 7, 7, 5] * 2
+        assert calls["backward"] == 12 and calls["steps"] == 2
+        calls["forward"].clear()
+        evaluate(model, [(f"s{i}", f, label) for i, (f, label) in enumerate(dataset[:20])])
+        assert calls["forward"] == [7, 7, 6]
+
+    def test_per_example_makes_one_adam_step_per_example(self, calls):
+        dataset, spec = body25_examples(9)
+        config = TrainConfig(epochs=2, seed=1, full_batch=False)
+        train(dataset, config, builtin_topology("body25"), spec)
+        assert calls["forward"] == [1] * 18
+        assert calls["backward"] == 18 and calls["steps"] == 18
 
 
 class TestEvaluate:
