@@ -26,6 +26,7 @@ from .errors import (
     InsufficientLengthError,
     ModelMismatchError,
 )
+from .files import write_atomic
 from .graph import SkeletonTopology, builtin_topology, read_topology
 
 EXIT_INPUT_MISSING = 2
@@ -239,7 +240,7 @@ def cmd_train(features_dir, manifest, out_path, topology, channels, epochs, lr, 
         f"{epoch},{lo!r},{acc!r}"
         for epoch, (lo, acc) in enumerate(zip(history.losses, history.accuracies), start=1)
     ]
-    history_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(history_file, "\n".join(lines) + "\n")
 
     click.echo(f"trained on {len(train_set)} sequences for {epochs} epochs -> {out_path}")
     if test_set:
@@ -249,11 +250,11 @@ def cmd_train(features_dir, manifest, out_path, topology, channels, epochs, lr, 
         out.append(f"accuracy,{report.accuracy!r}")
         out.append(f"sensitivity,{report.sensitivity!r}")
         out.append(f"specificity,{report.specificity!r}")
-        metrics_file.write_text("\n".join(out) + "\n", encoding="utf-8")
+        write_atomic(metrics_file, "\n".join(out) + "\n")
         pred_file = Path(str(metrics_file) + ".predictions.csv")
         out = ["sequence_id,label,predicted,prob_abnormal"]
         out += [f"{sid},{y},{yhat},{p!r}" for sid, y, yhat, p in report.predictions]
-        pred_file.write_text("\n".join(out) + "\n", encoding="utf-8")
+        write_atomic(pred_file, "\n".join(out) + "\n")
         click.echo(
             f"held-out accuracy {report.accuracy:.4f} "
             f"sensitivity {report.sensitivity:.4f} specificity {report.specificity:.4f}"
@@ -314,7 +315,7 @@ def cmd_predict(model_path, inputs, fps, out_path, timing):
     body = "\n".join(lines) + "\n"
     click.echo(body, nl=False)
     if out_path:
-        Path(out_path).write_text(body, encoding="utf-8")
+        write_atomic(out_path, body)
 
 
 @main.command("explain")

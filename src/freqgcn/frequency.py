@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolationError, FormatError, InsufficientLengthError
+from .files import write_atomic
 from .pose import PoseSequence
 
 CHANNELS = ("x", "y")
@@ -291,7 +292,7 @@ def write_features_csv(features: FrequencyFeatures, path: str | Path) -> None:
         for b in range(features.num_bins):
             for ch, label in enumerate(CHANNELS):
                 lines.append(f"{joint},{b},{label},{float(features.data[joint, b, ch])!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
     sidecar = {
         "format": "freqgcn-features",
         "version": 1,
@@ -304,7 +305,7 @@ def write_features_csv(features: FrequencyFeatures, path: str | Path) -> None:
         "bin_edges": bin_edges(features.spec),
         "fps": features.fps,
     }
-    sidecar_path(path).write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
+    write_atomic(sidecar_path(path), json.dumps(sidecar, indent=2) + "\n")
 
 
 def sidecar_path(features_path: str | Path) -> Path:

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolationError, ModelMismatchError, NonFiniteError
+from .files import write_atomic
 from .frequency import BinSpec, FrequencyFeatures
 from .graph import FeatureGraph, SkeletonTopology, build_feature_graph
 
@@ -395,7 +396,7 @@ def save_model(model: Model, path: str | Path) -> None:
         for row in mat:
             lines.append(" ".join(repr(float(v)) for v in row))
     lines.append("end")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_model(path: str | Path) -> Model:

@@ -6,6 +6,12 @@ whose first entry carries ``pose_keypoints_2d``, a flat list of
 
 A sequence is held as two arrays, positions (T, N, 2) and confidence
 (T, N); documents are parsed straight into them.
+
+A frame directory in the plain layout is read without ``json`` for its
+numbers: each file's one ``pose_keypoints_2d`` array is cut out of its bytes
+and one ``np.loadtxt`` reads them all once byte checks pass only JSON numbers;
+the rest of a file is parsed once per distinct remainder. Anything else sends
+the whole directory to the ``json`` path, which raises every error.
 """
 
 from __future__ import annotations
@@ -35,6 +41,16 @@ FPS_QUIET_RANGE = (24.0, 60.0)
 
 _DIGITS = re.compile(r"(\d+)")
 _NOT_NUMERIC = "'pose_keypoints_2d' must be a flat numeric array"
+
+_KEY = b'"pose_keypoints_2d"'
+_CUT = re.compile(rb'"pose_keypoints_2d"\s*:\s*\[([^\]]*)\]')
+# The class of each byte of the cut keypoint text (0 any other byte, 1 digit, 2 "-",
+# 3 "+", 4 ".", 5 exponent, 6 "," or row end, 7 " "), and the pairs of neighbouring
+# classes, written 0o<previous><next>, that rows of JSON numbers allow.
+_CLASS_OF = bytes(b"\0\1\1\1\1\1\1\1\1\1\1\2\3\4\5\5\6\6\7"[b"0123456789-+.eE,\n ".find(c) + 1]
+                  for c in range(256))
+_PAIR_OK = bytes(i in (0o11, 0o14, 0o15, 0o16, 0o21, 0o31, 0o41, 0o51, 0o52, 0o53, 0o61, 0o62, 0o67,
+                       0o71, 0o72, 0o77) for i in range(256))
 
 
 def _check_values(xy: np.ndarray, conf: np.ndarray, error: type[Exception]) -> None:
@@ -169,19 +185,100 @@ def serialize_keypoint_frame(frame: np.ndarray) -> bytes:
 
 
 def _frame_files(directory: Path) -> list[str]:
-    """Paths of the ``*.json`` files, ordered by the last number in each name."""
+    """Paths of the ``*.json`` files, ordered by the last number in each name, which no two share."""
     keyed = []
     with os.scandir(directory) as entries:
         for entry in entries:
-            stem, suffix = os.path.splitext(entry.name)
-            if suffix != ".json" or not entry.is_file():
+            name = entry.name  # a stem of dots alone is a hidden file, not a frame
+            if not name.endswith(".json") or not name[:-5].lstrip(".") or not entry.is_file():
                 continue
-            matches = _DIGITS.findall(stem)
+            matches = _DIGITS.findall(name[:-5])
             if not matches:
-                raise FormatError(f"keypoint file name has no numeric component: {entry.name}")
-            keyed.append((int(matches[-1]), entry.name, entry.path))
+                raise FormatError(f"keypoint file name has no numeric component: {name}")
+            keyed.append((int(matches[-1]), name, entry.path))
     keyed.sort()
+    for (number, first, _), (again, second, _) in zip(keyed, keyed[1:]):
+        if number == again:
+            raise FormatError(f"keypoint files {first} and {second} carry the same frame number {number}")
     return [path for _, _, path in keyed]
+
+
+def _json_numbers(text: bytes) -> bool:
+    """Whether ``text``, "\\n"-framed rows of "," or ", " separated fields, holds JSON numbers only.
+
+    ``np.loadtxt`` alone would also read ``.5``, ``5.``, ``+1``, ``01`` or ``nan``; ``-0``
+    is refused because JSON reads it as the integer 0, not as -0.0.
+    """
+    cls = np.frombuffer(text.translate(_CLASS_OF), np.uint8)
+    if 0 in (cls[:-1] << 3 | cls[1:]).tobytes().translate(_PAIR_OK):
+        return False
+    sep, sign = cls >= 6, cls == 2
+    sign[1:] &= sep[:-1]  # a minus that starts a field, not an exponent's
+    zero = (np.frombuffer(text, np.uint8)[1:-1] == ord("0")) & (sep[:-2] | sign[:-2])
+    return not (zero & ((cls[2:] == 1) | sign[:-2] & sep[2:])).any()  # no 01, -01 or -0
+
+
+def _plain_table(names: list[str], expected_joints: int | None) -> np.ndarray | None:
+    """The (T, n, 3) table of plain-layout frame files, or None to leave them to the json path."""
+    bodies, rows, remainders = [], [], {}
+    for t, name in enumerate(names):
+        fd = os.open(name, os.O_RDONLY)
+        try:
+            raw = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+        finally:
+            os.close(fd)
+        cut = _CUT.search(raw)
+        if raw.count(_KEY) != (cut is not None):  # a second key, or one not cut out
+            return None
+        rest = raw if cut is None else raw[: cut.start(1)] + raw[cut.end(1) :]
+        if rest not in remainders:
+            if b"\\" in rest:  # an escaped key could stand for the cut one
+                return None
+            try:
+                remainders[rest] = _first_person(_load_json(rest, "keypoint document"))
+            except (ParseError, FormatError):
+                return None
+        if remainders[rest] != (None if cut is None else []):
+            return None
+        if cut is not None:
+            bodies.append(cut[1])
+            rows.append(t)
+    if not bodies or not _json_numbers(b"\n".join([b"", *bodies, b""])):
+        return None
+    try:
+        values = np.loadtxt(bodies, delimiter=",", ndmin=2)
+    except ValueError:
+        return None
+    n = expected_joints if expected_joints is not None else values.shape[1] // 3
+    # integers from 2**63 on make the json path's table an object array
+    if values.shape[1] != 3 * n or not (np.abs(values) < 2.0**63).all():
+        return None
+    table = np.zeros((len(names), n, 3))
+    table[rows] = values.reshape(-1, n, 3)
+    return table
+
+
+def _json_table(path: Path, names: list[str] | None, expected_joints: int | None) -> np.ndarray:
+    """The (T, n, 3) table from one ``json.loads`` per document of a directory or container."""
+    if names is not None:
+        docs = []
+        for name in names:
+            with open(name, "rb") as handle:
+                docs.append(_load_json(handle.read(), "keypoint document"))
+        if not docs:
+            raise EmptyInputError(f"no keypoint files in {path}")
+    else:
+        docs = _load_json(path.read_bytes(), "container file")
+        if not isinstance(docs, list):
+            raise ParseError("container file must hold a JSON array of frame documents")
+        if not docs:
+            raise EmptyInputError(f"container file {path} holds no frames")
+
+    flats = [_first_person(doc) for doc in docs]
+    n = expected_joints if expected_joints is not None else _inferred_joints(flats)
+    if n is None:
+        raise EmptyInputError(f"every frame in {path} is empty; joint count unknown")
+    return _keypoint_table(flats, n)
 
 
 def load_sequence(
@@ -200,25 +297,10 @@ def load_sequence(
     if not path.exists():
         raise FileNotFoundError(f"no such input: {path}")
 
-    if path.is_dir():
-        docs = []
-        for name in _frame_files(path):
-            with open(name, "rb") as handle:
-                docs.append(_load_json(handle.read(), "keypoint document"))
-        if not docs:
-            raise EmptyInputError(f"no keypoint files in {path}")
-    else:
-        docs = _load_json(path.read_bytes(), "container file")
-        if not isinstance(docs, list):
-            raise ParseError("container file must hold a JSON array of frame documents")
-        if not docs:
-            raise EmptyInputError(f"container file {path} holds no frames")
-
-    flats = [_first_person(doc) for doc in docs]
-    n = expected_joints if expected_joints is not None else _inferred_joints(flats)
-    if n is None:
-        raise EmptyInputError(f"every frame in {path} is empty; joint count unknown")
-    table = _keypoint_table(flats, n)
+    names = _frame_files(path) if path.is_dir() else None
+    table = None if names is None else _plain_table(names, expected_joints)
+    if table is None:
+        table = _json_table(path, names, expected_joints)
     try:
         seq = PoseSequence(positions=table[..., :2], fps=fps, confidence=table[..., 2])
     except ContractViolationError as exc:  # fps, frame count or keypoint values

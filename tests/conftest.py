@@ -1,6 +1,11 @@
 import numpy as np
+from hypothesis import settings
 
 from freqgcn.graph import SkeletonTopology
+
+# CI runs with --hypothesis-profile=ci: the same examples on every run, and
+# 1,000 for each test that sets no count of its own, the ingest oracle among them.
+settings.register_profile("ci", derandomize=True, max_examples=1000)
 
 
 def random_connected_topology(rng: np.random.Generator, num_joints: int, extra_edges: int = 0):

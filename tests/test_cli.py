@@ -844,6 +844,10 @@ ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring)
     ("frame-name-no-digits",
      extract(frame_dir([TOY5_FRAME.encode()] * 2, ["a.json", "b.json"])),
      1, "no numeric component"),
+    ("frame-number-twice",
+     extract(frame_dir([TOY5_FRAME.encode()] * 3,
+                       ["frame_000001.json", "frame_000002.json", "frame_000002 (copy).json"])),
+     1, "frame_000002 (copy).json and frame_000002.json carry the same frame number 2"),
     ("container-not-array", extract(written("clip.json", TOY5_FRAME)), 1, "JSON array"),
     ("container-empty", extract(written("clip.json", "[]")), 2, "holds no frames"),
     ("container-all-frames-empty",

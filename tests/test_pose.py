@@ -1,5 +1,8 @@
 import json
+import tempfile
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from freqgcn.errors import (
     DegeneratePoseError,
     EmptyInputError,
     FormatError,
+    FreqGcnError,
     ParseError,
     TopologyMismatchError,
     UnrecoverableJointError,
@@ -208,8 +212,190 @@ class TestLoadSequence:
         self.write_frames(tmp_path / "seq", ["f_0.json", "f_1.json"])
         (tmp_path / "seq" / "notes_9.txt").write_text("not a frame")
         (tmp_path / "seq" / "sub_5.json").mkdir()
+        (tmp_path / "seq" / ".json").write_text("a hidden file, not a frame")
         seq = load_sequence(tmp_path / "seq", fps=30.0)
         assert seq.positions[:, 0, 0].tolist() == [0.0, 1.0]
+
+
+def write_frame_dir(directory, docs):
+    directory.mkdir()
+    for k, doc in enumerate(docs):
+        (directory / f"f_{k:03d}.json").write_bytes(doc)
+    return directory
+
+
+def ingest(directory, joints, fast):
+    """load_sequence's outcome, arrays as bytes or the error's type and message; ``fast=False``
+    runs the json path alone."""
+    plain = pose._plain_table if fast else (lambda names, expected_joints: None)
+    with mock.patch.object(pose, "_plain_table", plain):
+        try:
+            seq = load_sequence(directory, fps=30.0, expected_joints=joints)
+        except FreqGcnError as exc:
+            return type(exc), str(exc)
+    return seq.positions.shape, seq.positions.tobytes(), seq.confidence.tobytes()
+
+
+def paths_agree(directory, joints=None):
+    """Assert that the fast path and the json path, each called directly, agree; return
+    whether the fast path took the directory.
+
+    A table from the fast path must equal the json path's bit for bit; declining (None)
+    leaves the outcome, an error included, to the json path.
+    """
+    names = pose._frame_files(directory)
+    fast = pose._plain_table(names, joints)
+    if fast is not None:
+        slow = pose._json_table(directory, names, joints)
+        assert fast.shape == slow.shape and fast.tobytes() == slow.tobytes()
+    assert ingest(directory, joints, fast=True) == ingest(directory, joints, fast=False)
+    return fast is not None
+
+
+OPENPOSE_PERSON = b'{"version":1.3,"people":[{"person_id":[-1],"pose_keypoints_2d":[%s],"face_keypoints_2d":[]}]}'
+OPENPOSE_NOBODY = b'{"version":1.3,"people":[]}'
+FORMATS = (repr, "%.3f".__mod__, "%g".__mod__, "%.17g".__mod__, "%E".__mod__,
+           lambda v: str(int(v)) if v.is_integer() else repr(v))
+TOKENS = (".5", "5.", "+1", "01", "-01", "NaN", "Infinity", "-Infinity", "--1", "", "-0", "-0.0",
+          "0", "1E+5", "1e-05", "1e5", "true", "null", '"1"', "[1]", "{}", "1e400",
+          "9223372036854775808", "-9223372036854775809", "1 2", "0x1", " 1", "1 ", "1\n")
+
+
+def cut_tokens(raw):
+    start = raw.index(b"[", raw.index(b'"pose_keypoints_2d"')) + 1
+    end = raw.index(b"]", start)
+    return raw[:start], raw[start:end].split(b","), raw[end:]
+
+
+def mutate(raw, draw):
+    """One structural or lexical change to a frame document, drawn by Hypothesis."""
+    kind = draw(st.sampled_from([
+        "token", "second person", "duplicate key", "escaped string", "escaped key", "key outside",
+        "nobody", "drop triple", "drop value", "nest", "truncate", "byte", "spaces", "newline",
+    ]))
+    if b'"pose_keypoints_2d"' not in raw and kind not in ("truncate", "byte", "key outside"):
+        kind = "key outside"
+    if kind in ("token", "drop triple", "drop value", "nest"):
+        head, tokens, tail = cut_tokens(raw)
+        k = draw(st.integers(0, len(tokens) - 1))
+        if kind == "token":
+            tokens[k] = draw(st.sampled_from(TOKENS)).encode()
+        elif kind == "nest":
+            tokens[k] = b"[" + tokens[k] + b"]"
+        else:
+            del tokens[-3 if kind == "drop triple" else -1:]
+        return head + b",".join(tokens) + tail
+    if kind == "second person":  # in front, in either layout
+        return raw.replace(b'"people":[{', b'"people":[{"pose_keypoints_2d":[1,2,0.5]},{', 1).replace(
+            b'"people": [{', b'"people": [{"pose_keypoints_2d": [1, 2, 0.5]}, {', 1)
+    if kind == "duplicate key":
+        return raw.replace(b'"pose_keypoints_2d"', b'"pose_keypoints_2d":[9,9,0.5],"pose_keypoints_2d"', 1)
+    if kind == "escaped string":
+        return raw.replace(b"{", b'{"note":"a\\"b",', 1)
+    if kind == "escaped key":
+        return raw.replace(b'"pose_keypoints_2d"', b'"pose\\u005fkeypoints_2d"', 1)
+    if kind == "key outside":
+        return b'{"pose_keypoints_2d":[1,2,0.5],' + raw[1:]
+    if kind == "nobody":
+        return OPENPOSE_NOBODY
+    if kind == "truncate":
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    if kind == "byte":
+        k = draw(st.integers(0, len(raw) - 1))
+        byte = draw(st.sampled_from([bytes([b]) for b in b' \t\n,.-+eE0123456789"[]{}:\\x\xff']))
+        return raw[:k] + byte + raw[k + 1:]
+    if kind == "spaces":
+        return raw.replace(b":", b" : ").replace(b",", b",  ")
+    return raw.replace(b",", b",\n", 1)
+
+
+@st.composite
+def frame_docs(draw):
+    """Documents of a valid sequence in the writer's or the compact OpenPose layout, with
+    nobody in some frames, then maybe one document mutated."""
+    frames, joints = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    xy = st.floats(-1e4, 1e4)
+    if draw(st.booleans()):  # magnitudes from 2**63 on are left to the json path
+        xy = st.floats(allow_nan=False, allow_infinity=False)
+    docs = []
+    writer = draw(st.booleans())
+    for _ in range(frames):
+        if draw(st.integers(0, 5)) == 0:
+            docs.append(b'{"people": []}' if writer else OPENPOSE_NOBODY)
+            continue
+        frame = np.array([[draw(xy), draw(xy), draw(st.floats(0.0, 1.0))] for _ in range(joints)])
+        if writer:
+            docs.append(serialize_keypoint_frame(frame))
+        else:
+            fmt = draw(st.sampled_from(FORMATS))
+            docs.append(OPENPOSE_PERSON % ",".join(fmt(v) for v in frame.ravel().tolist()).encode())
+    if draw(st.booleans()):
+        k = draw(st.integers(0, frames - 1))
+        docs[k] = mutate(docs[k], draw)
+    return docs, draw(st.sampled_from([None, None, joints, joints + 1]))
+
+
+class TestFastPathOracle:
+    """The fast path of load_sequence against the json path, which stays the oracle."""
+
+    @given(frame_docs())
+    @settings(deadline=None)
+    def test_fast_and_json_paths_agree(self, case):
+        docs, joints = case
+        with tempfile.TemporaryDirectory() as root:
+            paths_agree(write_frame_dir(Path(root) / "seq", docs), joints)
+
+    @pytest.mark.parametrize("token,fast", [
+        (".5", False), ("5.", False), ("+1", False), ("01", False), ("NaN", False),
+        ("Infinity", False), ("--1", False), ("", False), ("-0", False),
+        ("-0.0", True), ("1E+5", True), ("1e-05", True),
+    ])
+    def test_number_syntax(self, tmp_path, token, fast):
+        docs = [b'{"people":[{"pose_keypoints_2d":[1,2,0.5]}]}',
+                b'{"people":[{"pose_keypoints_2d":[%s,2,0.5]}]}' % token.encode()]
+        assert paths_agree(write_frame_dir(tmp_path / "seq", docs)) is fast
+
+    @pytest.mark.parametrize("doc,fast", [
+        (b'{"people":[{"pose_keypoints_2d":[[1,2,0.5]]}]}', False),
+        (b'{"people":[{"pose_keypoints_2d":[1,2,0.5]},{"pose_keypoints_2d":[3,4,0.5]}]}', False),
+        (b'{"pose_keypoints_2d":[1,2,0.5],"people":[{}]}', False),
+        (b'{"pose_keypoints_2d":[1,2,0.5],"people":[]}', False),
+        (b'{"people":[{"pose_keypoints_2d":[1,2,0.5],"pose_keypoints_2d":[3,4,0.5]}]}', False),
+        (b'{"people":[{"pose_keypoints_2d":[1,2,0.5],"id":"a\\"b"}]}', False),
+        (b'{"people":[{"pose\\u005fkeypoints_2d":[]}],"x":{"pose_keypoints_2d":[1,2,0.5]}}', False),
+        (b'{"people":[]}', True),
+        (b'{"people":[{"pose_keypoints_2d":[]}]}', False),
+        (b'{"people":[{"pose_keypoints_2d":[1,2,0.5,3,4,0.5]}]}', False),
+        (b'{"people":[{"pose_keypoints_2d":[1,2]}]}', False),
+        (b'{"people" : [{"pose_keypoints_2d" :\n[1,  2, 0.5]}]}', True),
+        (b'{"people":[{"pose_keypoints_2d":[1,\n2,0.5]}]}', False),
+    ], ids=["nested list", "second person", "key outside people[0]", "key outside, nobody",
+            "duplicated key", "escaped string", "escaped key", "empty people", "empty array",
+            "wrong joint count", "length not divisible by 3", "whitespace", "newline in array"])
+    def test_structure(self, tmp_path, doc, fast):
+        docs = [b'{"people":[{"pose_keypoints_2d":[1,2,0.5]}]}', doc]
+        assert paths_agree(write_frame_dir(tmp_path / "seq", docs)) is fast
+
+    def test_wrong_joint_count_against_the_topology(self, tmp_path):
+        docs = [b'{"people":[{"pose_keypoints_2d":[1,2,0.5]}]}'] * 2
+        assert paths_agree(write_frame_dir(tmp_path / "seq", docs), joints=2) is False
+
+    def test_plain_layouts_parse_one_document_per_remainder(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(3)
+        seq = PoseSequence(rng.normal(size=(6, 4, 2)), fps=30.0, confidence=rng.random((6, 4)))
+        write_sequence(seq, tmp_path / "writer")
+        compact = [OPENPOSE_NOBODY if t == 2 else OPENPOSE_PERSON % ",".join(
+            "%.3f" % v for v in rng.random(12)).encode() for t in range(6)]
+        write_frame_dir(tmp_path / "compact", compact)
+        calls = []
+        load_json = pose._load_json
+        monkeypatch.setattr(pose, "_load_json", lambda raw, what: calls.append(raw) or load_json(raw, what))
+        writer = load_sequence(tmp_path / "writer", fps=30.0)
+        assert len(calls) == 1  # six frames, one remainder
+        assert writer.positions.tobytes() == seq.positions.tobytes()
+        assert writer.confidence.tobytes() == seq.confidence.tobytes()
+        load_sequence(tmp_path / "compact", fps=30.0)
+        assert len(calls) == 1 + 2  # a person's remainder and the empty frame's
 
 
 class TestInterpolateMissing:
