@@ -7,11 +7,11 @@ whose first entry carries ``pose_keypoints_2d``, a flat list of
 A sequence is held as two arrays, positions (T, N, 2) and confidence
 (T, N); documents are parsed straight into them.
 
-A frame directory in the plain layout is read without ``json`` for its
-numbers: each file's one ``pose_keypoints_2d`` array is cut out of its bytes
-and one ``np.loadtxt`` reads them all once byte checks pass only JSON numbers;
-the rest of a file is parsed once per distinct remainder. Anything else sends
-the whole directory to the ``json`` path, which raises every error.
+A frame directory is read without ``json`` for most of its numbers: a file's
+one ``pose_keypoints_2d`` array is cut out of its bytes, the rest of the file
+is parsed once per distinct remainder, and one ``np.loadtxt`` reads every cut
+array that byte checks pass as JSON numbers. A file that does not fit (a second
+person, say) is parsed whole; an error sends the directory to the ``json`` path.
 """
 
 from __future__ import annotations
@@ -203,59 +203,82 @@ def _frame_files(directory: Path) -> list[str]:
     return [path for _, _, path in keyed]
 
 
-def _json_numbers(text: bytes) -> bool:
-    """Whether ``text``, "\\n"-framed rows of "," or ", " separated fields, holds JSON numbers only.
+def _read(name: str) -> bytes:
+    fd = os.open(name, os.O_RDONLY)
+    try:
+        return b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+    finally:
+        os.close(fd)
+
+
+def _not_json_numbers(bodies: list[bytes]) -> list[int]:
+    """Indices of the ``bodies``, fields separated by "," or ", ", that hold more than JSON numbers.
 
     ``np.loadtxt`` alone would also read ``.5``, ``5.``, ``+1``, ``01`` or ``nan``; ``-0``
     is refused because JSON reads it as the integer 0, not as -0.0.
     """
+    text = b"\n".join([b"", *bodies, b""])
     cls = np.frombuffer(text.translate(_CLASS_OF), np.uint8)
-    if 0 in (cls[:-1] << 3 | cls[1:]).tobytes().translate(_PAIR_OK):
-        return False
+    pair_ok = np.frombuffer((cls[:-1] << 3 | cls[1:]).tobytes().translate(_PAIR_OK), np.bool_)
     sep, sign = cls >= 6, cls == 2
     sign[1:] &= sep[:-1]  # a minus that starts a field, not an exponent's
     zero = (np.frombuffer(text, np.uint8)[1:-1] == ord("0")) & (sep[:-2] | sign[:-2])
-    return not (zero & ((cls[2:] == 1) | sign[:-2] & sep[2:])).any()  # no 01, -01 or -0
+    zero &= (cls[2:] == 1) | sign[:-2] & sep[2:]  # 01, -01 or -0
+    ends = np.cumsum([len(body) + 1 for body in bodies])  # where each body's closing "\n" lies
+    bad = np.r_[np.flatnonzero(~pair_ok), np.flatnonzero(zero)] + 1  # the later byte of a pair
+    return np.unique(np.searchsorted(ends, bad)).tolist()
 
 
-def _plain_table(names: list[str], expected_joints: int | None) -> np.ndarray | None:
-    """The (T, n, 3) table of plain-layout frame files, or None to leave them to the json path."""
-    bodies, rows, remainders = [], [], {}
+def _plain_table(names: list[str], expected_joints: int | None) -> tuple[np.ndarray, int] | None:
+    """The (T, n, 3) table of frame files and how many with somebody in them were parsed whole,
+    or None to leave the directory to the json path.
+
+    A file whose array cannot be cut out (a second person, say) or holds more than JSON
+    numbers is parsed whole, at the cost of the json path.
+    """
+    bodies, rows, whole, remainders = [], [], {}, {}
     for t, name in enumerate(names):
-        fd = os.open(name, os.O_RDONLY)
-        try:
-            raw = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
-        finally:
-            os.close(fd)
+        raw = _read(name)
         cut = _CUT.search(raw)
-        if raw.count(_KEY) != (cut is not None):  # a second key, or one not cut out
-            return None
-        rest = raw if cut is None else raw[: cut.start(1)] + raw[cut.end(1) :]
-        if rest not in remainders:
-            if b"\\" in rest:  # an escaped key could stand for the cut one
-                return None
-            try:
-                remainders[rest] = _first_person(_load_json(rest, "keypoint document"))
-            except (ParseError, FormatError):
-                return None
-        if remainders[rest] != (None if cut is None else []):
-            return None
-        if cut is not None:
-            bodies.append(cut[1])
-            rows.append(t)
-    if not bodies or not _json_numbers(b"\n".join([b"", *bodies, b""])):
-        return None
+        if cut and raw.count(_KEY) == 1:
+            rest = raw[: cut.start(1)] + raw[cut.end(1) :]
+            if rest not in remainders:  # with a backslash, an escaped key could stand for the cut one
+                try:
+                    remainders[rest] = b"\\" not in rest and _first_person(_load_json(rest, "keypoint document"))
+                except (ParseError, FormatError):
+                    remainders[rest] = False
+            if remainders[rest] == [] and b"\n" not in cut[1]:  # not a pretty-printed array
+                bodies.append(cut[1])
+                rows.append(t)
+                continue
+        whole[t] = raw
+    for k in reversed(_not_json_numbers(bodies) if bodies else []):  # read again, to parse whole
+        del bodies[k]
+        t = rows.pop(k)
+        whole[t] = _read(names[t])
     try:
-        values = np.loadtxt(bodies, delimiter=",", ndmin=2)
-    except ValueError:
+        parsed = {t: _first_person(_load_json(raw, "keypoint document")) for t, raw in whole.items()}
+    except (ParseError, FormatError):
         return None
-    n = expected_joints if expected_joints is not None else values.shape[1] // 3
-    # integers from 2**63 on make the json path's table an object array
-    if values.shape[1] != 3 * n or not (np.abs(values) < 2.0**63).all():
+    detected = {t: flat for t, flat in parsed.items() if flat is not None}
+    if not (bodies or detected):
         return None
+    n = expected_joints  # else the joints of any frame with somebody; the rest must match
+    if n is None:
+        n = (len(next(iter(detected.values()))) if detected else bodies[0].count(b",") + 1) // 3
     table = np.zeros((len(names), n, 3))
-    table[rows] = values.reshape(-1, n, 3)
-    return table
+    try:
+        if bodies:
+            values = np.loadtxt(bodies, delimiter=",", ndmin=2)
+            if values.shape[1] != 3 * n:
+                return None
+            table[rows] = values.reshape(-1, n, 3)
+        if detected:
+            table[list(detected)] = _keypoint_table(list(detected.values()), n)
+    except (ValueError, TopologyMismatchError, FormatError):
+        return None
+    # integers from 2**63 on make the json path's table an object array
+    return (table, len(detected)) if (np.abs(table) < 2.0**63).all() else None
 
 
 def _json_table(path: Path, names: list[str] | None, expected_joints: int | None) -> np.ndarray:
@@ -298,9 +321,8 @@ def load_sequence(
         raise FileNotFoundError(f"no such input: {path}")
 
     names = _frame_files(path) if path.is_dir() else None
-    table = None if names is None else _plain_table(names, expected_joints)
-    if table is None:
-        table = _json_table(path, names, expected_joints)
+    plain = None if names is None else _plain_table(names, expected_joints)
+    table = _json_table(path, names, expected_joints) if plain is None else plain[0]
     try:
         seq = PoseSequence(positions=table[..., :2], fps=fps, confidence=table[..., 2])
     except ContractViolationError as exc:  # fps, frame count or keypoint values

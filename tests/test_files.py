@@ -65,3 +65,30 @@ def test_a_pipe_is_written_in_place(tmp_path):
     reader.join(timeout=10)
     assert not reader.is_alive() and got == ["line\n"]
     assert stat.S_ISFIFO(os.lstat(pipe).st_mode)
+
+
+def test_an_existing_file_keeps_its_permission_bits(tmp_path):
+    path = tmp_path / "pred.csv"
+    path.write_text("previous\n", encoding="utf-8")
+    path.chmod(0o600)
+    write_atomic(path, "new\n")
+    assert path.read_text(encoding="utf-8") == "new\n"
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+
+
+def test_a_symlink_is_written_through_to_its_target(tmp_path):
+    target, link = tmp_path / "models" / "model.txt", tmp_path / "model.txt"
+    target.parent.mkdir()
+    target.write_text("previous\n", encoding="utf-8")
+    link.symlink_to(target)
+    write_atomic(link, "new\n")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text(encoding="utf-8") == "new\n"
+    assert sorted(p.name for p in target.parent.iterdir()) == ["model.txt"]
+
+
+def test_a_dangling_symlink_creates_its_target(tmp_path):
+    target, link = tmp_path / "model.txt", tmp_path / "latest.txt"
+    link.symlink_to(target)
+    write_atomic(link, "new\n")
+    assert link.is_symlink() and target.read_text(encoding="utf-8") == "new\n"
