@@ -38,7 +38,6 @@ from .pose import (
     interpolate_missing,
     load_sequence,
     normalize_sequence,
-    parse_keypoint_frame,
 )
 from .synthetic import SynthConfig, generate_dataset, generate_sequence
 from .training import MetricsReport, TrainConfig, evaluate, gradient_check, train
@@ -83,7 +82,6 @@ __all__ = [
     "model_forward",
     "normalize_adjacency",
     "normalize_sequence",
-    "parse_keypoint_frame",
     "save_model",
     "train",
 ]

@@ -70,7 +70,7 @@ def _config_callback(ctx: click.Context, param: click.Parameter, value):
         raise click.BadParameter(f"no such config file: {path}")
     try:
         loaded = json.loads(path.read_bytes())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # not JSON, not UTF-8, or an integer of too many digits
         raise click.BadParameter(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(loaded, dict):
         raise click.BadParameter("config file must hold a JSON object")
@@ -341,12 +341,12 @@ def cmd_explain(model_path, input_path, out_prefix, fps, bars):
     for joint in range(loaded.num_joints):
         for b in range(loaded.num_bins):
             lines.append(f"{joint},{b},{float(report.alpha[joint, b])!r}")
-    alpha_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(alpha_file, "\n".join(lines) + "\n")
 
     ranking_file = Path(str(out_prefix) + ".ranking.csv")
     lines = ["joint,importance"]
     lines += [f"{j},{float(report.joint_importance[j])!r}" for j in report.ranking]
-    ranking_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(ranking_file, "\n".join(lines) + "\n")
 
     if bars:
         top = report.joint_importance.max() or 1.0

@@ -8,8 +8,8 @@ class FreqGcnError(Exception):
 class ParseError(FreqGcnError):
     """Keypoint document is not well formed."""
 
-    def __init__(self, message: str, offset: int = 0):
-        super().__init__(f"{message} (byte offset {offset})")
+    def __init__(self, message: str, offset: int | None = 0):
+        super().__init__(message if offset is None else f"{message} (byte offset {offset})")
         self.offset = offset
 
 

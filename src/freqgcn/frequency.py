@@ -371,7 +371,7 @@ def _read_sidecar(meta_file: Path) -> tuple[int, BinSpec, float]:
     name = meta_file.name
     try:
         meta = json.loads(meta_file.read_bytes())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # not JSON, not UTF-8, or an integer of too many digits
         raise FormatError(f"{name}: invalid JSON: {exc}") from None
     if (
         not isinstance(meta, dict)

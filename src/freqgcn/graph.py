@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolationError, FormatError, UnknownPresetError
+from .files import write_atomic
 
 POWER_ITERATIONS = 1000  # steps of spectral_radius
 
@@ -145,7 +146,7 @@ def write_topology(topology: SkeletonTopology, path: str | Path) -> None:
     ]
     lines += [f"# joint {i} {name}" for i, name in enumerate(topology.names)]
     lines += [f"{i} {j}" for i, j in topology.edges]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_topology(path: str | Path) -> SkeletonTopology:

@@ -7,11 +7,13 @@ whose first entry carries ``pose_keypoints_2d``, a flat list of
 A sequence is held as two arrays, positions (T, N, 2) and confidence
 (T, N); documents are parsed straight into them.
 
-A frame directory is read without ``json`` for most of its numbers: a file's
-one ``pose_keypoints_2d`` array is cut out of its bytes, the rest of the file
-is parsed once per distinct remainder, and one ``np.loadtxt`` reads every cut
-array that byte checks pass as JSON numbers. A file that does not fit (a second
-person, say) is parsed whole; an error sends the directory to the ``json`` path.
+Each file of a frame directory is cut or parsed whole. A cut file's one
+``pose_keypoints_2d`` array is cut out of its bytes, the rest is parsed once per
+distinct remainder, and one ``np.loadtxt`` reads every cut array that a byte check
+passes as JSON numbers. Every other file (a second person, say) is parsed whole
+with ``json``, in frame order; a cut array that the byte check or ``np.loadtxt``
+refuses is read again from its file and parsed whole too. Nothing falls back:
+the table and any error are those that one ``json.loads`` per document gives.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .errors import (
     UnrecoverableJointError,
     DegeneratePoseError,
 )
+from .files import write_atomic
 
 # Frame rates outside this range are accepted but flagged.
 FPS_QUIET_RANGE = (24.0, 60.0)
@@ -123,33 +126,35 @@ def _first_person(doc) -> list | None:
     return flat
 
 
-def _keypoint_table(flats: list[list | None], n: int) -> np.ndarray:
-    """(T, n, 3) x, y, confidence rows from per-frame keypoint lists.
-
-    A frame with nobody detected (None) becomes all-missing: every value 0.
-    """
-    missing = [0.0] * (3 * n)
-    rows = []
-    for flat in flats:
-        if flat is None:
-            flat = missing
-        elif len(flat) != 3 * n:
-            raise TopologyMismatchError(
-                f"document carries {len(flat) // 3} joints, topology expects {n}"
-            )
-        rows.append(flat)
-    try:
-        table = np.array(rows)
-    except ValueError:  # ragged: a keypoint array holds a nested list
-        raise FormatError(_NOT_NUMERIC) from None
-    if table.dtype.kind not in "biuf":
-        raise FormatError(_NOT_NUMERIC)
-    return table.astype(np.float64, copy=False).reshape(len(rows), n, 3)
-
-
-def _inferred_joints(flats: list[list | None]) -> int | None:
-    """Joint count of the first frame with a detection."""
-    return next((len(flat) // 3 for flat in flats if flat is not None), None)
+def _keypoint_table(path: Path, count: int, lists: dict[int, list], values: np.ndarray,
+                    rows: np.ndarray | list[int], expected_joints: int | None) -> np.ndarray:
+    """The (T, n, 3) x, y, confidence table of ``count`` frames: ``lists`` maps frames to keypoint
+    lists, ``values`` holds the loadtxt rows of frames ``rows``, and any other frame has nobody
+    (every value 0). ``n`` is ``expected_joints``, else that of the first frame with somebody."""
+    listed = np.fromiter(lists, np.intp, len(lists))
+    width = np.full(count, -1)
+    width[rows] = values.shape[1]
+    width[listed] = np.fromiter(map(len, lists.values()), np.intp, len(lists))
+    seen = np.flatnonzero(width >= 0)
+    n = expected_joints
+    if n is None:
+        if not seen.size:
+            raise EmptyInputError(f"every frame in {path} is empty; joint count unknown")
+        n = int(width[seen[0]]) // 3
+    wrong = seen[width[seen] != 3 * n]
+    if wrong.size:
+        raise TopologyMismatchError(f"document carries {width[wrong[0]] // 3} joints, topology expects {n}")
+    table = np.zeros((count, n, 3))
+    table[rows] = values.reshape(len(rows), n, 3)
+    if lists:
+        try:
+            parsed = np.array(list(lists.values()))
+        except ValueError:  # ragged: a keypoint array holds a nested list
+            raise FormatError(_NOT_NUMERIC) from None
+        if parsed.ndim != 2 or parsed.dtype.kind not in "biuf":  # nested triples, or not numbers
+            raise FormatError(_NOT_NUMERIC)
+        table[listed] = parsed.reshape(len(lists), n, 3)
+    return table
 
 
 def _load_json(raw: bytes | str, what: str):
@@ -159,27 +164,12 @@ def _load_json(raw: bytes | str, what: str):
         raise ParseError(f"invalid {what}: {exc.msg}", offset=exc.pos) from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"invalid {what}: not UTF-8", offset=exc.start) from exc
-
-
-def parse_keypoint_frame(raw: bytes | str, expected_joints: int | None = None) -> np.ndarray:
-    """Parse one OpenPose-style per-frame document into (N, 3) x, y, confidence rows.
-
-    An empty ``people`` array yields an all-missing frame (every confidence 0),
-    which requires ``expected_joints`` to fix the joint count.
-    """
-    flats = [_first_person(_load_json(raw, "keypoint document"))]
-    n = expected_joints if expected_joints is not None else _inferred_joints(flats)
-    if n is None:
-        raise FormatError(
-            "empty 'people' array and no configured joint count to build a missing frame"
-        )
-    frame = _keypoint_table(flats, n)[0]
-    _check_values(frame[:, :2], frame[:, 2], FormatError)
-    return frame
+    except ValueError as exc:  # an integer of more digits than Python converts
+        raise ParseError(f"invalid {what}: {exc}", offset=None) from exc
 
 
 def serialize_keypoint_frame(frame: np.ndarray) -> bytes:
-    """Inverse of :func:`parse_keypoint_frame`; floats round-trip bit-exactly."""
+    """One OpenPose-style document for an (N, 3) x, y, confidence frame; its floats load back bit-exactly."""
     flat = np.asarray(frame, dtype=np.float64).ravel().tolist()
     return json.dumps({"people": [{"pose_keypoints_2d": flat}]}).encode("utf-8")
 
@@ -215,7 +205,8 @@ def _not_json_numbers(bodies: list[bytes]) -> list[int]:
     """Indices of the ``bodies``, fields separated by "," or ", ", that hold more than JSON numbers.
 
     ``np.loadtxt`` alone would also read ``.5``, ``5.``, ``+1``, ``01`` or ``nan``; ``-0``
-    is refused because JSON reads it as the integer 0, not as -0.0.
+    is refused because JSON reads it as the integer 0, not as -0.0. A field with a second "."
+    or exponent passes here, and ``np.loadtxt`` refuses it.
     """
     text = b"\n".join([b"", *bodies, b""])
     cls = np.frombuffer(text.translate(_CLASS_OF), np.uint8)
@@ -229,14 +220,12 @@ def _not_json_numbers(bodies: list[bytes]) -> list[int]:
     return np.unique(np.searchsorted(ends, bad)).tolist()
 
 
-def _plain_table(names: list[str], expected_joints: int | None) -> tuple[np.ndarray, int] | None:
-    """The (T, n, 3) table of frame files and how many with somebody in them were parsed whole,
-    or None to leave the directory to the json path.
-
-    A file whose array cannot be cut out (a second person, say) or holds more than JSON
-    numbers is parsed whole, at the cost of the json path.
-    """
-    bodies, rows, whole, remainders = [], [], {}, {}
+def _read_frames(names: list[str]) -> tuple[dict[int, list], np.ndarray, np.ndarray | list[int]]:
+    """The keypoint lists of the frame files parsed with json, and the loadtxt rows of the cut
+    arrays of frames ``rows``. Any refused cut array reopens its file to parse it whole: one that
+    is not JSON numbers, or one that loadtxt cannot stand for (rows of different widths, a width
+    not a multiple of 3, an integer from 2**63)."""
+    bodies, rows, texts, remainders = [], [], {}, {}
     for t, name in enumerate(names):
         raw = _read(name)
         cut = _CUT.search(raw)
@@ -251,57 +240,38 @@ def _plain_table(names: list[str], expected_joints: int | None) -> tuple[np.ndar
                 bodies.append(cut[1])
                 rows.append(t)
                 continue
-        whole[t] = raw
+        texts[t] = raw
     for k in reversed(_not_json_numbers(bodies) if bodies else []):  # read again, to parse whole
         del bodies[k]
         t = rows.pop(k)
-        whole[t] = _read(names[t])
-    try:
-        parsed = {t: _first_person(_load_json(raw, "keypoint document")) for t, raw in whole.items()}
-    except (ParseError, FormatError):
-        return None
-    detected = {t: flat for t, flat in parsed.items() if flat is not None}
-    if not (bodies or detected):
-        return None
-    n = expected_joints  # else the joints of any frame with somebody; the rest must match
-    if n is None:
-        n = (len(next(iter(detected.values()))) if detected else bodies[0].count(b",") + 1) // 3
-    table = np.zeros((len(names), n, 3))
-    try:
-        if bodies:
+        texts[t] = _read(names[t])
+    values = np.empty((0, 3))
+    if bodies:
+        try:
             values = np.loadtxt(bodies, delimiter=",", ndmin=2)
-            if values.shape[1] != 3 * n:
-                return None
-            table[rows] = values.reshape(-1, n, 3)
-        if detected:
-            table[list(detected)] = _keypoint_table(list(detected.values()), n)
-    except (ValueError, TopologyMismatchError, FormatError):
-        return None
-    # integers from 2**63 on make the json path's table an object array
-    return (table, len(detected)) if (np.abs(table) < 2.0**63).all() else None
+            refused = np.flatnonzero((np.abs(values) >= 2.0**63).any(axis=1) | (values.shape[1] % 3 != 0))
+        except ValueError:  # rows of different widths, or a field with a second "." or exponent
+            values, refused = np.empty((len(bodies), 0)), np.arange(len(bodies))
+        for k in refused.tolist():  # read again, to parse whole
+            texts[rows[k]] = _read(names[rows[k]])
+        values, rows = np.delete(values, refused, 0), np.delete(rows, refused)
+    docs = {t: _load_json(texts[t], "keypoint document") for t in sorted(texts)}  # errors in frame order
+    return {t: flat for t, doc in docs.items() if (flat := _first_person(doc)) is not None}, values, rows
 
 
-def _json_table(path: Path, names: list[str] | None, expected_joints: int | None) -> np.ndarray:
-    """The (T, n, 3) table from one ``json.loads`` per document of a directory or container."""
+def _table(path: Path, names: list[str] | None, expected_joints: int | None) -> np.ndarray:
+    """The (T, n, 3) table of a container file, or of a frame directory's files ``names`` in frame order."""
     if names is not None:
-        docs = []
-        for name in names:
-            with open(name, "rb") as handle:
-                docs.append(_load_json(handle.read(), "keypoint document"))
-        if not docs:
+        if not names:
             raise EmptyInputError(f"no keypoint files in {path}")
-    else:
-        docs = _load_json(path.read_bytes(), "container file")
-        if not isinstance(docs, list):
-            raise ParseError("container file must hold a JSON array of frame documents")
-        if not docs:
-            raise EmptyInputError(f"container file {path} holds no frames")
-
-    flats = [_first_person(doc) for doc in docs]
-    n = expected_joints if expected_joints is not None else _inferred_joints(flats)
-    if n is None:
-        raise EmptyInputError(f"every frame in {path} is empty; joint count unknown")
-    return _keypoint_table(flats, n)
+        return _keypoint_table(path, len(names), *_read_frames(names), expected_joints)
+    docs = _load_json(path.read_bytes(), "container file")
+    if not isinstance(docs, list):
+        raise ParseError("container file must hold a JSON array of frame documents")
+    if not docs:
+        raise EmptyInputError(f"container file {path} holds no frames")
+    lists = {t: flat for t, doc in enumerate(docs) if (flat := _first_person(doc)) is not None}
+    return _keypoint_table(path, len(docs), lists, np.empty((0, 3)), [], expected_joints)
 
 
 def load_sequence(
@@ -320,9 +290,7 @@ def load_sequence(
     if not path.exists():
         raise FileNotFoundError(f"no such input: {path}")
 
-    names = _frame_files(path) if path.is_dir() else None
-    plain = None if names is None else _plain_table(names, expected_joints)
-    table = _json_table(path, names, expected_joints) if plain is None else plain[0]
+    table = _table(path, _frame_files(path) if path.is_dir() else None, expected_joints)
     try:
         seq = PoseSequence(positions=table[..., :2], fps=fps, confidence=table[..., 2])
     except ContractViolationError as exc:  # fps, frame count or keypoint values
@@ -401,4 +369,4 @@ def write_sequence_csv(seq: PoseSequence, path: str | Path) -> None:
     for t, frame in enumerate(seq.positions.tolist()):
         for j, (x, y) in enumerate(frame):
             lines.append(f"{t},{j},{x!r},{y!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")

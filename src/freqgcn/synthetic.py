@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AliasingConfigError, ContractViolationError, FormatError
+from .files import write_atomic
 from .graph import SkeletonTopology, builtin_topology
 from .pose import PoseSequence, write_sequence
 
@@ -206,7 +207,7 @@ def write_manifest(dataset: SynthDataset, path: str | Path) -> None:
     lines += [
         f"{s.sequence_id},{s.label},{s.split},{s.seed}" for s in dataset.samples
     ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_manifest(path: str | Path) -> list[dict[str, str]]:

@@ -6,6 +6,9 @@ from freqgcn.graph import SkeletonTopology
 # CI runs with --hypothesis-profile=ci: the same examples on every run, and
 # 1,000 for each test that sets no count of its own, the ingest oracle among them.
 settings.register_profile("ci", derandomize=True, max_examples=1000)
+# A second CI step runs the ingest oracle alone on 3,000 fresh random examples, which
+# draw what the fixed ones never do; a failing example prints a blob to replay it.
+settings.register_profile("ci-fresh", derandomize=False, max_examples=3000, print_blob=True)
 
 
 def random_connected_topology(rng: np.random.Generator, num_joints: int, extra_edges: int = 0):

@@ -1,4 +1,7 @@
 import json
+import resource
+import shutil
+import signal
 
 import numpy as np
 import pytest
@@ -7,6 +10,8 @@ from click.testing import CliRunner
 from freqgcn.cli import main
 from freqgcn.errors import FormatError
 from freqgcn.frequency import read_features_csv
+from freqgcn.graph import builtin_topology, write_topology
+from freqgcn.synthetic import SynthConfig, generate_dataset, write_manifest
 
 
 @pytest.fixture()
@@ -733,6 +738,15 @@ def features_copy(header=None, sidecar=True):
     return build
 
 
+def features_dir(sidecar):
+    """Input builder: a copy of the workspace features with seq_0000's sidecar set to ``sidecar``."""
+    def build(ws, tmp):
+        shutil.copytree(ws / "features", tmp / "features")
+        (tmp / "features" / "seq_0000.csv.meta.json").write_text(sidecar)
+        return tmp / "features"
+    return build
+
+
 def absent(ws, tmp):
     return tmp / "absent"
 
@@ -783,6 +797,9 @@ def synth(config=None, flags=()):
 
 TOY5_FRAME = json.dumps({"people": [{"pose_keypoints_2d": [1.0, 2.0, 1.0] * 5}]})
 NAN_FRAME = json.dumps({"people": [{"pose_keypoints_2d": [float("nan")] + [1.0] * 14}]})
+NESTED_FRAME = json.dumps({"people": [{"pose_keypoints_2d": [[1, 2, 0.5]] * 15}]})
+LONG_INT = "1" * 4301  # more digits than Python converts to an integer by default
+LONG_INT_FRAME = '{"people": [{"pose_keypoints_2d": [%s%s]}]}' % (LONG_INT, ", 1.0" * 14)
 
 ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring)
     # Values that the type holding them rejects.
@@ -817,6 +834,8 @@ ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring)
     ("config-not-object", synth(config=written("cfg.json", "[1]")), 2, "JSON object"),
     ("config-not-utf8", synth(config=written("cfg.json", b'{"seed": "\xff"}')),
      2, "not valid JSON"),
+    ("config-long-integer", synth(config=written("cfg.json", '{"seed": %s}' % LONG_INT)),
+     2, "not valid JSON"),
     ("band0-text", synth(flags=["--band0", "x"]), 2, "expected LO:HI"),
     ("channels-text", train(flags=["--channels", "a"]), 2, "comma-separated integers"),
     # Feature files.
@@ -824,6 +843,9 @@ ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring)
      1, "missing feature sidecar"),
     ("features-wrong-header", predict(features=features_copy(header="joint,bin,value")),
      1, "expected header"),
+    ("features-sidecar-long-integer",
+     train(features=features_dir('{"format": "freqgcn-features", "version": %s}' % LONG_INT)),
+     1, "seq_0000.csv.meta.json: invalid JSON"),
     # Model documents.
     ("model-non-numeric-value", predict(model=edited_model("param head_bias 1 2", "0.5 abc", 1)),
      5, "bad values in param head_bias"),
@@ -841,6 +863,9 @@ ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring)
      1, "flat numeric array"),
     ("frame-not-utf8", extract(frame_dir([TOY5_FRAME.encode(), b'{"people": "\xff"}'])),
      1, "not UTF-8"),
+    ("frame-nested-triples", extract(frame_dir([NESTED_FRAME.encode()] * 3)), 1, "flat numeric array"),
+    ("frame-long-integer", extract(frame_dir([TOY5_FRAME.encode(), LONG_INT_FRAME.encode()])),
+     1, "invalid keypoint document"),
     ("frame-name-no-digits",
      extract(frame_dir([TOY5_FRAME.encode()] * 2, ["a.json", "b.json"])),
      1, "no numeric component"),
@@ -856,6 +881,10 @@ ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring)
     ("container-non-finite-keypoint",
      extract(written("clip.json", f"[{TOY5_FRAME}, {NAN_FRAME}]")),
      1, "clip.json: keypoint coordinates must be finite"),
+    ("container-nested-triples", extract(written("clip.json", f"[{NESTED_FRAME}, {NESTED_FRAME}]")),
+     1, "flat numeric array"),
+    ("container-long-integer", extract(written("clip.json", f"[{TOY5_FRAME}, {LONG_INT_FRAME}]")),
+     1, "invalid container file"),
 ]
 
 
@@ -874,3 +903,60 @@ class TestErrorBranches:
             assert_one_line_diagnostic(result, exit_code)
         assert message in result.stderr
         assert list(out.iterdir()) == []
+
+
+def cli_run(runner, *args):
+    """A CLI run as a call that returns the exception the command ended in, if any."""
+    return lambda: runner.invoke(main, [str(a) for a in args]).exception
+
+
+def library_call(write, *args):
+    """A call of ``write`` that returns the OSError it raised, if any."""
+    def call():
+        try:
+            write(*args)
+        except OSError as exc:
+            return exc
+    return call
+
+
+def explain_into(prefix):
+    return lambda runner, ws, path: cli_run(
+        runner, "explain", "--model", ws / "model.txt", "--input", ws / "features" / "seq_0000.csv",
+        "--out", path.parent / prefix)
+
+
+def explain_ranking(runner, ws, path):
+    (path.parent / "report.alpha.csv").symlink_to("/dev/null")  # only the ranking meets the limit
+    return explain_into("report")(runner, ws, path)
+
+
+WRITERS = [  # (id, file name, the write as a call prepared before the limit is set)
+    ("pose-csv", "pose.csv", lambda runner, ws, path: cli_run(
+        runner, "extract", "--input", ws / "data" / "sequences" / "seq_0000", "--out", path.parent / "f.csv",
+        "--topology", "toy5", "--c", "1.15", "--bins", "14", "--pose-csv", path)),
+    ("explain-alpha", "report.alpha.csv", explain_into("report")),
+    ("explain-ranking", "report.ranking.csv", explain_ranking),
+    ("topology", "body25.txt", lambda runner, ws, path: library_call(
+        write_topology, builtin_topology("body25"), path)),
+    ("manifest", "manifest.csv", lambda runner, ws, path: library_call(
+        write_manifest, generate_dataset(SynthConfig(num_frames=40), 2, 0), path)),
+]
+
+
+@pytest.mark.parametrize("name,prepare", [case[1:] for case in WRITERS], ids=[case[0] for case in WRITERS])
+def test_a_write_failing_midway_leaves_the_previous_file(runner, workspace, tmp_path, name, prepare):
+    path = tmp_path / name
+    path.write_text("previous\n", encoding="utf-8")
+    write = prepare(runner, workspace, path)
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (64, hard))  # writes past 64 bytes fail with EFBIG
+    try:
+        error = write()
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        signal.signal(signal.SIGXFSZ, handler)
+    assert isinstance(error, OSError)
+    assert path.read_text(encoding="utf-8") == "previous\n"
+    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]

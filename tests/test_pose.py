@@ -24,11 +24,11 @@ from freqgcn.pose import (
     interpolate_missing,
     load_sequence,
     normalize_sequence,
-    parse_keypoint_frame,
     serialize_keypoint_frame,
     write_sequence,
     write_sequence_csv,
 )
+from oracles import json_table, parse_keypoint_frame
 
 
 def frame_doc(triples):
@@ -224,11 +224,10 @@ def write_frame_dir(directory, docs):
     return directory
 
 
-def ingest(directory, joints, fast):
-    """load_sequence's outcome, arrays as bytes or the error's type and message; ``fast=False``
-    runs the json path alone."""
-    plain = pose._plain_table if fast else (lambda names, expected_joints: None)
-    with mock.patch.object(pose, "_plain_table", plain):
+def ingest(directory, joints, table):
+    """load_sequence's outcome with ``table`` building the keypoint table: the arrays as bytes,
+    or the error's type and message."""
+    with mock.patch.object(pose, "_table", table):
         try:
             seq = load_sequence(directory, fps=30.0, expected_joints=joints)
         except FreqGcnError as exc:
@@ -237,19 +236,16 @@ def ingest(directory, joints, fast):
 
 
 def paths_agree(directory, joints=None):
-    """Assert that the fast path and the json path, each called directly, agree; return
-    how many frames the fast path parsed whole, or None when it left the directory.
-
-    A table from the fast path must equal the json path's bit for bit; declining (None)
-    leaves the outcome, an error included, to the json path.
-    """
-    names = pose._frame_files(directory)
-    fast = pose._plain_table(names, joints)
-    if fast is not None:
-        slow = pose._json_table(directory, names, joints)
-        assert fast[0].shape == slow.shape and fast[0].tobytes() == slow.tobytes()
-    assert ingest(directory, joints, fast=True) == ingest(directory, joints, fast=False)
-    return None if fast is None else fast[1]
+    """Assert that load_sequence and the json oracle give bit-equal arrays or the same error;
+    return how many of the directory's documents load_sequence parsed whole, or None when
+    both fail."""
+    docs = {path.read_bytes() for path in directory.iterdir()}
+    parsed = []
+    load_json = pose._load_json
+    with mock.patch.object(pose, "_load_json", lambda raw, what: parsed.append(raw) or load_json(raw, what)):
+        got = ingest(directory, joints, pose._table)
+    assert got == ingest(directory, joints, json_table)
+    return None if isinstance(got[0], type) else sum(raw in docs for raw in parsed)
 
 
 OPENPOSE_PERSON = b'{"version":1.3,"people":[{"person_id":[-1],"pose_keypoints_2d":[%s],"face_keypoints_2d":[]}]}'
@@ -258,7 +254,8 @@ FORMATS = (repr, "%.3f".__mod__, "%g".__mod__, "%.17g".__mod__, "%E".__mod__,
            lambda v: str(int(v)) if v.is_integer() else repr(v))
 TOKENS = (".5", "5.", "+1", "01", "-01", "NaN", "Infinity", "-Infinity", "--1", "", "-0", "-0.0",
           "0", "1E+5", "1e-05", "1e5", "true", "null", '"1"', "[1]", "{}", "1e400",
-          "9223372036854775808", "-9223372036854775809", "1 2", "0x1", " 1", "1 ", "1\n")
+          "9223372036854775808", "-9223372036854775809", "1 2", "0x1", " 1", "1 ", "1\n",
+          "0.1.5", "1e2e3", "1e2.3", "1.5E2e1", "1" * 4301)
 
 
 def cut_tokens(raw):
@@ -322,7 +319,7 @@ def frame_docs(draw):
     nobody in some frames, then some documents mutated."""
     frames, joints = draw(st.integers(2, 5)), draw(st.integers(1, 3))
     xy = st.floats(-1e4, 1e4)
-    if draw(st.booleans()):  # magnitudes from 2**63 on are left to the json path
+    if draw(st.booleans()):  # magnitudes from 2**63 on, which json may read as integers
         xy = st.floats(allow_nan=False, allow_infinity=False)
     docs = []
     writer = draw(st.booleans())
@@ -342,7 +339,7 @@ def frame_docs(draw):
 
 
 class TestFastPathOracle:
-    """The fast path of load_sequence against the json path, which stays the oracle."""
+    """load_sequence against one ``json.loads`` per document, the oracle."""
 
     @given(frame_docs())
     @settings(deadline=None)
@@ -354,7 +351,8 @@ class TestFastPathOracle:
     @pytest.mark.parametrize("token,whole", [
         (".5", None), ("5.", None), ("+1", None), ("01", None), ("NaN", None),
         ("Infinity", None), ("--1", None), ("", None), ("-0", 1),
-        ("-0.0", 0), ("1E+5", 0), ("1e-05", 0),
+        ("-0.0", 0), ("1E+5", 0), ("1e-05", 0), ("0.1.5", None), ("1e2e3", None), ("1e2.3", None),
+        ("1.5E2e1", None),
     ])
     def test_number_syntax(self, tmp_path, token, whole):
         docs = [b'{"people":[{"pose_keypoints_2d":[1,2,0.5]}]}',
@@ -365,11 +363,11 @@ class TestFastPathOracle:
         (b'{"people":[{"pose_keypoints_2d":[[1,2,0.5]]}]}', None),
         (b'{"people":[{"pose_keypoints_2d":[1,2,0.5]},{"pose_keypoints_2d":[3,4,0.5]}]}', 1),
         (b'{"pose_keypoints_2d":[1,2,0.5],"people":[{}]}', None),
-        (b'{"pose_keypoints_2d":[1,2,0.5],"people":[]}', 0),
+        (b'{"pose_keypoints_2d":[1,2,0.5],"people":[]}', 1),
         (b'{"people":[{"pose_keypoints_2d":[1,2,0.5],"pose_keypoints_2d":[3,4,0.5]}]}', 1),
         (b'{"people":[{"pose_keypoints_2d":[1,2,0.5],"id":"a\\"b"}]}', 1),
         (b'{"people":[{"pose\\u005fkeypoints_2d":[]}],"x":{"pose_keypoints_2d":[1,2,0.5]}}', None),
-        (b'{"people":[]}', 0),
+        (b'{"people":[]}', 1),
         (b'{"people":[{"pose_keypoints_2d":[]}]}', None),
         (b'{"people":[{"pose_keypoints_2d":[1,2,0.5,3,4,0.5]}]}', None),
         (b'{"people":[{"pose_keypoints_2d":[1,2]}]}', None),
@@ -392,6 +390,11 @@ class TestFastPathOracle:
         docs = [b'{"people":[{"pose_keypoints_2d":[1,2,0.5]}]}'] * 2
         assert paths_agree(write_frame_dir(tmp_path / "seq", docs), joints=2) is None
 
+    @pytest.mark.parametrize("joints", [None, 1])
+    def test_every_array_of_one_width_not_divisible_by_3(self, tmp_path, joints):
+        docs = [b'{"people":[{"pose_keypoints_2d":[1,2,0.5,3]}]}'] * 2
+        assert paths_agree(write_frame_dir(tmp_path / "seq", docs), joints) is None
+
     def test_frames_with_a_bystander_are_read_and_parsed_once(self, tmp_path, monkeypatch):
         """A frame that cannot take the cut costs one read and one json parse, as on the json
         path; the frames around it still take the cut."""
@@ -407,6 +410,22 @@ class TestFastPathOracle:
         seq = load_sequence(directory, fps=30.0)
         assert seq.positions[:, 0, 0].tolist() == list(range(6))
         assert len(opened) == 6 and sorted(parsed) == sorted([docs[1], docs[3], docs[5], b'{"people":[{"pose_keypoints_2d":[]}]}'])
+
+    def test_each_file_is_opened_once_unless_its_numbers_fail_the_check(self, tmp_path, monkeypatch):
+        """A bystander costs no second open; a -0, which the byte check refuses, and a value from
+        2**63, which loadtxt cannot stand for, reopen their files to parse them whole."""
+        person = [OPENPOSE_PERSON % b"%d,2,0.5" % t for t in range(6)]
+        docs = [person[0], person[1][: person[1].rindex(b"]}")] + b',{"pose_keypoints_2d":[3,4,0.5]}]}',
+                OPENPOSE_PERSON % b"-0,2,0.5", OPENPOSE_PERSON % b"9223372036854775808,2,0.5",
+                OPENPOSE_NOBODY, person[5]]
+        directory = write_frame_dir(tmp_path / "seq", docs)
+        assert paths_agree(directory) == 4  # the bystander's, the -0's, the 2**63's and the nobody's
+        opened = []
+        os_open = pose.os.open
+        monkeypatch.setattr(pose.os, "open", lambda *a: opened.append(Path(a[0]).name) or os_open(*a))
+        seq = load_sequence(directory, fps=30.0)
+        assert seq.positions[:, 0, 0].tolist() == [0.0, 1.0, 0.0, 2.0**63, 0.0, 5.0]
+        assert sorted(opened) == sorted(f"f_{k:03d}.json" for k in [0, 1, 2, 2, 3, 3, 4, 5])
 
     def test_plain_layouts_parse_one_document_per_remainder(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(3)
