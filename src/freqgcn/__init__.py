@@ -4,13 +4,13 @@ from .errors import FreqGcnError
 from .frequency import (
     BinSpec,
     FrequencyFeatures,
+    band_magnitudes,
     bin_edges,
     bin_spectrum,
     bin_widths,
     dft_naive,
     extract_features,
     fft_bluestein,
-    magnitude_half_spectrum,
 )
 from .graph import (
     FeatureGraph,
@@ -61,6 +61,7 @@ __all__ = [
     "attention_report",
     "attention_weights",
     "backward",
+    "band_magnitudes",
     "bin_edges",
     "bin_spectrum",
     "bin_widths",
@@ -78,7 +79,6 @@ __all__ = [
     "load_model",
     "load_sequence",
     "loss",
-    "magnitude_half_spectrum",
     "model_forward",
     "normalize_adjacency",
     "normalize_sequence",

@@ -1,7 +1,8 @@
 """Command-line front end: extract, train, predict, explain, gradcheck, synth.
 
 Exit codes are stable: 0 success, 2 missing input, 3 insufficient data,
-4 degenerate dataset, 5 model mismatch, 1 any other package error. Every
+4 degenerate dataset, 5 model mismatch, 1 any other package error, an
+output that cannot be written (``cannot write <path>: <reason>``) among them. Every
 command is deterministic given its flags and seeds; timing output goes to
 stderr so repeated runs stay byte-identical on stdout.
 """
@@ -26,7 +27,7 @@ from .errors import (
     InsufficientLengthError,
     ModelMismatchError,
 )
-from .files import write_atomic
+from .files import make_directory, write_atomic
 from .graph import SkeletonTopology, builtin_topology, read_topology
 
 EXIT_INPUT_MISSING = 2
@@ -151,7 +152,7 @@ def cmd_extract(input_path, out_path, fps, growth, bins, topology, pose_csv):
         if not sub:
             raise EmptyInputError(f"{src} holds neither keypoint files nor sequence directories")
         out_dir = Path(out_path)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        make_directory(out_dir)
         for seq_dir in sub:
             seq = _ingest(seq_dir, fps, topo)
             features = frequency.extract_features(seq, spec)

@@ -65,5 +65,12 @@ class AliasingConfigError(FreqGcnError):
     """Synthetic frequency band reaches the Nyquist limit."""
 
 
+class WriteError(FreqGcnError, OSError):
+    """An output could not be written; a file already there is left as it was."""
+
+    def __str__(self) -> str:
+        return f"cannot write {self.filename}: {self.strerror}"
+
+
 class ModelMismatchError(FreqGcnError):
     """Model document version or shapes do not match expectations."""

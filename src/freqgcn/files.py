@@ -6,36 +6,54 @@ import os
 import stat
 from pathlib import Path
 
+from .errors import WriteError
 
-def write_atomic(path: str | Path, text: str) -> None:
-    """Write ``text`` as UTF-8 to ``path`` through a temp file in the same directory.
+
+def write_atomic(path: str | Path, data: str | bytes) -> None:
+    """Write ``data``, text as UTF-8, to ``path`` through a temp file in the same directory.
 
     ``os.replace`` puts the finished temp file in place, so a write that fails
     midway leaves the previous file intact, and the temp file is removed. As
     with a plain write, a symlink is written through to its target, an existing
     file keeps its permission bits and a new one gets 0o666 less the umask. An
-    existing target that is not a regular file is written in place.
+    existing target that is not a regular file is written in place. A missing
+    directory raises FileNotFoundError and any other failure WriteError, both
+    naming ``path``.
     """
+    try:
+        _replace(path, data.encode("utf-8") if isinstance(data, str) else data)
+    except FileNotFoundError as exc:  # name the file asked for, not the temp file
+        raise FileNotFoundError(exc.errno, exc.strerror, str(path)) from None
+    except OSError as exc:
+        raise WriteError(exc.errno, exc.strerror or str(exc), str(path)) from None
+
+
+def _replace(path: str | Path, data: bytes) -> None:
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):  # a pipe or device, such as /dev/stdout
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with open(path, "wb") as handle:
+            handle.write(data)
         return
-    asked, path = path, Path(os.path.realpath(path))
+    path = Path(os.path.realpath(path))
     temp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError as exc:  # name the file asked for, not the temp file
-        raise type(exc)(exc.errno, exc.strerror, str(asked)) from None
-    try:
-        with open(fd, "w", encoding="utf-8") as handle:
+        with open(fd, "wb") as handle:
             if mode is not None:
                 os.fchmod(fd, stat.S_IMODE(mode))
-            handle.write(text)
+            handle.write(data)
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
+
+
+def make_directory(path: str | Path) -> None:
+    """Create ``path`` and any missing parents; a failure raises WriteError naming ``path``."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise WriteError(exc.errno, exc.strerror or str(exc), str(path)) from None

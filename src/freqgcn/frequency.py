@@ -1,10 +1,11 @@
 """Trajectory-to-spectrum conversion and exponential frequency binning.
 
-The transform stack is self-contained: a direct O(T^2) DFT kept as the
-reference oracle, and a chirp-z (Bluestein) FFT that handles any length,
-primes included, through a power-of-two circular convolution. Binned
-magnitudes keep the low-to-mid band and discard everything past the last
-bin edge, which is where sensor noise lives.
+Binned magnitudes keep the low-to-mid band and discard everything past the
+last bin edge, which is where sensor noise lives, so features come from a
+two-level direct DFT of that band alone. The general transforms stay as a
+self-contained stack: a direct O(T^2) DFT, the reference oracle, and a
+chirp-z (Bluestein) FFT that handles any length, primes included, through a
+power-of-two circular convolution.
 """
 
 from __future__ import annotations
@@ -24,32 +25,28 @@ from .pose import PoseSequence
 CHANNELS = ("x", "y")
 
 
-def _as_complex_vector(signal, name: str) -> np.ndarray:
+def _finite_signals(signal, name: str, dtype) -> np.ndarray:
     x = np.asarray(signal)
-    if x.ndim != 1 or x.shape[0] < 1:
-        raise ContractViolationError(f"{name} expects a nonempty 1-D signal, got shape {x.shape}")
+    if x.ndim < 1 or x.shape[-1] < 1:
+        raise ContractViolationError(f"{name} expects signals of length >= 1, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ContractViolationError(f"{name} requires finite values")
-    return x.astype(np.complex128)
+    return x.astype(dtype)
 
 
 def dft_naive(signal) -> np.ndarray:
-    """Direct evaluation of X[k] = sum_t x[t] exp(-2*pi*i*k*t/T).
+    """Direct evaluation of X[k] = sum_t x[t] exp(-2*pi*i*k*t/T) along the last axis.
 
-    O(T^2); exists as the independent oracle for the fast transform. The
+    O(T^2); exists as the independent oracle for the fast transforms. The
     phase k*t is reduced mod T in integer arithmetic so large products do
     not lose precision.
     """
-    x = _as_complex_vector(signal, "dft_naive")
-    t = x.shape[0]
+    x = _finite_signals(signal, "dft_naive", np.complex128)
+    t = x.shape[-1]
     k = np.arange(t, dtype=np.int64)
     phase = (k[:, None] * k[None, :]) % t
     basis = np.exp((-2j * np.pi / t) * phase)
-    return basis @ x
-
-
-def _next_pow2(n: int) -> int:
-    return 1 if n <= 1 else 1 << (n - 1).bit_length()
+    return x @ basis  # the basis is symmetric
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -105,7 +102,7 @@ def _chirp_plan(t: int) -> tuple[np.ndarray, np.ndarray]:
     """Chirp exp(-i*pi*n^2/t) and the FFT of its zero-padded conjugate kernel."""
     n = np.arange(t, dtype=np.int64)
     chirp = np.exp((-1j * np.pi / t) * ((n * n) % (2 * t)))
-    m = _next_pow2(2 * t - 1)
+    m = 1 << (2 * t - 2).bit_length()  # the first power of two >= 2t - 1
     b = np.zeros(m, dtype=np.complex128)
     b[:t] = np.conj(chirp)
     b[m - t + 1 :] = np.conj(chirp[1:][::-1])
@@ -121,12 +118,7 @@ def fft_bluestein(signal) -> np.ndarray:
     with the radix-2 kernel), and a final chirp multiply. Chirp phases use
     t^2 mod 2T so they stay exact for long signals.
     """
-    x = np.asarray(signal)
-    if x.ndim < 1 or x.shape[-1] < 1:
-        raise ContractViolationError(f"fft_bluestein expects signals of length >= 1, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ContractViolationError("fft_bluestein requires finite values")
-    x = x.astype(np.complex128)
+    x = _finite_signals(signal, "fft_bluestein", np.complex128)
     t = x.shape[-1]
     chirp, kernel = _chirp_plan(t)
     padded = np.zeros(x.shape[:-1] + kernel.shape, dtype=np.complex128)
@@ -137,24 +129,32 @@ def fft_bluestein(signal) -> np.ndarray:
     return _ifft_pow2(spectrum)[..., :t] * chirp
 
 
-def unpack_real_pair(spectrum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra X, Y of two real signals x, y from the spectrum Z of x + i*y.
+def band_magnitudes(signal, hi: int) -> np.ndarray:
+    """|X[k]| for k in [0, hi) of each real row along the last axis, by a two-level direct DFT.
 
-    X[k] = (Z[k] + conj Z[T-k]) / 2 and Y[k] = (Z[k] - conj Z[T-k]) / (2i),
-    indices mod T, along the last axis (Numerical Recipes section 12.3).
+    With p = ceil(sqrt(T)) and t = a*p + b, X[k] = sum_a W^(k*a*p) sum_b x[a*p + b] W^(k*b)
+    for W = exp(-2*pi*i/T). Each row, zero-padded to whole blocks of p, takes a real matmul
+    by the (p, hi) table W^(k*b), its cosines and sines interleaved, so the product reads as
+    complex; the (blocks, hi) table W^(k*a*p) then combines the blocks. The tables take
+    about 2*sqrt(T)*hi exponentials, so nothing is cached. Phases are reduced mod T in
+    integers, as in :func:`dft_naive`.
     """
-    mirrored = np.conj(np.roll(spectrum[..., ::-1], 1, axis=-1))
-    return (spectrum + mirrored) / 2, (spectrum - mirrored) / 2j
-
-
-def magnitude_half_spectrum(spectrum: np.ndarray) -> np.ndarray:
-    """|X[k]| for k = 0 .. floor(T/2) along the last axis; the upper half of a
-    real signal's spectrum is redundant."""
-    spec = np.asarray(spectrum)
-    if spec.ndim < 1 or spec.shape[-1] < 1:
-        raise ContractViolationError(f"expected spectra of length >= 1, got shape {spec.shape}")
-    t = spec.shape[-1]
-    return np.abs(spec[..., : t // 2 + 1])
+    x = _finite_signals(signal, "band_magnitudes", np.float64)
+    t = x.shape[-1]
+    if not 1 <= hi <= t:
+        raise ContractViolationError(f"band_magnitudes needs 1 <= hi <= T, got hi={hi} and T={t}")
+    p = math.isqrt(t - 1) + 1
+    blocks = -(-t // p)
+    k = np.arange(hi, dtype=np.int64)
+    inner, outer = (np.exp((-2j * np.pi / t) * (np.arange(0, n * step, step)[:, None] * k % t))
+                    for n, step in ((p, 1), (blocks, p)))
+    padded = np.zeros((math.prod(x.shape[:-1]), blocks * p))
+    padded[:, :t] = x.reshape(-1, t)
+    # A product per row: one (rows * blocks, p) product is split over OpenBLAS threads, which on
+    # 2 cores waited 4-8 ms whenever another process held the second (p85 8.0 ms, not 0.8 ms).
+    partial = (padded.reshape(-1, blocks, p) @ inner.view(np.float64)).view(np.complex128)
+    partial *= outer  # row, block a, k: W^(k*a*p) sum_b x[a*p + b] W^(k*b)
+    return np.abs(partial.sum(axis=1)).reshape(x.shape[:-1] + (hi,))
 
 
 # Fixed by the binning rule: the first width, and where Round gives way to Ceiling.
@@ -267,8 +267,8 @@ def extract_features(seq: PoseSequence, spec: BinSpec) -> FrequencyFeatures:
 
     Mean subtraction removes the DC component (absolute position), so two
     sequences differing by a global translation produce identical features.
-    The x and y trajectories of a joint share one complex transform of
-    x + i*y, and every joint goes through a single batched FFT.
+    One batched band transform gives every joint's x and y magnitudes up to
+    the last bin edge, the only ones the bins read.
     """
     t = len(seq)
     if t < required_min_frames(spec):
@@ -279,8 +279,7 @@ def extract_features(seq: PoseSequence, spec: BinSpec) -> FrequencyFeatures:
         )
     traj = np.moveaxis(seq.positions, 0, -1)  # (N joints, 2 channels, T)
     traj = traj - traj.mean(axis=-1, keepdims=True)
-    spectra = unpack_real_pair(fft_bluestein(traj[:, 0] + 1j * traj[:, 1]))
-    binned = bin_spectrum(magnitude_half_spectrum(np.stack(spectra, axis=1)), spec)
+    binned = bin_spectrum(band_magnitudes(traj, bin_edges(spec)[-1]), spec)
     return FrequencyFeatures(data=np.moveaxis(binned, 1, 2), spec=spec, fps=seq.fps)
 
 

@@ -37,7 +37,7 @@ from .errors import (
     UnrecoverableJointError,
     DegeneratePoseError,
 )
-from .files import write_atomic
+from .files import make_directory, write_atomic
 
 # Frame rates outside this range are accepted but flagged.
 FPS_QUIET_RANGE = (24.0, 60.0)
@@ -168,6 +168,15 @@ def _load_json(raw: bytes | str, what: str):
         raise ParseError(f"invalid {what}: {exc}", offset=None) from exc
 
 
+def _frame_list(name: str, raw: bytes) -> list | None:
+    """The first person's keypoint list in frame file ``name``; a parse or format error names the file."""
+    try:
+        return _first_person(_load_json(raw, "keypoint document"))
+    except (ParseError, FormatError) as exc:
+        exc.args = (f"{os.path.basename(name)}: {exc}",)
+        raise
+
+
 def serialize_keypoint_frame(frame: np.ndarray) -> bytes:
     """One OpenPose-style document for an (N, 3) x, y, confidence frame; its floats load back bit-exactly."""
     flat = np.asarray(frame, dtype=np.float64).ravel().tolist()
@@ -255,8 +264,8 @@ def _read_frames(names: list[str]) -> tuple[dict[int, list], np.ndarray, np.ndar
         for k in refused.tolist():  # read again, to parse whole
             texts[rows[k]] = _read(names[rows[k]])
         values, rows = np.delete(values, refused, 0), np.delete(rows, refused)
-    docs = {t: _load_json(texts[t], "keypoint document") for t in sorted(texts)}  # errors in frame order
-    return {t: flat for t, doc in docs.items() if (flat := _first_person(doc)) is not None}, values, rows
+    lists = {t: _frame_list(names[t], texts[t]) for t in sorted(texts)}  # errors in frame order
+    return {t: flat for t, flat in lists.items() if flat is not None}, values, rows
 
 
 def _table(path: Path, names: list[str] | None, expected_joints: int | None) -> np.ndarray:
@@ -307,13 +316,13 @@ def load_sequence(
 def write_sequence(seq: PoseSequence, directory: str | Path) -> list[Path]:
     """Write one per-frame document per frame, zero-padded for lexical order."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    make_directory(directory)
     width = max(6, len(str(len(seq) - 1)))
     table = np.concatenate([seq.positions, seq.confidence[..., None]], axis=2)
     paths = []
     for t, frame in enumerate(table):
         p = directory / f"frame_{t:0{width}d}.json"
-        p.write_bytes(serialize_keypoint_frame(frame))
+        write_atomic(p, serialize_keypoint_frame(frame))
         paths.append(p)
     return paths
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AliasingConfigError, ContractViolationError, FormatError
-from .files import write_atomic
+from .files import make_directory, write_atomic
 from .graph import SkeletonTopology, builtin_topology
 from .pose import PoseSequence, write_sequence
 
@@ -194,7 +194,7 @@ def write_dataset(dataset: SynthDataset, root: str | Path) -> Path:
     """Lay the dataset out as sequences/<id>/frame_*.json plus manifest.csv."""
     root = Path(root)
     seq_root = root / "sequences"
-    seq_root.mkdir(parents=True, exist_ok=True)
+    make_directory(seq_root)
     for sample in dataset.samples:
         write_sequence(sample.sequence, seq_root / sample.sequence_id)
     manifest = root / "manifest.csv"

@@ -6,8 +6,34 @@ from pathlib import Path
 
 import numpy as np
 
-from freqgcn.errors import EmptyInputError, FormatError, ParseError, TopologyMismatchError
-from freqgcn.pose import _NOT_NUMERIC, _check_values, _first_person, _load_json
+from freqgcn.errors import (
+    ContractViolationError,
+    EmptyInputError,
+    FormatError,
+    ParseError,
+    TopologyMismatchError,
+)
+from freqgcn.pose import _NOT_NUMERIC, _check_values, _first_person, _frame_list, _load_json
+
+
+def unpack_real_pair(spectrum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra X, Y of two real signals x, y from the spectrum Z of x + i*y.
+
+    X[k] = (Z[k] + conj Z[T-k]) / 2 and Y[k] = (Z[k] - conj Z[T-k]) / (2i),
+    indices mod T, along the last axis (Numerical Recipes section 12.3).
+    """
+    mirrored = np.conj(np.roll(spectrum[..., ::-1], 1, axis=-1))
+    return (spectrum + mirrored) / 2, (spectrum - mirrored) / 2j
+
+
+def magnitude_half_spectrum(spectrum: np.ndarray) -> np.ndarray:
+    """|X[k]| for k = 0 .. floor(T/2) along the last axis; the upper half of a
+    real signal's spectrum is redundant."""
+    spec = np.asarray(spectrum)
+    if spec.ndim < 1 or spec.shape[-1] < 1:
+        raise ContractViolationError(f"expected spectra of length >= 1, got shape {spec.shape}")
+    t = spec.shape[-1]
+    return np.abs(spec[..., : t // 2 + 1])
 
 
 def keypoint_table(flats: list[list | None], n: int) -> np.ndarray:
@@ -42,11 +68,11 @@ def inferred_joints(flats: list[list | None]) -> int | None:
 def json_table(path: Path, names: list[str] | None, expected_joints: int | None) -> np.ndarray:
     """The (T, n, 3) table from one ``json.loads`` per document of a directory or container."""
     if names is not None:
-        docs = []
+        flats = []
         for name in names:
             with open(name, "rb") as handle:
-                docs.append(_load_json(handle.read(), "keypoint document"))
-        if not docs:
+                flats.append(_frame_list(name, handle.read()))
+        if not flats:
             raise EmptyInputError(f"no keypoint files in {path}")
     else:
         docs = _load_json(path.read_bytes(), "container file")
@@ -54,8 +80,7 @@ def json_table(path: Path, names: list[str] | None, expected_joints: int | None)
             raise ParseError("container file must hold a JSON array of frame documents")
         if not docs:
             raise EmptyInputError(f"container file {path} holds no frames")
-
-    flats = [_first_person(doc) for doc in docs]
+        flats = [_first_person(doc) for doc in docs]
     n = expected_joints if expected_joints is not None else inferred_joints(flats)
     if n is None:
         raise EmptyInputError(f"every frame in {path} is empty; joint count unknown")

@@ -5,7 +5,7 @@ import signal
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
+from click.testing import CliRunner, Result
 
 from freqgcn.cli import main
 from freqgcn.errors import FormatError
@@ -906,8 +906,8 @@ class TestErrorBranches:
 
 
 def cli_run(runner, *args):
-    """A CLI run as a call that returns the exception the command ended in, if any."""
-    return lambda: runner.invoke(main, [str(a) for a in args]).exception
+    """A CLI run as a call that returns its result."""
+    return lambda: runner.invoke(main, [str(a) for a in args])
 
 
 def library_call(write, *args):
@@ -941,22 +941,36 @@ WRITERS = [  # (id, file name, the write as a call prepared before the limit is 
         write_topology, builtin_topology("body25"), path)),
     ("manifest", "manifest.csv", lambda runner, ws, path: library_call(
         write_manifest, generate_dataset(SynthConfig(num_frames=40), 2, 0), path)),
+    ("synth-frame", "data/sequences/seq_0000/frame_000000.json", lambda runner, ws, path: cli_run(
+        runner, "synth", "--out", path.parents[2], "--frames", "40")),
 ]
 
 
 @pytest.mark.parametrize("name,prepare", [case[1:] for case in WRITERS], ids=[case[0] for case in WRITERS])
 def test_a_write_failing_midway_leaves_the_previous_file(runner, workspace, tmp_path, name, prepare):
     path = tmp_path / name
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("previous\n", encoding="utf-8")
     write = prepare(runner, workspace, path)
     soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
     handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
     resource.setrlimit(resource.RLIMIT_FSIZE, (64, hard))  # writes past 64 bytes fail with EFBIG
     try:
-        error = write()
+        outcome = write()
     finally:
         resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
         signal.signal(signal.SIGXFSZ, handler)
-    assert isinstance(error, OSError)
+    if isinstance(outcome, Result):  # the command ends in one line, not a traceback
+        assert_one_line_diagnostic(outcome, 1)
+        assert f"cannot write {path}: File too large" in outcome.stderr
+    else:
+        assert isinstance(outcome, OSError)
     assert path.read_text(encoding="utf-8") == "previous\n"
-    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+    assert not [p.name for p in path.parent.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_an_output_directory_that_cannot_be_made_ends_in_one_line(runner, tmp_path):
+    (tmp_path / "data").write_text("a file, not a directory\n", encoding="utf-8")
+    result = runner.invoke(main, ["synth", "--out", str(tmp_path / "data"), "--frames", "40"])
+    assert_one_line_diagnostic(result, 1)
+    assert f"cannot write {tmp_path / 'data' / 'sequences'}: " in result.stderr

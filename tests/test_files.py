@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from freqgcn.errors import WriteError
 from freqgcn.files import write_atomic
 
 
@@ -92,3 +93,23 @@ def test_a_dangling_symlink_creates_its_target(tmp_path):
     link.symlink_to(target)
     write_atomic(link, "new\n")
     assert link.is_symlink() and target.read_text(encoding="utf-8") == "new\n"
+
+
+def test_a_failure_other_than_a_missing_directory_names_the_file(tmp_path, monkeypatch):
+    path = tmp_path / "pred.csv"
+    def replace(src, dst):
+        raise PermissionError(13, "Permission denied", str(src))
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(WriteError) as excinfo:
+        write_atomic(path, "new\n")
+    assert isinstance(excinfo.value, OSError) and excinfo.value.filename == str(path)
+    assert str(excinfo.value) == f"cannot write {path}: Permission denied"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bytes_are_written_as_they_are(tmp_path):
+    path = tmp_path / "frame.json"
+    write_atomic(path, b'{"people": []}\xff')
+    assert path.read_bytes() == b'{"people": []}\xff'
+

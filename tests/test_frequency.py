@@ -11,19 +11,19 @@ from freqgcn.errors import FormatError, InsufficientLengthError
 from freqgcn.frequency import (
     BinSpec,
     FrequencyFeatures,
+    band_magnitudes,
     bin_edges,
     bin_spectrum,
     bin_widths,
     dft_naive,
     extract_features,
     fft_bluestein,
-    magnitude_half_spectrum,
     read_features_csv,
     required_min_frames,
-    unpack_real_pair,
     write_features_csv,
 )
 from freqgcn.pose import PoseSequence
+from oracles import magnitude_half_spectrum, unpack_real_pair
 
 
 class TestDftNaive:
@@ -39,6 +39,11 @@ class TestDftNaive:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             dft_naive([1.0, np.nan, 0.0])
+
+    def test_rows_transform_one_by_one(self):
+        x = np.random.default_rng(4).normal(size=(2, 3, 7))
+        rows = np.stack([dft_naive(row) for row in x.reshape(-1, 7)])
+        assert np.max(np.abs(dft_naive(x).reshape(-1, 7) - rows)) < 1e-12
 
 
 class TestFftBluestein:
@@ -114,6 +119,46 @@ class TestBatchedFftBluestein:
         with pytest.raises(ValueError):
             kernel[0] = 0.0
         assert fft_bluestein(np.ones(37))[0] == pytest.approx(37.0)
+
+
+class TestBandMagnitudes:
+    """The band transform against the direct DFT, the Bluestein FFT and the pipeline it replaced."""
+
+    # Past 64: a perfect square fills its last block of frames, one past a square pads the most.
+    @pytest.mark.parametrize("batch", [(), (3,), (5, 2)])
+    @pytest.mark.parametrize("length", list(range(1, 65)) + [97, 961, 962, 1009, 1024, 1025, 2003])
+    def test_rows_match_oracle(self, length, batch):
+        x = np.random.default_rng([length, len(batch)]).normal(size=batch + (length,))
+        expected = np.abs(dft_naive(x))
+        for hi in (1, length // 2 + 1):
+            got = band_magnitudes(x, hi)
+            assert got.shape == batch + (hi,)
+            assert np.max(np.abs(got - expected[..., :hi])) < 1e-9
+
+    @given(st.integers(1, 3000), st.integers(0, 2**32 - 1), st.data())
+    @settings(deadline=None)
+    def test_bluestein_agreement_property(self, length, seed, data):
+        hi = data.draw(st.integers(1, length // 2 + 1), label="hi")
+        x = np.random.default_rng(seed).normal(size=(2, length))
+        assert np.max(np.abs(band_magnitudes(x, hi) - np.abs(fft_bluestein(x))[:, :hi])) < 1e-9
+
+    @pytest.mark.parametrize("signal,hi", [([1.0, 2.0], 0), ([1.0, 2.0], 3), ([1.0, np.inf], 1),
+                                           (np.zeros((2, 0)), 1), (1.0, 1)])
+    def test_rejects_an_empty_band_or_signal(self, signal, hi):
+        with pytest.raises(ValueError):
+            band_magnitudes(signal, hi)
+
+    def test_features_match_the_bluestein_pipeline(self):
+        """A body25-shaped 1000-frame sequence binned as before: one Bluestein FFT of x + i*y."""
+        rng = np.random.default_rng(25)
+        seq = PoseSequence(np.cumsum(rng.normal(size=(1000, 25, 2)), axis=0), fps=30.0)
+        spec = BinSpec(c=1.15, num_bins=22)
+        traj = np.moveaxis(seq.positions, 0, -1)
+        traj = traj - traj.mean(axis=-1, keepdims=True)
+        spectra = unpack_real_pair(fft_bluestein(traj[:, 0] + 1j * traj[:, 1]))
+        binned = bin_spectrum(magnitude_half_spectrum(np.stack(spectra, axis=1)), spec)
+        got = extract_features(seq, spec).data
+        assert np.max(np.abs(got - np.moveaxis(binned, 1, 2)) / got) < 1e-12
 
 
 class TestMagnitudeHalfSpectrum:

@@ -208,6 +208,24 @@ class TestLoadSequence:
         with pytest.raises(FormatError, match="clip.json: keypoint"):
             load_sequence(path, fps=30.0)
 
+    @pytest.mark.parametrize("doc,message", [
+        (b'{"people": [}', "invalid keypoint document: Expecting value (byte offset 12)"),
+        (b'{"people": "\xff"}', "invalid keypoint document: not UTF-8"),
+        (b'{"people": [{"pose_keypoints_2d": [%s]}]}' % (b"1" * 4301), "invalid keypoint document: Exceeds"),
+        (b"{}", "document has no 'people' array"),
+        (b'{"people": [{"pose_keypoints_2d": 3}]}', "flat numeric array"),
+        (b'{"people": [{"pose_keypoints_2d": [1, 2]}]}', "not divisible by 3"),
+    ], ids=["json", "not utf-8", "long integer", "no people", "not an array", "length"])
+    def test_a_bad_frame_file_is_named(self, tmp_path, doc, message):
+        directory = tmp_path / "seq"
+        directory.mkdir()
+        for k in range(40):
+            (directory / f"frame_{k:06d}.json").write_bytes(doc if k == 17 else frame_doc([1.0, 2.0, 1.0]))
+        with pytest.raises((ParseError, FormatError)) as excinfo:
+            load_sequence(directory, fps=30.0)
+        assert str(excinfo.value).startswith("frame_000017.json: ")
+        assert message in str(excinfo.value)
+
     def test_non_json_entries_are_skipped(self, tmp_path):
         self.write_frames(tmp_path / "seq", ["f_0.json", "f_1.json"])
         (tmp_path / "seq" / "notes_9.txt").write_text("not a frame")
