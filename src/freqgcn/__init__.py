@@ -8,7 +8,6 @@ from .frequency import (
     bin_edges,
     bin_spectrum,
     bin_widths,
-    dft_naive,
     extract_features,
     fft_bluestein,
 )
@@ -17,15 +16,12 @@ from .graph import (
     SkeletonTopology,
     build_feature_graph,
     builtin_topology,
-    normalize_adjacency,
 )
 from .model import (
     AttentionReport,
     Model,
     Prediction,
-    attention_aggregate,
     attention_report,
-    attention_weights,
     backward,
     init_model,
     load_model,
@@ -57,9 +53,7 @@ __all__ = [
     "SkeletonTopology",
     "SynthConfig",
     "TrainConfig",
-    "attention_aggregate",
     "attention_report",
-    "attention_weights",
     "backward",
     "band_magnitudes",
     "bin_edges",
@@ -67,7 +61,6 @@ __all__ = [
     "bin_widths",
     "build_feature_graph",
     "builtin_topology",
-    "dft_naive",
     "evaluate",
     "extract_features",
     "fft_bluestein",
@@ -80,7 +73,6 @@ __all__ = [
     "load_sequence",
     "loss",
     "model_forward",
-    "normalize_adjacency",
     "normalize_sequence",
     "save_model",
     "train",

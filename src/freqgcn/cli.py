@@ -26,8 +26,9 @@ from .errors import (
     FreqGcnError,
     InsufficientLengthError,
     ModelMismatchError,
+    ReadError,
 )
-from .files import make_directory, write_atomic
+from .files import make_directory, read_input, write_atomic
 from .graph import SkeletonTopology, builtin_topology, read_topology
 
 EXIT_INPUT_MISSING = 2
@@ -66,11 +67,12 @@ def _config_callback(ctx: click.Context, param: click.Parameter, value):
     """Load a JSON key-value file as defaults; explicit flags still win."""
     if value is None:
         return None
-    path = Path(value)
-    if not path.exists():
-        raise click.BadParameter(f"no such config file: {path}")
     try:
-        loaded = json.loads(path.read_bytes())
+        loaded = json.loads(read_input(value))
+    except FileNotFoundError:
+        raise click.BadParameter(f"no such config file: {value}") from None
+    except ReadError as exc:
+        raise click.BadParameter(str(exc)) from None
     except ValueError as exc:  # not JSON, not UTF-8, or an integer of too many digits
         raise click.BadParameter(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(loaded, dict):

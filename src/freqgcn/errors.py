@@ -72,5 +72,12 @@ class WriteError(FreqGcnError, OSError):
         return f"cannot write {self.filename}: {self.strerror}"
 
 
+class ReadError(FreqGcnError, OSError):
+    """An input could not be read: a directory, say, or a file without read permission."""
+
+    def __str__(self) -> str:
+        return f"cannot read {self.filename}: {self.strerror}"
+
+
 class ModelMismatchError(FreqGcnError):
     """Model document version or shapes do not match expectations."""

@@ -1,4 +1,4 @@
-"""Output files that a failed write leaves as they were: whole, old or new, never part."""
+"""Reads whose failures name the file, and outputs that a failed write leaves whole, old or new."""
 
 from __future__ import annotations
 
@@ -6,7 +6,25 @@ import os
 import stat
 from pathlib import Path
 
-from .errors import WriteError
+from .errors import ReadError, WriteError
+
+
+def read_input(path: str | Path, error: type[Exception] | None = None, what: str = "file") -> bytes | str:
+    """The bytes of ``path``, or given ``error`` its UTF-8 text; a failed read raises ReadError."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            raw = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+        finally:
+            os.close(fd)
+    except FileNotFoundError:  # a missing input keeps its own error
+        raise
+    except OSError as exc:  # a directory, say, or no read permission
+        raise ReadError(exc.errno, exc.strerror or str(exc), str(path)) from None
+    try:
+        return raw if error is None else raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{Path(path).name}: not a UTF-8 text {what}: {exc}") from None
 
 
 def write_atomic(path: str | Path, data: str | bytes) -> None:

@@ -2,15 +2,12 @@
 
 Binned magnitudes keep the low-to-mid band and discard everything past the
 last bin edge, which is where sensor noise lives, so features come from a
-two-level direct DFT of that band alone. The general transforms stay as a
-self-contained stack: a direct O(T^2) DFT, the reference oracle, and a
-chirp-z (Bluestein) FFT that handles any length, primes included, through a
-power-of-two circular convolution.
+two-level direct DFT of that band alone. The general transform is a
+chirp-z (Bluestein) FFT of any length, primes included.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -19,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolationError, FormatError, InsufficientLengthError
-from .files import write_atomic
+from .files import read_input, write_atomic
 from .pose import PoseSequence
 
 CHANNELS = ("x", "y")
@@ -34,29 +31,7 @@ def _finite_signals(signal, name: str, dtype) -> np.ndarray:
     return x.astype(dtype)
 
 
-def dft_naive(signal) -> np.ndarray:
-    """Direct evaluation of X[k] = sum_t x[t] exp(-2*pi*i*k*t/T) along the last axis.
-
-    O(T^2); exists as the independent oracle for the fast transforms. The
-    phase k*t is reduced mod T in integer arithmetic so large products do
-    not lose precision.
-    """
-    x = _finite_signals(signal, "dft_naive", np.complex128)
-    t = x.shape[-1]
-    k = np.arange(t, dtype=np.int64)
-    phase = (k[:, None] * k[None, :]) % t
-    basis = np.exp((-2j * np.pi / t) * phase)
-    return x @ basis  # the basis is symmetric
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """Mark a cached array read-only, since every caller shares it."""
-    a.setflags(write=False)
-    return a
-
-
-@functools.lru_cache(maxsize=8)
-def _pow2_plan(m: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+def _pow2_plan(m: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """Bit-reversal permutation and per-stage twiddles of a length-m radix-2 FFT."""
     rev = np.zeros(m, dtype=np.int64)
     work = np.arange(m)
@@ -68,7 +43,7 @@ def _pow2_plan(m: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     while size <= m:
         twiddles.append(np.exp((-2j * np.pi / size) * np.arange(size // 2)))
         size *= 2
-    return _frozen(rev), tuple(_frozen(w) for w in twiddles)
+    return rev, twiddles
 
 
 def _fft_pow2(values: np.ndarray) -> np.ndarray:
@@ -95,9 +70,6 @@ def _ifft_pow2(values: np.ndarray) -> np.ndarray:
     return out
 
 
-# Bounded: when every input has a new length, an unbounded cache would keep
-# a chirp and a kernel (up to 5T complex values) for every length seen.
-@functools.lru_cache(maxsize=8)
 def _chirp_plan(t: int) -> tuple[np.ndarray, np.ndarray]:
     """Chirp exp(-i*pi*n^2/t) and the FFT of its zero-padded conjugate kernel."""
     n = np.arange(t, dtype=np.int64)
@@ -106,7 +78,7 @@ def _chirp_plan(t: int) -> tuple[np.ndarray, np.ndarray]:
     b = np.zeros(m, dtype=np.complex128)
     b[:t] = np.conj(chirp)
     b[m - t + 1 :] = np.conj(chirp[1:][::-1])
-    return _frozen(chirp), _frozen(_fft_pow2(b))
+    return chirp, _fft_pow2(b)
 
 
 def fft_bluestein(signal) -> np.ndarray:
@@ -137,7 +109,7 @@ def band_magnitudes(signal, hi: int) -> np.ndarray:
     by the (p, hi) table W^(k*b), its cosines and sines interleaved, so the product reads as
     complex; the (blocks, hi) table W^(k*a*p) then combines the blocks. The tables take
     about 2*sqrt(T)*hi exponentials, so nothing is cached. Phases are reduced mod T in
-    integers, as in :func:`dft_naive`.
+    integers, so large products do not lose precision.
     """
     x = _finite_signals(signal, "band_magnitudes", np.float64)
     t = x.shape[-1]
@@ -322,10 +294,7 @@ def read_features_csv(path: str | Path) -> tuple[FrequencyFeatures, BinSpec]:
     if not meta_file.exists():
         raise FormatError(f"missing feature sidecar {meta_file}")
     n, spec, fps = _read_sidecar(meta_file)
-    try:
-        lines = path.read_text("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path.name}: not a UTF-8 text file: {exc}") from None
+    lines = read_input(path, FormatError).splitlines()
     if not lines or lines[0] != "joint,bin,channel,value":
         raise FormatError(f"{path.name}: expected header 'joint,bin,channel,value'")
     rows = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line]
@@ -369,7 +338,7 @@ def _read_sidecar(meta_file: Path) -> tuple[int, BinSpec, float]:
     """
     name = meta_file.name
     try:
-        meta = json.loads(meta_file.read_bytes())
+        meta = json.loads(read_input(meta_file))
     except ValueError as exc:  # not JSON, not UTF-8, or an integer of too many digits
         raise FormatError(f"{name}: invalid JSON: {exc}") from None
     if (

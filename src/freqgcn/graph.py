@@ -9,15 +9,12 @@ adjacency with self loops, applied through the graph's product structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractViolationError, FormatError, UnknownPresetError
-from .files import write_atomic
-
-POWER_ITERATIONS = 1000  # steps of spectral_radius
+from .files import read_input, write_atomic
 
 # OpenPose BODY_25 joint order.
 _BODY25_NAMES = (
@@ -157,11 +154,7 @@ def read_topology(path: str | Path) -> SkeletonTopology:
     neck = 1
     names: dict[int, str] = {}
     edges: list[tuple[int, int]] = []
-    try:
-        text = path.read_text("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path.name}: not a UTF-8 text file: {exc}") from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_input(path, FormatError).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -202,9 +195,7 @@ class FeatureGraph:
 
     The graph is the Cartesian product of the skeleton and a path over the
     bins, A = A_skel (x) I_B + I_N (x) A_path, so D^-1/2 (A + I) D^-1/2 is
-    applied by :meth:`propagate` without forming an L x L matrix. The dense
-    ``adjacency`` and ``normalized`` forms are built on first access only,
-    as the reference the structured operator is tested against.
+    applied by :meth:`propagate` without forming an L x L matrix.
     """
 
     topology: SkeletonTopology
@@ -217,17 +208,11 @@ class FeatureGraph:
     def num_nodes(self) -> int:
         return self.topology.num_joints * self.num_bins
 
-    def node_index(self, b: int, i: int) -> int:
-        """Bijection (bin b, joint i) -> [0, L); joint-major layout."""
-        if not (0 <= b < self.num_bins and 0 <= i < self.topology.num_joints):
-            raise IndexError(f"(bin {b}, joint {i}) outside graph")
-        return i * self.num_bins + b
-
     def propagate(
         self, x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
     ) -> np.ndarray:
-        """Normalized adjacency times node features: ``normalized @ x`` for x of shape (L, C),
-        or for each of E graphs stacked as (E*L, C).
+        """Normalized adjacency times node features, for x of shape (L, C) or for each of E
+        graphs stacked as (E*L, C).
 
         With Y = s * X the product is s * ((A_skel + I) Y over joints +
         A_path Y over bins). The operator is symmetric, so the same call
@@ -248,31 +233,6 @@ class FeatureGraph:
         out *= scale
         return out.reshape(x.shape)
 
-    @cached_property
-    def adjacency(self) -> np.ndarray:
-        """Dense L x L adjacency: same-bin skeleton edges plus the bin chain per joint."""
-        n, num_bins = self.topology.num_joints, self.num_bins
-        length = num_bins * n
-        a = np.zeros((length, length), dtype=np.float64)
-
-        def node(b: int, i: int) -> int:
-            return i * num_bins + b
-
-        for b in range(num_bins):
-            for i, j in self.topology.edges:
-                a[node(b, i), node(b, j)] = 1.0
-                a[node(b, j), node(b, i)] = 1.0
-        for i in range(n):
-            for b in range(num_bins - 1):
-                a[node(b, i), node(b + 1, i)] = 1.0
-                a[node(b + 1, i), node(b, i)] = 1.0
-        return a
-
-    @cached_property
-    def normalized(self) -> np.ndarray:
-        """Dense D^-1/2 (A + I) D^-1/2, the oracle for :meth:`propagate`."""
-        return normalize_adjacency(self.adjacency)
-
 
 def build_feature_graph(topology: SkeletonTopology, num_bins: int) -> FeatureGraph:
     """Connect same-bin skeleton edges and the low-to-high bin chain per joint."""
@@ -291,37 +251,3 @@ def build_feature_graph(topology: SkeletonTopology, num_bins: int) -> FeatureGra
         bin_operator=bin_operator,
         scale=(1.0 / np.sqrt(degree))[:, :, None],
     )
-
-
-def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
-    """Symmetric normalization with self loops.
-
-    Adds the identity, then scales by inverse square-root degree on both
-    sides. Every degree is >= 1 after the self loop, so the scaling is
-    always defined and the result keeps spectral radius <= 1.
-    """
-    a = np.asarray(adjacency, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ContractViolationError(f"adjacency must be square, got shape {a.shape}")
-    if not np.array_equal(a, a.T):
-        raise ContractViolationError("adjacency must be symmetric")
-    if np.any(np.diag(a) != 0.0):
-        raise ContractViolationError("adjacency must have a zero diagonal")
-    if not np.isin(a, (0.0, 1.0)).all():
-        raise ContractViolationError("adjacency entries must be 0 or 1")
-    with_loops = a + np.eye(a.shape[0])
-    inv_sqrt_degree = 1.0 / np.sqrt(with_loops.sum(axis=1))
-    return with_loops * inv_sqrt_degree[:, None] * inv_sqrt_degree[None, :]
-
-
-def spectral_radius(matrix: np.ndarray) -> float:
-    """Dominant absolute eigenvalue estimate by power iteration."""
-    m = np.asarray(matrix, dtype=np.float64)
-    v = np.full(m.shape[0], 1.0 / np.sqrt(m.shape[0]))
-    for _ in range(POWER_ITERATIONS):
-        w = m @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-    return float(abs(v @ (m @ v)))

@@ -22,21 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolationError, ModelMismatchError, NonFiniteError
-from .files import write_atomic
+from .files import read_input, write_atomic
 from .frequency import BinSpec, FrequencyFeatures
 from .graph import FeatureGraph, SkeletonTopology, build_feature_graph
 
 NUM_CLASSES = 2
 
 LABELS = {0: (1.0, 0.0), 1: (0.0, 1.0)}
-
-
-@dataclass(eq=False)
-class AttentionParams:
-    """Attention parameters passed on their own to :func:`attention_weights`."""
-
-    w_z: np.ndarray  # (C, C)
-    w_alpha: np.ndarray  # (C,)
 
 
 def parameter_schema(channel_widths: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
@@ -179,12 +171,6 @@ def init_model(
     )
 
 
-def attention_weights(features_h: np.ndarray, params: AttentionParams) -> np.ndarray:
-    """Per-joint softmax over bins of the scores w_alpha . tanh(W_z h)."""
-    alpha, _ = _attention_forward(features_h, params.w_z, params.w_alpha)
-    return alpha
-
-
 def _attention_forward(features_h: np.ndarray, w_z: np.ndarray, w_alpha: np.ndarray):
     """(alpha, z) for features h of shape (N, B, C) or (E, N, B, C)."""
     h = np.asarray(features_h, dtype=np.float64)
@@ -200,23 +186,6 @@ def _attention_forward(features_h: np.ndarray, w_z: np.ndarray, w_alpha: np.ndar
 def _gate(h: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """G = B * alpha * h, so uniform attention reproduces the raw features."""
     return h.shape[-2] * alpha[..., None] * h
-
-
-def attention_aggregate(
-    features_h: np.ndarray, alpha: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Aggregate V_i = sum_b alpha h and gate G = B * alpha * h for a caller's alpha.
-
-    The B factor makes uniform attention reproduce the raw features, so an
-    untrained (zero-score) model sees its input unchanged.
-    """
-    h = np.asarray(features_h, dtype=np.float64)
-    a = np.asarray(alpha, dtype=np.float64)
-    if a.shape != h.shape[:2]:
-        raise ContractViolationError(f"alpha shape {a.shape} does not match features {h.shape[:2]}")
-    if not np.allclose(a.sum(axis=1), 1.0, atol=1e-6):
-        raise ContractViolationError("alpha rows must sum to 1")
-    return np.einsum("nb,nbc->nc", a, h), _gate(h, a)
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -259,7 +228,7 @@ def model_forward(
     # Overflow shows up in the logits, which are checked below instead of warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         alpha, z = _attention_forward(h, w_z, w_alpha)
-        # (N, B, C) rows land at node index i*B + b, matching FeatureGraph.node_index.
+        # (N, B, C) rows land at node index i*B + b, the feature graph's joint-major order.
         layer_inputs = [_gate(h, alpha).reshape(e * length, model.in_channels)]
         aggregated, pre_relu = [], []
         for l, weight in enumerate(layers):
@@ -401,10 +370,7 @@ def save_model(model: Model, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> Model:
     path = Path(path)
-    try:
-        lines = path.read_text("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ModelMismatchError(f"{path.name}: not a UTF-8 text document: {exc}") from None
+    lines = read_input(path, ModelMismatchError, "document").splitlines()
     cursor = 0
 
     def take() -> str:

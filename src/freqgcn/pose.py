@@ -23,6 +23,7 @@ import math
 import os
 import re
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from .errors import (
     UnrecoverableJointError,
     DegeneratePoseError,
 )
-from .files import make_directory, write_atomic
+from .files import make_directory, read_input, write_atomic
 
 # Frame rates outside this range are accepted but flagged.
 FPS_QUIET_RANGE = (24.0, 60.0)
@@ -56,7 +57,7 @@ _PAIR_OK = bytes(i in (0o11, 0o14, 0o15, 0o16, 0o21, 0o31, 0o41, 0o51, 0o52, 0o5
                        0o71, 0o72, 0o77) for i in range(256))
 
 
-def _check_values(xy: np.ndarray, conf: np.ndarray, error: type[Exception]) -> None:
+def _check_values(xy: np.ndarray, conf: np.ndarray, error: Callable[[str], Exception]) -> None:
     if not np.isfinite(xy).all():
         raise error("keypoint coordinates must be finite")
     if not ((conf >= 0.0) & (conf <= 1.0)).all():
@@ -126,8 +127,20 @@ def _first_person(doc) -> list | None:
     return flat
 
 
-def _keypoint_table(path: Path, count: int, lists: dict[int, list], values: np.ndarray,
-                    rows: np.ndarray | list[int], expected_joints: int | None) -> np.ndarray:
+def _frame_name(path: Path, names: list[str] | None, t: int) -> str:
+    return f"frame {t} of {path.name}" if names is None else os.path.basename(names[t])
+
+
+def _numbers(rows: list, ndim: int) -> np.ndarray | None:
+    try:
+        array = np.array(rows)
+    except ValueError:  # ragged: a keypoint array holds a nested list
+        return None
+    return array if array.ndim == ndim and array.dtype.kind in "biuf" else None
+
+
+def _keypoint_table(path: Path, names: list[str] | None, count: int, lists: dict[int, list],
+                    values: np.ndarray, rows: np.ndarray | list[int], expected_joints: int | None) -> np.ndarray:
     """The (T, n, 3) x, y, confidence table of ``count`` frames: ``lists`` maps frames to keypoint
     lists, ``values`` holds the loadtxt rows of frames ``rows``, and any other frame has nobody
     (every value 0). ``n`` is ``expected_joints``, else that of the first frame with somebody."""
@@ -143,16 +156,15 @@ def _keypoint_table(path: Path, count: int, lists: dict[int, list], values: np.n
         n = int(width[seen[0]]) // 3
     wrong = seen[width[seen] != 3 * n]
     if wrong.size:
-        raise TopologyMismatchError(f"document carries {width[wrong[0]] // 3} joints, topology expects {n}")
+        raise TopologyMismatchError(f"{_frame_name(path, names, wrong[0])}: document carries "
+                                    f"{width[wrong[0]] // 3} joints, topology expects {n}")
     table = np.zeros((count, n, 3))
     table[rows] = values.reshape(len(rows), n, 3)
     if lists:
-        try:
-            parsed = np.array(list(lists.values()))
-        except ValueError:  # ragged: a keypoint array holds a nested list
-            raise FormatError(_NOT_NUMERIC) from None
-        if parsed.ndim != 2 or parsed.dtype.kind not in "biuf":  # nested triples, or not numbers
-            raise FormatError(_NOT_NUMERIC)
+        parsed = _numbers(list(lists.values()), 2)
+        if parsed is None:  # nested triples, or not numbers: find the first such frame
+            t = next(t for t, flat in lists.items() if _numbers(flat, 1) is None)
+            raise FormatError(f"{_frame_name(path, names, t)}: {_NOT_NUMERIC}")
         table[listed] = parsed.reshape(len(lists), n, 3)
     return table
 
@@ -202,14 +214,6 @@ def _frame_files(directory: Path) -> list[str]:
     return [path for _, _, path in keyed]
 
 
-def _read(name: str) -> bytes:
-    fd = os.open(name, os.O_RDONLY)
-    try:
-        return b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
-    finally:
-        os.close(fd)
-
-
 def _not_json_numbers(bodies: list[bytes]) -> list[int]:
     """Indices of the ``bodies``, fields separated by "," or ", ", that hold more than JSON numbers.
 
@@ -236,7 +240,7 @@ def _read_frames(names: list[str]) -> tuple[dict[int, list], np.ndarray, np.ndar
     not a multiple of 3, an integer from 2**63)."""
     bodies, rows, texts, remainders = [], [], {}, {}
     for t, name in enumerate(names):
-        raw = _read(name)
+        raw = read_input(name)
         cut = _CUT.search(raw)
         if cut and raw.count(_KEY) == 1:
             rest = raw[: cut.start(1)] + raw[cut.end(1) :]
@@ -253,7 +257,7 @@ def _read_frames(names: list[str]) -> tuple[dict[int, list], np.ndarray, np.ndar
     for k in reversed(_not_json_numbers(bodies) if bodies else []):  # read again, to parse whole
         del bodies[k]
         t = rows.pop(k)
-        texts[t] = _read(names[t])
+        texts[t] = read_input(names[t])
     values = np.empty((0, 3))
     if bodies:
         try:
@@ -262,7 +266,7 @@ def _read_frames(names: list[str]) -> tuple[dict[int, list], np.ndarray, np.ndar
         except ValueError:  # rows of different widths, or a field with a second "." or exponent
             values, refused = np.empty((len(bodies), 0)), np.arange(len(bodies))
         for k in refused.tolist():  # read again, to parse whole
-            texts[rows[k]] = _read(names[rows[k]])
+            texts[rows[k]] = read_input(names[rows[k]])
         values, rows = np.delete(values, refused, 0), np.delete(rows, refused)
     lists = {t: _frame_list(names[t], texts[t]) for t in sorted(texts)}  # errors in frame order
     return {t: flat for t, flat in lists.items() if flat is not None}, values, rows
@@ -273,14 +277,14 @@ def _table(path: Path, names: list[str] | None, expected_joints: int | None) -> 
     if names is not None:
         if not names:
             raise EmptyInputError(f"no keypoint files in {path}")
-        return _keypoint_table(path, len(names), *_read_frames(names), expected_joints)
-    docs = _load_json(path.read_bytes(), "container file")
+        return _keypoint_table(path, names, len(names), *_read_frames(names), expected_joints)
+    docs = _load_json(read_input(path), "container file")
     if not isinstance(docs, list):
         raise ParseError("container file must hold a JSON array of frame documents")
     if not docs:
         raise EmptyInputError(f"container file {path} holds no frames")
     lists = {t: flat for t, doc in enumerate(docs) if (flat := _first_person(doc)) is not None}
-    return _keypoint_table(path, len(docs), lists, np.empty((0, 3)), [], expected_joints)
+    return _keypoint_table(path, None, len(docs), lists, np.empty((0, 3)), [], expected_joints)
 
 
 def load_sequence(
@@ -299,10 +303,13 @@ def load_sequence(
     if not path.exists():
         raise FileNotFoundError(f"no such input: {path}")
 
-    table = _table(path, _frame_files(path) if path.is_dir() else None, expected_joints)
+    names = _frame_files(path) if path.is_dir() else None
+    table = _table(path, names, expected_joints)
     try:
         seq = PoseSequence(positions=table[..., :2], fps=fps, confidence=table[..., 2])
     except ContractViolationError as exc:  # fps, frame count or keypoint values
+        for t, frame in enumerate(table):  # values again, frame by frame, to name the first frame at fault
+            _check_values(frame[:, :2], frame[:, 2], lambda m: FormatError(f"{_frame_name(path, names, t)}: {m}"))
         raise FormatError(f"{path.name}: {exc}") from None
     if not FPS_QUIET_RANGE[0] <= fps <= FPS_QUIET_RANGE[1]:
         warnings.warn(

@@ -9,6 +9,7 @@ default so tests see no spectral leakage.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AliasingConfigError, ContractViolationError, FormatError
-from .files import make_directory, write_atomic
+from .files import make_directory, read_input, write_atomic
 from .graph import SkeletonTopology, builtin_topology
 from .pose import PoseSequence, write_sequence
 
@@ -46,12 +47,8 @@ _REST_POSES: dict[str, tuple[tuple[float, float], ...]] = {
 
 
 def rest_pose(topology: SkeletonTopology) -> np.ndarray:
-    """(N, 2) rest layout; unnamed topologies get a circle placement."""
-    preset = _REST_POSES.get(topology.name)
-    if preset is not None:
-        return np.array(preset, dtype=np.float64)
-    angles = 2.0 * np.pi * np.arange(topology.num_joints) / topology.num_joints
-    return np.stack([200.0 + 100.0 * np.cos(angles), 200.0 + 100.0 * np.sin(angles)], axis=1)
+    """(N, 2) rest layout of a preset topology."""
+    return np.array(_REST_POSES[topology.name], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -214,21 +211,17 @@ def read_manifest(path: str | Path) -> list[dict[str, str]]:
     """Rows of the dataset manifest; each needs a sequence_id and a label of 0 or 1."""
     path = Path(path)
     rows = []
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        try:
-            missing = {"sequence_id", "label"} - set(reader.fieldnames or ())
-            if reader.fieldnames and missing:
-                raise FormatError(f"{path.name}: manifest missing columns {sorted(missing)}")
-            for row in reader:
-                if not row["sequence_id"] or row["label"] not in ("0", "1"):
-                    raise FormatError(
-                        f"{path.name}:{reader.line_num}: expected a sequence_id and a label "
-                        f"of 0 or 1, got {row['sequence_id']!r} and {row['label']!r}"
-                    )
-                rows.append(row)
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path.name}: not a UTF-8 text file: {exc}") from None
+    reader = csv.DictReader(io.StringIO(read_input(path, FormatError), newline=""))
+    missing = {"sequence_id", "label"} - set(reader.fieldnames or ())
+    if reader.fieldnames and missing:
+        raise FormatError(f"{path.name}: manifest missing columns {sorted(missing)}")
+    for row in reader:
+        if not row["sequence_id"] or row["label"] not in ("0", "1"):
+            raise FormatError(
+                f"{path.name}:{reader.line_num}: expected a sequence_id and a label "
+                f"of 0 or 1, got {row['sequence_id']!r} and {row['label']!r}"
+            )
+        rows.append(row)
     if not rows:
         raise FormatError(f"{path.name}: empty manifest")
     return rows

@@ -751,6 +751,20 @@ def absent(ws, tmp):
     return tmp / "absent"
 
 
+def directory(name):
+    """Input builder: an empty directory tmp/<name> where a file is expected."""
+    def build(ws, tmp):
+        (tmp / name).mkdir()
+        return tmp / name
+    return build
+
+
+def features_sidecar_directory(ws, tmp):
+    """seq_0000's feature file, whose sidecar path is a directory."""
+    directory("seq_0000.csv.meta.json")(ws, tmp)
+    return features_copy(sidecar=False)(ws, tmp)
+
+
 def model_txt(ws, tmp):
     return ws / "model.txt"
 
@@ -826,6 +840,12 @@ ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring)
      1, "manifest missing columns"),
     ("train-empty-manifest", train(manifest=written("manifest.csv", "sequence_id,label\n")),
      1, "empty manifest"),
+    # Inputs that are there but cannot be read.
+    ("predict-model-a-directory", predict(model=directory("model.txt")), 1, "cannot read"),
+    ("train-manifest-a-directory", train(manifest=directory("manifest.csv")), 1, "cannot read"),
+    ("config-a-directory", lambda ws, tmp, out: ["gradcheck", "--config", directory("cfg.json")(ws, tmp)],
+     2, "cannot read"),
+    ("features-sidecar-a-directory", predict(features=features_sidecar_directory), 1, "cannot read"),
     ("extract-no-frames-no-sequences",
      extract(lambda ws, tmp: (tmp / "seq").mkdir() or tmp / "seq"), 2, "holds neither"),
     # Flags that do not parse, and --config files.

@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,16 @@ def raised_names(tree: ast.AST):
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             if isinstance(exc, ast.Name):
                 yield node.lineno, exc.id
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_oracles_are_not_package_api(module):
+    # They live in tests/oracles.py; no command runs them.
+    loaded = importlib.import_module("freqgcn" if module == "__init__" else f"freqgcn.{module}")
+    moved = {"dft_naive", "normalize_adjacency", "spectral_radius", "POWER_ITERATIONS", "AttentionParams",
+             "attention_weights", "attention_aggregate", "_frozen"}
+    assert sorted(moved & set(dir(loaded))) == []
+    assert sorted(moved & set(freqgcn.__all__)) == []
 
 
 def test_contract_violation_is_the_package_value_error():

@@ -6,8 +6,8 @@ import threading
 
 import pytest
 
-from freqgcn.errors import WriteError
-from freqgcn.files import write_atomic
+from freqgcn.errors import FormatError, FreqGcnError, ReadError, WriteError
+from freqgcn.files import read_input, write_atomic
 
 
 def test_replaces_the_file_with_the_mode_of_a_plain_write(tmp_path):
@@ -113,3 +113,19 @@ def test_bytes_are_written_as_they_are(tmp_path):
     write_atomic(path, b'{"people": []}\xff')
     assert path.read_bytes() == b'{"people": []}\xff'
 
+
+def test_a_read_that_fails_names_the_file(tmp_path):
+    with pytest.raises(ReadError) as excinfo:
+        read_input(tmp_path)
+    assert isinstance(excinfo.value, FreqGcnError) and isinstance(excinfo.value, OSError)
+    assert str(excinfo.value) == f"cannot read {tmp_path}: Is a directory"
+    with pytest.raises(FileNotFoundError):  # a missing input keeps its own exit code
+        read_input(tmp_path / "absent")
+
+
+def test_text_that_is_not_utf8_raises_the_readers_error(tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_bytes(b"freqgcn-model v1\n\xff\n")
+    assert read_input(path) == b"freqgcn-model v1\n\xff\n"
+    with pytest.raises(FormatError, match="^model.txt: not a UTF-8 text document: "):
+        read_input(path, FormatError, "document")

@@ -15,7 +15,6 @@ from freqgcn.frequency import (
     bin_edges,
     bin_spectrum,
     bin_widths,
-    dft_naive,
     extract_features,
     fft_bluestein,
     read_features_csv,
@@ -23,7 +22,7 @@ from freqgcn.frequency import (
     write_features_csv,
 )
 from freqgcn.pose import PoseSequence
-from oracles import magnitude_half_spectrum, unpack_real_pair
+from oracles import dft_naive, magnitude_half_spectrum, unpack_real_pair
 
 
 class TestDftNaive:
@@ -104,21 +103,6 @@ class TestBatchedFftBluestein:
         spec_x, spec_y = unpack_real_pair(fft_bluestein(x + 1j * y))
         assert np.max(np.abs(spec_x - fft_bluestein(x))) < 1e-12
         assert np.max(np.abs(spec_y - fft_bluestein(y))) < 1e-12
-
-    def test_per_length_cache_stays_bounded(self):
-        for length in range(300, 400):
-            fft_bluestein(np.ones(length))
-        for plan in (frequency._chirp_plan, frequency._pow2_plan):
-            info = plan.cache_info()
-            assert info.maxsize is not None
-            assert info.currsize <= info.maxsize
-
-    def test_cached_plans_are_read_only(self):
-        fft_bluestein(np.ones(37))
-        chirp, kernel = frequency._chirp_plan(37)
-        with pytest.raises(ValueError):
-            kernel[0] = 0.0
-        assert fft_bluestein(np.ones(37))[0] == pytest.approx(37.0)
 
 
 class TestBandMagnitudes:

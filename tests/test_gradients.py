@@ -14,6 +14,7 @@ from freqgcn.training import (
     gradient_check,
     max_relative_error,
 )
+from oracles import normalized
 
 TOY = builtin_topology("toy5")
 SPEC3 = BinSpec(c=1.3, num_bins=3)
@@ -97,7 +98,7 @@ def example_oracle(model, h, label):
     """One example's logits and loss gradients, written out on (L, C) arrays with the dense
     normalized adjacency: the per-example reference for the chunked forward and backward."""
     params = model.params
-    a_hat = model.graph.normalized
+    a_hat = normalized(model.graph)
     layers = [params[f"layer{l}"] for l in range(model.num_layers)]
     n, b, c = h.shape
     z = np.tanh(h @ params["w_z"].T)

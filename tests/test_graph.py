@@ -10,11 +10,10 @@ from freqgcn.graph import (
     SkeletonTopology,
     build_feature_graph,
     builtin_topology,
-    normalize_adjacency,
     read_topology,
-    spectral_radius,
     write_topology,
 )
+from oracles import adjacency, node_index, normalize_adjacency, normalized, spectral_radius
 
 
 class TestBuiltinTopology:
@@ -61,21 +60,22 @@ class TestBuildFeatureGraph:
     def test_single_bin_keeps_skeleton_only(self):
         fg = build_feature_graph(builtin_topology("toy5"), num_bins=1)
         assert fg.num_nodes == 5
-        assert fg.adjacency.sum() / 2 == 4
+        assert adjacency(fg).sum() / 2 == 4
 
     def test_toy5_three_bins_edge_count(self):
         fg = build_feature_graph(builtin_topology("toy5"), num_bins=3)
         assert fg.num_nodes == 15
         # 3 bins x 4 skeleton edges + 5 joints x 2 bin links
-        assert fg.adjacency.sum() / 2 == 3 * 4 + 5 * 2
+        assert adjacency(fg).sum() / 2 == 3 * 4 + 5 * 2
 
     def test_two_bins_gives_one_bin_neighbor_each(self):
         topo = builtin_topology("coco18")
         fg = build_feature_graph(topo, num_bins=2)
+        dense = adjacency(fg)
         for i in range(topo.num_joints):
-            a = fg.node_index(0, i)
-            b = fg.node_index(1, i)
-            assert fg.adjacency[a, b] == 1.0
+            a = node_index(fg, 0, i)
+            b = node_index(fg, 1, i)
+            assert dense[a, b] == 1.0
 
     @given(st.integers(2, 8), st.integers(1, 5), st.integers(0, 4), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -84,20 +84,22 @@ class TestBuildFeatureGraph:
         topo = random_connected_topology(rng, num_joints, extra_edges=extra)
         fg = build_feature_graph(topo, num_bins)
         expected = num_bins * topo.num_edges + num_joints * (num_bins - 1)
-        assert fg.adjacency.sum() / 2 == expected
-        assert np.array_equal(fg.adjacency, fg.adjacency.T)
-        assert np.all(np.diag(fg.adjacency) == 0.0)
+        dense = adjacency(fg)
+        assert dense.sum() / 2 == expected
+        assert np.array_equal(dense, dense.T)
+        assert np.all(np.diag(dense) == 0.0)
 
     def test_feature_graph_is_connected(self):
         rng = np.random.default_rng(0)
         topo = random_connected_topology(rng, 6, extra_edges=1)
         fg = build_feature_graph(topo, num_bins=4)
         # BFS over the adjacency
+        dense = adjacency(fg)
         seen = {0}
         stack = [0]
         while stack:
             node = stack.pop()
-            for nb in np.flatnonzero(fg.adjacency[node]):
+            for nb in np.flatnonzero(dense[node]):
                 if int(nb) not in seen:
                     seen.add(int(nb))
                     stack.append(int(nb))
@@ -105,7 +107,7 @@ class TestBuildFeatureGraph:
 
     def test_node_index_is_a_bijection(self):
         fg = build_feature_graph(builtin_topology("toy5"), num_bins=3)
-        seen = {fg.node_index(b, i) for b in range(3) for i in range(5)}
+        seen = {node_index(fg, b, i) for b in range(3) for i in range(5)}
         assert seen == set(range(15))
 
     def test_joint_relabeling_commutes_with_construction(self):
@@ -124,8 +126,8 @@ class TestBuildFeatureGraph:
         node_map = np.zeros(fg.num_nodes, dtype=int)
         for i in range(5):
             for b in range(bins):
-                node_map[fg.node_index(b, i)] = fg_perm.node_index(b, int(perm[i]))
-        assert np.array_equal(fg_perm.adjacency[np.ix_(node_map, node_map)], fg.adjacency)
+                node_map[node_index(fg, b, i)] = node_index(fg_perm, b, int(perm[i]))
+        assert np.array_equal(adjacency(fg_perm)[np.ix_(node_map, node_map)], adjacency(fg))
 
 
 class TestPropagate:
@@ -133,7 +135,7 @@ class TestPropagate:
 
     @staticmethod
     def assert_matches_dense(fg, x):
-        dense = normalize_adjacency(fg.adjacency) @ x
+        dense = normalize_adjacency(adjacency(fg)) @ x
         np.testing.assert_allclose(fg.propagate(x), dense, rtol=0, atol=1e-12)
 
     @given(st.integers(2, 10), st.integers(1, 6), st.integers(0, 4), st.integers(1, 17),
@@ -159,16 +161,15 @@ class TestPropagate:
         out, scratch = np.empty_like(x), np.empty(2 * x.size)
         result = fg.propagate(x, out, scratch)
         assert np.shares_memory(result, out)
-        dense = normalize_adjacency(fg.adjacency)
+        dense = normalize_adjacency(adjacency(fg))
         for g, rows in enumerate(np.split(x, graphs)):
             np.testing.assert_allclose(np.split(result, graphs)[g], dense @ rows, rtol=0, atol=1e-12)
             assert np.array_equal(np.split(result, graphs)[g], fg.propagate(rows))
 
     def test_dense_forms_are_built_only_on_request(self):
         fg = build_feature_graph(builtin_topology("body25"), num_bins=22)
-        assert "adjacency" not in vars(fg) and "normalized" not in vars(fg)
-        assert fg.normalized.shape == (550, 550)
-        assert "adjacency" in vars(fg)
+        assert not any(hasattr(fg, name) for name in ("adjacency", "normalized", "node_index"))
+        assert normalized(fg).shape == (550, 550)
 
 
 class TestNormalizeAdjacency:
@@ -203,7 +204,7 @@ class TestNormalizeAdjacency:
         rng = np.random.default_rng(seed)
         topo = random_connected_topology(rng, num_joints, extra_edges=int(rng.integers(0, 3)))
         fg = build_feature_graph(topo, num_bins)
-        assert spectral_radius(fg.normalized) <= 1.0 + 1e-9
+        assert spectral_radius(normalized(fg)) <= 1.0 + 1e-9
 
     @given(st.integers(2, 6), st.integers(1, 3), st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -213,5 +214,5 @@ class TestNormalizeAdjacency:
         fg = build_feature_graph(topo, num_bins)
         if fg.num_nodes > 20:
             return
-        exact = float(np.max(np.abs(np.linalg.eigvalsh(fg.normalized))))
-        assert spectral_radius(fg.normalized) == pytest.approx(exact, abs=1e-6)
+        exact = float(np.max(np.abs(np.linalg.eigvalsh(normalized(fg)))))
+        assert spectral_radius(normalized(fg)) == pytest.approx(exact, abs=1e-6)

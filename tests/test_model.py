@@ -10,11 +10,8 @@ from freqgcn.errors import ContractViolationError, ModelMismatchError, NonFinite
 from freqgcn.frequency import BinSpec, FrequencyFeatures
 from freqgcn.graph import SkeletonTopology, builtin_topology
 from freqgcn.model import (
-    AttentionParams,
     AttentionReport,
-    attention_aggregate,
     attention_report,
-    attention_weights,
     backward,
     init_model,
     load_model,
@@ -24,6 +21,7 @@ from freqgcn.model import (
     parameter_schema,
     save_model,
 )
+from oracles import AttentionParams, attention_aggregate, attention_weights, normalized
 
 TOY = builtin_topology("toy5")
 SPEC3 = BinSpec(c=1.3, num_bins=3)
@@ -159,7 +157,7 @@ class TestGcnForward:
         _, _, cache = model_forward(feats, model)
         layers = [model.params[f"layer{l}"] for l in range(model.num_layers)]
         for l, weight in enumerate(layers):
-            want = gcn_forward(model.graph.normalized, cache.layer_inputs[l], weight)
+            want = gcn_forward(normalized(model.graph), cache.layer_inputs[l], weight)
             np.testing.assert_allclose(cache.layer_inputs[l + 1], want, rtol=0, atol=1e-12)
 
 
@@ -235,7 +233,7 @@ class DenseGraph:
     def __init__(self, graph):
         self.topology = graph.topology
         self.num_bins = graph.num_bins
-        self.normalized = graph.normalized
+        self.normalized = normalized(graph)
 
     def propagate(self, x, out=None, scratch=None):
         return np.matmul(self.normalized, x, out=out)

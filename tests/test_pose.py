@@ -226,6 +226,25 @@ class TestLoadSequence:
         assert str(excinfo.value).startswith("frame_000017.json: ")
         assert message in str(excinfo.value)
 
+    @pytest.mark.parametrize("flat,error,message", [
+        ([1.0, 2.0, 1.0], TopologyMismatchError, "document carries 1 joints, topology expects 5"),
+        ([None] + [1.0] * 14, FormatError, "'pose_keypoints_2d' must be a flat numeric array"),
+        ([float("nan")] + [1.0] * 14, FormatError, "keypoint coordinates must be finite"),
+        ([1.0, 2.0, 1.5] + [1.0] * 12, FormatError, "keypoint confidence must lie in [0, 1]"),
+    ], ids=["width", "not numbers", "non-finite", "confidence"])
+    @pytest.mark.parametrize("container", [False, True], ids=["directory", "container"])
+    def test_a_table_check_names_the_first_failing_frame(self, tmp_path, flat, error, message, container):
+        docs = [frame_doc(flat if k in (17, 25) else [1.0, 2.0, 1.0] * 5) for k in range(40)]
+        if container:
+            path = tmp_path / "clip.json"
+            path.write_bytes(b"[" + b",".join(docs) + b"]")
+        else:
+            path = write_frame_dir(tmp_path / "seq", docs)
+        with pytest.raises(error) as excinfo:
+            load_sequence(path, fps=30.0, expected_joints=5)
+        frame = "frame 17 of clip.json" if container else "f_017.json"
+        assert str(excinfo.value) == f"{frame}: {message}"
+
     def test_non_json_entries_are_skipped(self, tmp_path):
         self.write_frames(tmp_path / "seq", ["f_0.json", "f_1.json"])
         (tmp_path / "seq" / "notes_9.txt").write_text("not a frame")

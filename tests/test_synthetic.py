@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from freqgcn.errors import AliasingConfigError, ContractViolationError
-from freqgcn.frequency import BinSpec, bin_edges, dft_naive, extract_features
+from freqgcn.frequency import BinSpec, bin_edges, extract_features
 from freqgcn.graph import builtin_topology
 from freqgcn.pose import interpolate_missing, load_sequence, normalize_sequence
 from freqgcn.synthetic import (
@@ -13,6 +13,7 @@ from freqgcn.synthetic import (
     rest_pose,
     write_dataset,
 )
+from oracles import dft_naive
 
 
 class TestSynthConfig:
