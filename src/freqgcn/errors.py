@@ -6,9 +6,9 @@ class FreqGcnError(Exception):
 
 
 class ParseError(FreqGcnError):
-    """Keypoint document is not well formed."""
+    """Keypoint document is not well formed; ``offset`` is where JSON or UTF-8 decoding failed, if it did."""
 
-    def __init__(self, message: str, offset: int | None = 0):
+    def __init__(self, message: str, offset: int | None = None):
         super().__init__(message if offset is None else f"{message} (byte offset {offset})")
         self.offset = offset
 

@@ -13,14 +13,17 @@ def read_input(path: str | Path, error: type[Exception] | None = None, what: str
     """The bytes of ``path``, or given ``error`` its UTF-8 text; a failed read raises ReadError."""
     try:
         fd = os.open(path, os.O_RDONLY)
+        chunks = []
         try:
-            raw = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+            while chunk := os.read(fd, 1 << 16):  # until the empty read: a short one may not be the end
+                chunks.append(chunk)
         finally:
             os.close(fd)
     except FileNotFoundError:  # a missing input keeps its own error
         raise
     except OSError as exc:  # a directory, say, or no read permission
         raise ReadError(exc.errno, exc.strerror or str(exc), str(path)) from None
+    raw = b"".join(chunks)
     try:
         return raw if error is None else raw.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -47,7 +47,7 @@ _DIGITS = re.compile(r"(\d+)")
 _NOT_NUMERIC = "'pose_keypoints_2d' must be a flat numeric array"
 
 _KEY = b'"pose_keypoints_2d"'
-_CUT = re.compile(rb'"pose_keypoints_2d"\s*:\s*\[([^\]]*)\]')
+_CUT = re.compile(rb'"pose_keypoints_2d"\s*:\s*\[')  # the array runs from here to the next "]"
 # The class of each byte of the cut keypoint text (0 any other byte, 1 digit, 2 "-",
 # 3 "+", 4 ".", 5 exponent, 6 "," or row end, 7 " "), and the pairs of neighbouring
 # classes, written 0o<previous><next>, that rows of JSON numbers allow.
@@ -177,15 +177,15 @@ def _load_json(raw: bytes | str, what: str):
     except UnicodeDecodeError as exc:
         raise ParseError(f"invalid {what}: not UTF-8", offset=exc.start) from exc
     except ValueError as exc:  # an integer of more digits than Python converts
-        raise ParseError(f"invalid {what}: {exc}", offset=None) from exc
+        raise ParseError(f"invalid {what}: {exc}") from exc
 
 
-def _frame_list(name: str, raw: bytes) -> list | None:
-    """The first person's keypoint list in frame file ``name``; a parse or format error names the file."""
+def _frame_list(path: Path, names: list[str] | None, t: int, doc) -> list | None:
+    """The first person's keypoint list in frame ``t``'s ``doc``, bytes or parsed; an error names the frame."""
     try:
-        return _first_person(_load_json(raw, "keypoint document"))
+        return _first_person(_load_json(doc, "keypoint document") if isinstance(doc, bytes) else doc)
     except (ParseError, FormatError) as exc:
-        exc.args = (f"{os.path.basename(name)}: {exc}",)
+        exc.args = (f"{_frame_name(path, names, t)}: {exc}",)
         raise
 
 
@@ -233,24 +233,24 @@ def _not_json_numbers(bodies: list[bytes]) -> list[int]:
     return np.unique(np.searchsorted(ends, bad)).tolist()
 
 
-def _read_frames(names: list[str]) -> tuple[dict[int, list], np.ndarray, np.ndarray | list[int]]:
-    """The keypoint lists of the frame files parsed with json, and the loadtxt rows of the cut
-    arrays of frames ``rows``. Any refused cut array reopens its file to parse it whole: one that
-    is not JSON numbers, or one that loadtxt cannot stand for (rows of different widths, a width
-    not a multiple of 3, an integer from 2**63)."""
+def _read_frames(path: Path, names: list[str]) -> tuple[dict[int, list], np.ndarray, np.ndarray | list[int]]:
+    """The keypoint lists of directory ``path``'s frame files parsed with json, and the loadtxt rows
+    of the cut arrays of frames ``rows``. Any refused cut array reopens its file to parse it whole:
+    one that is not JSON numbers, or one that loadtxt cannot stand for (rows of different widths,
+    a width not a multiple of 3, an integer from 2**63)."""
     bodies, rows, texts, remainders = [], [], {}, {}
     for t, name in enumerate(names):
         raw = read_input(name)
         cut = _CUT.search(raw)
-        if cut and raw.count(_KEY) == 1:
-            rest = raw[: cut.start(1)] + raw[cut.end(1) :]
+        if cut and (end := raw.find(b"]", cut.end())) >= 0 and raw.count(_KEY) == 1:
+            body, rest = raw[cut.end() : end], raw[: cut.end()] + raw[end:]
             if rest not in remainders:  # with a backslash, an escaped key could stand for the cut one
                 try:
                     remainders[rest] = b"\\" not in rest and _first_person(_load_json(rest, "keypoint document"))
                 except (ParseError, FormatError):
                     remainders[rest] = False
-            if remainders[rest] == [] and b"\n" not in cut[1]:  # not a pretty-printed array
-                bodies.append(cut[1])
+            if remainders[rest] == [] and b"\n" not in body:  # not a pretty-printed array
+                bodies.append(body)
                 rows.append(t)
                 continue
         texts[t] = raw
@@ -261,14 +261,14 @@ def _read_frames(names: list[str]) -> tuple[dict[int, list], np.ndarray, np.ndar
     values = np.empty((0, 3))
     if bodies:
         try:
-            values = np.loadtxt(bodies, delimiter=",", ndmin=2)
+            values = np.loadtxt(bodies, delimiter=",", comments=None, ndmin=2)  # the byte check refuses "#"
             refused = np.flatnonzero((np.abs(values) >= 2.0**63).any(axis=1) | (values.shape[1] % 3 != 0))
         except ValueError:  # rows of different widths, or a field with a second "." or exponent
             values, refused = np.empty((len(bodies), 0)), np.arange(len(bodies))
         for k in refused.tolist():  # read again, to parse whole
             texts[rows[k]] = read_input(names[rows[k]])
         values, rows = np.delete(values, refused, 0), np.delete(rows, refused)
-    lists = {t: _frame_list(names[t], texts[t]) for t in sorted(texts)}  # errors in frame order
+    lists = {t: _frame_list(path, names, t, texts[t]) for t in sorted(texts)}  # errors in frame order
     return {t: flat for t, flat in lists.items() if flat is not None}, values, rows
 
 
@@ -277,13 +277,13 @@ def _table(path: Path, names: list[str] | None, expected_joints: int | None) -> 
     if names is not None:
         if not names:
             raise EmptyInputError(f"no keypoint files in {path}")
-        return _keypoint_table(path, names, len(names), *_read_frames(names), expected_joints)
+        return _keypoint_table(path, names, len(names), *_read_frames(path, names), expected_joints)
     docs = _load_json(read_input(path), "container file")
     if not isinstance(docs, list):
         raise ParseError("container file must hold a JSON array of frame documents")
     if not docs:
         raise EmptyInputError(f"container file {path} holds no frames")
-    lists = {t: flat for t, doc in enumerate(docs) if (flat := _first_person(doc)) is not None}
+    lists = {t: flat for t, doc in enumerate(docs) if (flat := _frame_list(path, None, t, doc)) is not None}
     return _keypoint_table(path, None, len(docs), lists, np.empty((0, 3)), [], expected_joints)
 
 
@@ -334,6 +334,7 @@ def write_sequence(seq: PoseSequence, directory: str | Path) -> list[Path]:
     return paths
 
 
+@np.errstate(over="ignore")  # as np.interp, a fill that overflows to inf warns nothing; PoseSequence refuses it
 def interpolate_missing(seq: PoseSequence) -> PoseSequence:
     """Fill confidence-0 gaps per joint and coordinate.
 
@@ -342,21 +343,20 @@ def interpolate_missing(seq: PoseSequence) -> PoseSequence:
     contains no confidence-0 keypoints. Idempotent.
     """
     observed = seq.confidence > 0.0
-    gapped = np.flatnonzero(~observed.all(axis=0))
-    if gapped.size == 0:
+    if observed.all():
         return seq
-    unseen = np.flatnonzero(~observed.any(axis=0))
-    if unseen.size:
-        raise UnrecoverableJointError(int(unseen[0]))
-    pos = seq.positions.copy()
-    conf = seq.confidence.copy()
-    t_axis = np.arange(len(seq), dtype=np.float64)
-    for j in gapped:
-        seen = observed[:, j]
-        t_obs = t_axis[seen]
-        pos[:, j, 0] = np.interp(t_axis, t_obs, pos[seen, j, 0])
-        pos[:, j, 1] = np.interp(t_axis, t_obs, pos[seen, j, 1])
-        conf[:, j] = np.interp(t_axis, t_obs, conf[seen, j])
+    if not (seen := observed.any(axis=0)).all():
+        raise UnrecoverableJointError(int(np.argmin(seen)))  # the lowest joint never observed
+    t, j = np.nonzero(~observed)
+    frames = np.arange(len(seq))[:, None]
+    lo = np.maximum.accumulate(np.where(observed, frames, -1))[t, j]  # each gap's last observed frame, or -1
+    hi = np.minimum.accumulate(np.where(observed, frames, len(seq))[::-1])[::-1][t, j]  # its next one, or T
+    lo, hi = np.where(lo >= 0, lo, hi), np.where(hi < len(seq), hi, lo)  # an edge gap copies its one neighbour
+    pos, conf = seq.positions.copy(), seq.confidence.copy()
+    for values in (pos, conf[..., None]):  # np.interp's formula term for term, so bit-identical to it
+        f_lo, f_hi = values[lo, j], values[hi, j]
+        slope = (f_hi - f_lo) / np.maximum(hi - lo, 1)[:, None]
+        values[t, j] = np.where((lo < hi)[:, None], slope * (t - lo)[:, None] + f_lo, f_lo)
     return PoseSequence(pos, fps=seq.fps, confidence=conf)
 
 

@@ -14,11 +14,12 @@ from freqgcn.errors import (
     FormatError,
     ParseError,
     TopologyMismatchError,
+    UnrecoverableJointError,
 )
 from freqgcn.frequency import _finite_signals
 from freqgcn.graph import FeatureGraph
 from freqgcn.model import _attention_forward, _gate
-from freqgcn.pose import _NOT_NUMERIC, _check_values, _first_person, _frame_list, _load_json
+from freqgcn.pose import _NOT_NUMERIC, PoseSequence, _check_values, _first_person, _frame_list, _load_json
 
 POWER_ITERATIONS = 1000  # steps of spectral_radius
 
@@ -93,9 +94,9 @@ def json_table(path: Path, names: list[str] | None, expected_joints: int | None)
     """The (T, n, 3) table from one ``json.loads`` per document of a directory or container."""
     if names is not None:
         flats = []
-        for name in names:
+        for t, name in enumerate(names):
             with open(name, "rb") as handle:
-                flats.append(_frame_list(name, handle.read()))
+                flats.append(_frame_list(path, names, t, handle.read()))
         if not flats:
             raise EmptyInputError(f"no keypoint files in {path}")
         labels = [os.path.basename(name) for name in names]
@@ -105,7 +106,7 @@ def json_table(path: Path, names: list[str] | None, expected_joints: int | None)
             raise ParseError("container file must hold a JSON array of frame documents")
         if not docs:
             raise EmptyInputError(f"container file {path} holds no frames")
-        flats = [_first_person(doc) for doc in docs]
+        flats = [_frame_list(path, None, t, doc) for t, doc in enumerate(docs)]
         labels = [f"frame {t} of {path.name}" for t in range(len(docs))]
     n = expected_joints if expected_joints is not None else inferred_joints(flats)
     if n is None:
@@ -128,6 +129,32 @@ def parse_keypoint_frame(raw: bytes | str, expected_joints: int | None = None) -
     frame = keypoint_table(flats, n)[0]
     _check_values(frame[:, :2], frame[:, 2], FormatError)
     return frame
+
+
+def interpolate_missing(seq: PoseSequence) -> PoseSequence:
+    """Gap fill by one ``np.interp`` per gapped joint and channel over its observed frames.
+
+    Interior gaps take the linear interpolation between the nearest observed frames, leading
+    and trailing gaps the nearest observed value; the lowest joint observed in no frame is an
+    UnrecoverableJointError.
+    """
+    observed = seq.confidence > 0.0
+    gapped = np.flatnonzero(~observed.all(axis=0))
+    if gapped.size == 0:
+        return seq
+    unseen = np.flatnonzero(~observed.any(axis=0))
+    if unseen.size:
+        raise UnrecoverableJointError(int(unseen[0]))
+    pos = seq.positions.copy()
+    conf = seq.confidence.copy()
+    t_axis = np.arange(len(seq), dtype=np.float64)
+    for j in gapped:
+        seen = observed[:, j]
+        t_obs = t_axis[seen]
+        pos[:, j, 0] = np.interp(t_axis, t_obs, pos[seen, j, 0])
+        pos[:, j, 1] = np.interp(t_axis, t_obs, pos[seen, j, 1])
+        conf[:, j] = np.interp(t_axis, t_obs, conf[seen, j])
+    return PoseSequence(pos, fps=seq.fps, confidence=conf)
 
 
 def node_index(graph: FeatureGraph, b: int, i: int) -> int:

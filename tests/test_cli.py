@@ -893,6 +893,13 @@ ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring)
      extract(frame_dir([TOY5_FRAME.encode()] * 3,
                        ["frame_000001.json", "frame_000002.json", "frame_000002 (copy).json"])),
      1, "frame_000002 (copy).json and frame_000002.json carry the same frame number 2"),
+    # A structural error names its frame and, not being a JSON decode error, no byte offset.
+    ("frame-17-no-people",
+     extract(frame_dir([b"{}" if k == 17 else TOY5_FRAME.encode() for k in range(40)])),
+     1, "error: frame_000017.json: document has no 'people' array\n"),
+    ("container-frame-17-no-people",
+     extract(written("clip.json", "[%s]" % ", ".join("{}" if k == 17 else TOY5_FRAME for k in range(40)))),
+     1, "error: frame 17 of clip.json: document has no 'people' array\n"),
     ("container-not-array", extract(written("clip.json", TOY5_FRAME)), 1, "JSON array"),
     ("container-empty", extract(written("clip.json", "[]")), 2, "holds no frames"),
     ("container-all-frames-empty",

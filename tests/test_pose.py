@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from freqgcn import pose
 from freqgcn.errors import (
@@ -28,6 +29,7 @@ from freqgcn.pose import (
     write_sequence,
     write_sequence_csv,
 )
+from oracles import interpolate_missing as interp_loop
 from oracles import json_table, parse_keypoint_frame
 
 
@@ -389,7 +391,7 @@ class TestFastPathOracle:
         (".5", None), ("5.", None), ("+1", None), ("01", None), ("NaN", None),
         ("Infinity", None), ("--1", None), ("", None), ("-0", 1),
         ("-0.0", 0), ("1E+5", 0), ("1e-05", 0), ("0.1.5", None), ("1e2e3", None), ("1e2.3", None),
-        ("1.5E2e1", None),
+        ("1.5E2e1", None), ("1#2", None), ("1\r", 1),
     ])
     def test_number_syntax(self, tmp_path, token, whole):
         docs = [b'{"people":[{"pose_keypoints_2d":[1,2,0.5]}]}',
@@ -414,11 +416,13 @@ class TestFastPathOracle:
         (b'{"people":[{"pose_keypoints_2d":[1,2,null]},{"pose_keypoints_2d":[]}]}', None),
         (b'{"people":[{"pose_keypoints_2d":[1,2,NaN]},{"pose_keypoints_2d":[]}]}', None),
         (b'{"people":[{"pose_keypoints_2d":[1,2,9223372036854775808]},{"pose_keypoints_2d":[]}]}', None),
+        (b'{"people":[{"pose_keypoints_2d":[1,2,0.5}]}', None),
+        (b'{"people":[{"pose_keypoints_2d":[1,2,0.5', None),
     ], ids=["nested list", "second person", "key outside people[0]", "key outside, nobody",
             "duplicated key", "escaped string", "escaped key", "empty people", "empty array",
             "wrong joint count", "length not divisible by 3", "whitespace", "newline in array",
             "second person, true", "second person, null", "second person, NaN",
-            "second person, 2**63"])
+            "second person, 2**63", "array not closed", "document ends in the array"])
     def test_structure(self, tmp_path, doc, whole):
         docs = [b'{"people":[{"pose_keypoints_2d":[1,2,0.5]}]}', doc]
         assert paths_agree(write_frame_dir(tmp_path / "seq", docs)) == whole
@@ -528,6 +532,71 @@ class TestInterpolateMissing:
         twice = interpolate_missing(once)
         assert np.array_equal(once.positions, twice.positions)
         assert np.array_equal(once.confidence, twice.confidence)
+
+
+GAP_PATTERNS = ("none", "random", "leading", "trailing", "both edges", "observed once", "alternating", "never")
+
+
+@st.composite
+def gapped_sequences(draw):
+    """A sequence whose joints each take a drawn gap pattern, with coordinates at a drawn magnitude
+    from 1e-3 to 1e6, and the joints that are never observed."""
+    frames, joints = draw(st.integers(2, 30)), draw(st.integers(1, 4))
+    scale = draw(st.floats(1e-3, 1e6))
+    coordinate = st.floats(-1.0, 1.0) | st.just(-0.0)  # a trailing gap after -0.0 fills with -0.0
+    pos = draw(arrays(np.float64, (frames, joints, 2), elements=coordinate)) * scale
+    conf = draw(arrays(np.float64, (frames, joints), elements=st.floats(0.0, 1.0, exclude_min=True)))
+    observed = np.ones((frames, joints), dtype=bool)
+    for j in range(joints):
+        pattern = draw(st.sampled_from(GAP_PATTERNS))
+        first, last = sorted(draw(st.lists(st.integers(0, frames - 1), min_size=2, max_size=2)))
+        if pattern == "random":
+            observed[:, j] = draw(arrays(np.bool_, frames))
+            observed[first, j] = True
+        if pattern in ("leading", "both edges"):
+            observed[:first, j] = False
+        if pattern in ("trailing", "both edges"):
+            observed[last + 1 :, j] = False
+        if pattern == "observed once":
+            observed[:, j] = np.arange(frames) == first
+        if pattern == "alternating":
+            observed[first % 2 :: 2, j] = False
+        if pattern == "never":
+            observed[:, j] = False
+    never = np.flatnonzero(~observed.any(axis=0)).tolist()
+    return PoseSequence(pos, fps=30.0, confidence=np.where(observed, conf, 0.0)), never
+
+
+def gap_fill(fill, seq):
+    """The filled arrays as bytes, or the joint that an UnrecoverableJointError names."""
+    try:
+        filled = fill(seq)
+    except UnrecoverableJointError as exc:
+        return exc.joint
+    return filled.positions.tobytes(), filled.confidence.tobytes()
+
+
+class TestGapFillOracle:
+    """interpolate_missing against one ``np.interp`` per gapped joint and channel, the oracle."""
+
+    @given(gapped_sequences())
+    @settings(deadline=None)
+    def test_matches_the_per_joint_interp_loop(self, case):
+        seq, never = case
+        got = gap_fill(interpolate_missing, seq)
+        assert got == gap_fill(interp_loop, seq)
+        if never:  # the lowest joint that no frame observes
+            assert got == never[0]
+
+    def test_a_fill_that_overflows_is_refused_without_a_warning(self):
+        pos = np.zeros((3, 1, 2))
+        pos[0], pos[2] = 1.5e308, -1.5e308
+        seq = PoseSequence(pos, fps=30.0, confidence=np.array([[1.0], [0.0], [1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fill in (interpolate_missing, interp_loop):
+                with pytest.raises(ValueError, match="coordinates must be finite"):
+                    fill(seq)
 
 
 class TestNormalizeSequence:
