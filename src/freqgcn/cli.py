@@ -1,10 +1,10 @@
 """Command-line front end: extract, train, predict, explain, gradcheck, synth.
 
-Exit codes are stable: 0 success, 2 missing input, 3 insufficient data,
-4 degenerate dataset, 5 model mismatch, 1 any other package error, an
-output that cannot be written (``cannot write <path>: <reason>``) among them. Every
-command is deterministic given its flags and seeds; timing output goes to
-stderr so repeated runs stay byte-identical on stdout.
+A package error ends a command in one ``error:`` line and its type's ``exit_code``: 2
+missing input, 3 insufficient data, 4 degenerate dataset, 5 model mismatch, 1 any other,
+an output that cannot be written among them. A missing file and a flag that does not
+parse (click's usage error) exit 2. Every command is deterministic given its flags and
+seeds; timing output goes to stderr so repeated runs stay byte-identical on stdout.
 """
 
 from __future__ import annotations
@@ -19,48 +19,39 @@ import click
 import numpy as np
 
 from . import frequency, model as model_mod, pose, synthetic, training
-from .errors import (
-    ContractViolationError,
-    DegenerateDatasetError,
-    EmptyInputError,
-    FreqGcnError,
-    InsufficientLengthError,
-    ModelMismatchError,
-    ReadError,
-)
+from .errors import ContractViolationError, EmptyInputError, FreqGcnError, ModelMismatchError, ReadError
 from .files import make_directory, read_input, write_atomic
 from .graph import SkeletonTopology, builtin_topology, read_topology
 
-EXIT_INPUT_MISSING = 2
-EXIT_INSUFFICIENT_DATA = 3
-EXIT_DEGENERATE_DATASET = 4
-EXIT_MODEL_MISMATCH = 5
-
-
-def _fail(code: int, exc: BaseException) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(code)
-
 
 def guarded(fn):
-    """Map package errors to the documented exit codes, one-line diagnostics."""
+    """End a package error or a missing file in one ``error:`` line and its exit status."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (FileNotFoundError, EmptyInputError) as exc:
-            _fail(EXIT_INPUT_MISSING, exc)
-        except InsufficientLengthError as exc:
-            _fail(EXIT_INSUFFICIENT_DATA, exc)
-        except DegenerateDatasetError as exc:
-            _fail(EXIT_DEGENERATE_DATASET, exc)
-        except ModelMismatchError as exc:
-            _fail(EXIT_MODEL_MISMATCH, exc)
-        except FreqGcnError as exc:
-            _fail(1, exc)
+        except (FreqGcnError, FileNotFoundError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(exc.exit_code if isinstance(exc, FreqGcnError) else 2)
 
     return wrapper
+
+
+def _split(sep: str, convert, expected: str, count: int | None = None):
+    """A click callback that reads a flag as ``sep``-separated ``convert`` values, ``count`` of
+    them if given; other text is click's usage error."""
+
+    def parse(ctx: click.Context, param: click.Parameter, text: str) -> tuple:
+        try:
+            values = tuple(map(convert, text.split(sep)))
+            if count in (None, len(values)):
+                return values
+        except ValueError:
+            pass
+        raise click.BadParameter(f"expected {expected}, got {text!r}")
+
+    return parse
 
 
 def _config_callback(ctx: click.Context, param: click.Parameter, value):
@@ -94,30 +85,17 @@ def config_option(fn):
 
 def _resolve_topology(spec: str) -> SkeletonTopology:
     path = Path(spec)
-    if path.exists() and path.is_file():
+    if path.is_file():
         return read_topology(path)
     return builtin_topology(spec)
 
 
-def _parse_band(text: str) -> tuple[float, float]:
-    try:
-        lo, hi = (float(v) for v in text.split(":"))
-    except ValueError:
-        raise click.BadParameter(f"expected LO:HI, got {text!r}") from None
-    return lo, hi
-
-
-def _parse_widths(text: str) -> tuple[int, ...]:
-    try:
-        widths = tuple(int(v) for v in text.split(","))
-    except ValueError:
-        raise click.BadParameter(f"expected comma-separated integers, got {text!r}") from None
-    return widths
-
-
 def _ingest(path: Path, fps: float, topology: SkeletonTopology) -> pose.PoseSequence:
     seq = pose.load_sequence(path, fps=fps, expected_joints=topology.num_joints)
-    seq = pose.interpolate_missing(seq)
+    try:
+        seq = pose.interpolate_missing(seq)
+    except ContractViolationError as exc:  # a gap fill that overflows
+        raise ContractViolationError(f"{path.name}: {exc}") from None
     return pose.normalize_sequence(seq, topology.root, topology.neck)
 
 
@@ -204,6 +182,7 @@ def _load_feature_table(
 @click.option("--out", "out_path", type=click.Path(), required=True, help="Model document path.")
 @click.option("--topology", default="body25", show_default=True)
 @click.option("--channels", default="2,16,16", show_default=True,
+              callback=_split(",", int, "comma-separated integers"),
               help="Comma-separated layer widths, input first.")
 @click.option("--epochs", type=int, default=200, show_default=True)
 @click.option("--lr", type=float, default=1e-3, show_default=True)
@@ -233,7 +212,7 @@ def cmd_train(features_dir, manifest, out_path, topology, channels, epochs, lr, 
     train_set = [(f, label) for _, f, label, split in table if split == "train"]
     test_set = [(sid, f, label) for sid, f, label, split in table if split == "test"]
     trained, history = training.train(
-        train_set, config, topo, table[0][1].spec, channel_widths=_parse_widths(channels)
+        train_set, config, topo, table[0][1].spec, channel_widths=channels
     )
     model_mod.save_model(trained, out_path)
 
@@ -354,7 +333,7 @@ def cmd_explain(model_path, input_path, out_prefix, fps, bars):
     if bars:
         top = report.joint_importance.max() or 1.0
         for j in report.ranking:
-            width = int(round(40 * report.joint_importance[j] / top)) if top > 0 else 0
+            width = int(round(40 * report.joint_importance[j] / top))
             click.echo(f"{names[j]:>14s} {'#' * width} {report.joint_importance[j]:.4f}")
     click.echo(f"wrote {alpha_file} and {ranking_file}")
 
@@ -404,11 +383,12 @@ def cmd_gradcheck(eps, seed, trials, threshold):
 @click.option("--n-per-class", type=int, default=30, show_default=True)
 @click.option("--frames", type=int, default=1000, show_default=True)
 @click.option("--fps", type=float, default=30.0, show_default=True)
-@click.option("--band0", default="0.5:1.5", show_default=True,
+@click.option("--band0", default="0.5:1.5", show_default=True, callback=_split(":", float, "LO:HI", 2),
               help="Class-0 frequency band LO:HI in Hz.")
-@click.option("--band1", default="3:4", show_default=True,
+@click.option("--band1", default="3:4", show_default=True, callback=_split(":", float, "LO:HI", 2),
               help="Class-1 frequency band LO:HI in Hz.")
 @click.option("--signal-joints", default="1,4", show_default=True,
+              callback=_split(",", int, "comma-separated joint indices"),
               help="Comma-separated joints carrying class-discriminative motion.")
 @click.option("--amplitude", type=float, default=0.25, show_default=True)
 @click.option("--noise", type=float, default=0.02, show_default=True)
@@ -420,19 +400,13 @@ def cmd_gradcheck(eps, seed, trials, threshold):
 def cmd_synth(out_dir, n_per_class, frames, fps, band0, band1, signal_joints,
               amplitude, noise, seed, topology, off_grid):
     """Generate a labeled synthetic dataset in keypoint-file form."""
-    try:
-        joints = tuple(int(v) for v in signal_joints.split(","))
-    except ValueError:
-        raise FreqGcnError(
-            f"--signal-joints expects comma-separated joint indices, got {signal_joints!r}"
-        ) from None
     cfg = synthetic.SynthConfig(
         topology=topology,
         num_frames=frames,
         fps=fps,
-        class0_band=_parse_band(band0),
-        class1_band=_parse_band(band1),
-        signal_joints=joints,
+        class0_band=band0,
+        class1_band=band1,
+        signal_joints=signal_joints,
         amplitude=amplitude,
         noise_sigma=noise,
         seed=seed,

@@ -1,8 +1,11 @@
-"""Exception types shared across the package; ContractViolationError is its ValueError."""
+"""Exception types shared across the package, each with the exit status of a command it ends;
+ContractViolationError is the package's ValueError."""
 
 
 class FreqGcnError(Exception):
     """Base class for every error this package raises on purpose."""
+
+    exit_code = 1
 
 
 class ParseError(FreqGcnError):
@@ -24,6 +27,8 @@ class TopologyMismatchError(FreqGcnError):
 class EmptyInputError(FreqGcnError):
     """No frames found where a sequence was expected."""
 
+    exit_code = 2
+
 
 class UnrecoverableJointError(FreqGcnError):
     """A joint has no observation in any frame, so no gap can be filled."""
@@ -39,6 +44,8 @@ class DegeneratePoseError(FreqGcnError):
 
 class InsufficientLengthError(FreqGcnError):
     """Signal too short to fill every frequency bin."""
+
+    exit_code = 3
 
     def __init__(self, message: str, required_frames: int):
         super().__init__(message)
@@ -59,6 +66,8 @@ class NonFiniteError(ContractViolationError):
 
 class DegenerateDatasetError(FreqGcnError):
     """Training data does not contain both classes."""
+
+    exit_code = 4
 
 
 class AliasingConfigError(FreqGcnError):
@@ -81,3 +90,5 @@ class ReadError(FreqGcnError, OSError):
 
 class ModelMismatchError(FreqGcnError):
     """Model document version or shapes do not match expectations."""
+
+    exit_code = 5

@@ -11,9 +11,10 @@ Each file of a frame directory is cut or parsed whole. A cut file's one
 ``pose_keypoints_2d`` array is cut out of its bytes, the rest is parsed once per
 distinct remainder, and one ``np.loadtxt`` reads every cut array that a byte check
 passes as JSON numbers. Every other file (a second person, say) is parsed whole
-with ``json``, in frame order; a cut array that the byte check or ``np.loadtxt``
-refuses is read again from its file and parsed whole too. Nothing falls back:
-the table and any error are those that one ``json.loads`` per document gives.
+with ``json``, in frame order, and so is a cut array that the byte check or
+``np.loadtxt`` refuses, from the bytes already read: each file is read once.
+Nothing falls back: the table and any error are those that one ``json.loads``
+per document gives.
 """
 
 from __future__ import annotations
@@ -235,12 +236,12 @@ def _not_json_numbers(bodies: list[bytes]) -> list[int]:
 
 def _read_frames(path: Path, names: list[str]) -> tuple[dict[int, list], np.ndarray, np.ndarray | list[int]]:
     """The keypoint lists of directory ``path``'s frame files parsed with json, and the loadtxt rows
-    of the cut arrays of frames ``rows``. Any refused cut array reopens its file to parse it whole:
-    one that is not JSON numbers, or one that loadtxt cannot stand for (rows of different widths,
-    a width not a multiple of 3, an integer from 2**63)."""
-    bodies, rows, texts, remainders = [], [], {}, {}
+    of the cut arrays of frames ``rows``. Each file is read once; a refused cut array is parsed whole
+    from those bytes: one that is not JSON numbers, or one that loadtxt cannot stand for (rows of
+    different widths, a width not a multiple of 3, an integer from 2**63)."""
+    raws, bodies, rows, remainders = [], [], [], {}
     for t, name in enumerate(names):
-        raw = read_input(name)
+        raws.append(raw := read_input(name))
         cut = _CUT.search(raw)
         if cut and (end := raw.find(b"]", cut.end())) >= 0 and raw.count(_KEY) == 1:
             body, rest = raw[cut.end() : end], raw[: cut.end()] + raw[end:]
@@ -252,12 +253,8 @@ def _read_frames(path: Path, names: list[str]) -> tuple[dict[int, list], np.ndar
             if remainders[rest] == [] and b"\n" not in body:  # not a pretty-printed array
                 bodies.append(body)
                 rows.append(t)
-                continue
-        texts[t] = raw
-    for k in reversed(_not_json_numbers(bodies) if bodies else []):  # read again, to parse whole
-        del bodies[k]
-        t = rows.pop(k)
-        texts[t] = read_input(names[t])
+    for k in reversed(_not_json_numbers(bodies) if bodies else []):  # to be parsed whole
+        del bodies[k], rows[k]
     values = np.empty((0, 3))
     if bodies:
         try:
@@ -265,10 +262,10 @@ def _read_frames(path: Path, names: list[str]) -> tuple[dict[int, list], np.ndar
             refused = np.flatnonzero((np.abs(values) >= 2.0**63).any(axis=1) | (values.shape[1] % 3 != 0))
         except ValueError:  # rows of different widths, or a field with a second "." or exponent
             values, refused = np.empty((len(bodies), 0)), np.arange(len(bodies))
-        for k in refused.tolist():  # read again, to parse whole
-            texts[rows[k]] = read_input(names[rows[k]])
         values, rows = np.delete(values, refused, 0), np.delete(rows, refused)
-    lists = {t: _frame_list(path, names, t, texts[t]) for t in sorted(texts)}  # errors in frame order
+    whole = np.ones(len(names), bool)
+    whole[rows] = False
+    lists = {t: _frame_list(path, names, t, raws[t]) for t in np.flatnonzero(whole).tolist()}  # in frame order
     return {t: flat for t, flat in lists.items() if flat is not None}, values, rows
 
 
@@ -334,13 +331,14 @@ def write_sequence(seq: PoseSequence, directory: str | Path) -> list[Path]:
     return paths
 
 
-@np.errstate(over="ignore")  # as np.interp, a fill that overflows to inf warns nothing; PoseSequence refuses it
+@np.errstate(over="ignore")  # as np.interp, a fill that overflows to inf warns nothing; it is refused below
 def interpolate_missing(seq: PoseSequence) -> PoseSequence:
     """Fill confidence-0 gaps per joint and coordinate.
 
     Interior gaps take the linear interpolation between the nearest observed
     neighbors; leading/trailing gaps copy the nearest observed value. Output
-    contains no confidence-0 keypoints. Idempotent.
+    contains no confidence-0 keypoints. Idempotent. A fill that overflows is a
+    ContractViolationError naming its first frame and joint.
     """
     observed = seq.confidence > 0.0
     if observed.all():
@@ -357,6 +355,10 @@ def interpolate_missing(seq: PoseSequence) -> PoseSequence:
         f_lo, f_hi = values[lo, j], values[hi, j]
         slope = (f_hi - f_lo) / np.maximum(hi - lo, 1)[:, None]
         values[t, j] = np.where((lo < hi)[:, None], slope * (t - lo)[:, None] + f_lo, f_lo)
+    if not (finite := np.isfinite(pos[t, j]).all(axis=1)).all():
+        k = int(np.argmin(finite))  # the first gap cell, in frame order, whose fill overflows
+        raise ContractViolationError(f"frame {t[k]}, joint {j[k]}: the gap fill overflows; "
+                                     "keypoint coordinates must be finite")
     return PoseSequence(pos, fps=seq.fps, confidence=conf)
 
 

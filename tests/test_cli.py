@@ -670,7 +670,7 @@ class TestSynthFlagEdges:
         (["--frames", "1"], "num_frames"),
         (["--n-per-class", "1"], "n_per_class"),
         (["--band0", "2:1"], "band"),
-        (["--signal-joints", "a"], "--signal-joints"),
+        (["--fps", "nan"], "fps must be finite"),
         (["--signal-joints", "9"], "signal joints"),
         (["--amplitude", "0"], "amplitude"),
         (["--fps", "0"], "fps"),
@@ -678,7 +678,6 @@ class TestSynthFlagEdges:
         (["--noise", "nan"], "noise_sigma must be finite"),
         (["--amplitude", "inf"], "amplitude must be finite"),
         (["--fps", "inf"], "fps must be finite"),
-        (["--fps", "nan"], "fps must be finite"),
     ])
     def test_exits_1_and_writes_nothing(self, runner, tmp_path, flags, message):
         out = tmp_path / "out"
@@ -811,6 +810,9 @@ def synth(config=None, flags=()):
 
 TOY5_FRAME = json.dumps({"people": [{"pose_keypoints_2d": [1.0, 2.0, 1.0] * 5}]})
 NAN_FRAME = json.dumps({"people": [{"pose_keypoints_2d": [float("nan")] + [1.0] * 14}]})
+# Joint 0 reads 1.5e308, missing, -1.5e308: its gap fill in frame 1 overflows.
+OVERFLOW_FRAMES = [json.dumps({"people": [{"pose_keypoints_2d": [x, 2.0, c] + [1.0, 2.0, 1.0] * 4}]})
+                   for x, c in [(1.5e308, 1.0), (0.0, 0.0), (-1.5e308, 1.0)]]
 NESTED_FRAME = json.dumps({"people": [{"pose_keypoints_2d": [[1, 2, 0.5]] * 15}]})
 LONG_INT = "1" * 4301  # more digits than Python converts to an integer by default
 LONG_INT_FRAME = '{"people": [{"pose_keypoints_2d": [%s%s]}]}' % (LONG_INT, ", 1.0" * 14)
@@ -857,7 +859,14 @@ ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring)
     ("config-long-integer", synth(config=written("cfg.json", '{"seed": %s}' % LONG_INT)),
      2, "not valid JSON"),
     ("band0-text", synth(flags=["--band0", "x"]), 2, "expected LO:HI"),
+    ("band1-three-fields", synth(flags=["--band1", "1:2:3"]),
+     2, "Invalid value for '--band1': expected LO:HI"),
     ("channels-text", train(flags=["--channels", "a"]), 2, "comma-separated integers"),
+    ("channels-empty", train(flags=["--channels", ""]), 2, "Invalid value for '--channels'"),
+    ("signal-joints-text", synth(flags=["--signal-joints", "a"]),
+     2, "Invalid value for '--signal-joints': expected comma-separated joint indices, got 'a'"),
+    ("signal-joints-empty", synth(flags=["--signal-joints", ""]),
+     2, "Invalid value for '--signal-joints': expected comma-separated joint indices, got ''"),
     # Feature files.
     ("features-no-sidecar", predict(features=features_copy(sidecar=False)),
      1, "missing feature sidecar"),
@@ -908,6 +917,9 @@ ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring)
     ("container-non-finite-keypoint",
      extract(written("clip.json", f"[{TOY5_FRAME}, {NAN_FRAME}]")),
      1, "clip.json: keypoint coordinates must be finite"),
+    ("container-gap-fill-overflow",
+     extract(written("clip.json", "[%s]" % ", ".join(OVERFLOW_FRAMES * 2 + [TOY5_FRAME] * 34))),
+     1, "error: clip.json: frame 1, joint 0: the gap fill overflows; keypoint coordinates must be finite\n"),
     ("container-nested-triples", extract(written("clip.json", f"[{NESTED_FRAME}, {NESTED_FRAME}]")),
      1, "flat numeric array"),
     ("container-long-integer", extract(written("clip.json", f"[{TOY5_FRAME}, {LONG_INT_FRAME}]")),

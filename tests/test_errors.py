@@ -1,13 +1,33 @@
 import ast
+import errno
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 import freqgcn
-from freqgcn.errors import ContractViolationError, FreqGcnError, NonFiniteError
+from freqgcn import errors
+from freqgcn.cli import guarded
+from freqgcn.errors import (
+    ContractViolationError,
+    DegenerateDatasetError,
+    EmptyInputError,
+    FreqGcnError,
+    InsufficientLengthError,
+    ModelMismatchError,
+    NonFiniteError,
+    UnrecoverableJointError,
+)
 
 PACKAGE = Path(freqgcn.__file__).parent
+README = Path(__file__).parents[1] / "README.md"
+ERROR_TYPES = sorted((c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, FreqGcnError)),
+                     key=lambda c: c.__name__)
+# The README's exit-code table: how each row begins, and the error types it names.
+EXIT_ROWS = {1: "any package error not listed below", 2: "missing input", 3: "sequence too short",
+             4: "degenerate (single-class) dataset", 5: "model/version/shape mismatch"}
+LISTED = {EmptyInputError: 2, InsufficientLengthError: 3, DegenerateDatasetError: 4, ModelMismatchError: 5}
 
 
 def raised_names(tree: ast.AST):
@@ -42,3 +62,44 @@ def test_module_raises_no_bare_value_error(module):
     tree = ast.parse((PACKAGE / module).read_text("utf-8"), filename=module)
     bare = [line for line, name in raised_names(tree) if name == "ValueError"]
     assert bare == [], f"{module} raises ValueError on lines {bare}"
+
+
+def readme_exit_rows():
+    section = README.read_text("utf-8").split("## Exit codes", 1)[1].split("\n## ", 1)[0]
+    return {int(code): meaning for code, meaning in re.findall(r"^\| `(\d+)` \| (.*) \|$", section, re.M)}
+
+
+def test_readme_table_holds_the_exit_codes():
+    rows = readme_exit_rows()
+    assert sorted(rows) == [0, 1, 2, 3, 4, 5]
+    for code, start in EXIT_ROWS.items():
+        assert rows[code].startswith(start), (code, rows[code])
+
+
+def raised(cls):
+    """An instance of ``cls``, made with the arguments its constructor takes."""
+    if issubclass(cls, OSError):
+        return cls(errno.EACCES, "Permission denied", "out.csv")
+    if cls is UnrecoverableJointError:
+        return cls(3)
+    if cls is InsufficientLengthError:
+        return cls("sequence too short", required_frames=40)
+    return cls("something went wrong")
+
+
+@pytest.mark.parametrize("cls", ERROR_TYPES, ids=lambda cls: cls.__name__)
+def test_exit_code_is_the_readme_row(cls):
+    assert cls.exit_code == LISTED.get(cls, 1)
+
+
+@pytest.mark.parametrize("exc", [*map(raised, ERROR_TYPES), FileNotFoundError("no such input: x")],
+                         ids=lambda exc: type(exc).__name__)
+def test_guarded_ends_in_the_exit_code_and_one_line(exc, capsys):
+    @guarded
+    def command():
+        raise exc
+
+    with pytest.raises(SystemExit) as ended:
+        command()
+    assert ended.value.code == getattr(exc, "exit_code", 2)
+    assert capsys.readouterr() == ("", f"error: {exc}\n")
