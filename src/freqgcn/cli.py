@@ -68,6 +68,9 @@ def _config_callback(ctx: click.Context, param: click.Parameter, value):
         raise click.BadParameter(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(loaded, dict):
         raise click.BadParameter("config file must hold a JSON object")
+    names = {p.name for p in ctx.command.params} - {param.name}
+    if unknown := [key for key in loaded if key not in names]:
+        raise click.BadParameter(f"config key {unknown[0]!r} names no parameter of {ctx.info_name}")
     ctx.default_map = {**loaded, **(ctx.default_map or {})}
     return value
 
@@ -93,10 +96,9 @@ def _resolve_topology(spec: str) -> SkeletonTopology:
 def _ingest(path: Path, fps: float, topology: SkeletonTopology) -> pose.PoseSequence:
     seq = pose.load_sequence(path, fps=fps, expected_joints=topology.num_joints)
     try:
-        seq = pose.interpolate_missing(seq)
-    except ContractViolationError as exc:  # a gap fill that overflows
+        return pose.normalize_sequence(pose.interpolate_missing(seq), topology.root, topology.neck)
+    except ContractViolationError as exc:  # a gap fill or a normalization that overflows
         raise ContractViolationError(f"{path.name}: {exc}") from None
-    return pose.normalize_sequence(seq, topology.root, topology.neck)
 
 
 @click.group()

@@ -362,11 +362,14 @@ def interpolate_missing(seq: PoseSequence) -> PoseSequence:
     return PoseSequence(pos, fps=seq.fps, confidence=conf)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a coordinate that overflows is refused below
 def normalize_sequence(seq: PoseSequence, root: int, neck: int) -> PoseSequence:
     """Root-center every frame and divide by the median root-to-neck distance.
 
     Invariant under global translation and uniform positive scaling of the
-    input (up to float rounding). Requires a gap-free sequence.
+    input (up to float rounding). Requires a gap-free sequence. A normalized
+    coordinate that overflows is a ContractViolationError naming its first
+    frame and joint.
     """
     pos = seq.positions
     n = seq.num_joints
@@ -377,8 +380,12 @@ def normalize_sequence(seq: PoseSequence, root: int, neck: int) -> PoseSequence:
         raise DegeneratePoseError(
             f"median root-to-neck distance {torso:g} is too small to scale against"
         )
-    centered = pos - pos[:, root : root + 1, :]
-    return PoseSequence(centered / torso, fps=seq.fps, confidence=seq.confidence)
+    normalized = (pos - pos[:, root : root + 1, :]) / torso
+    if not np.isfinite(normalized).all():
+        t, j, _ = np.argwhere(~np.isfinite(normalized))[0]  # C order: the first frame's lowest joint
+        raise ContractViolationError(f"frame {t}, joint {j}: the normalized coordinates overflow; "
+                                     "keypoint coordinates must be finite")
+    return PoseSequence(normalized, fps=seq.fps, confidence=seq.confidence)
 
 
 def write_sequence_csv(seq: PoseSequence, path: str | Path) -> None:

@@ -1,12 +1,17 @@
-"""Training loop, finite-difference gradient checking, and screening metrics."""
+"""Training loop, finite-difference gradient checking, and screening metrics. On POSIX, ``train``
+forks helpers from the calling thread to compute fixed blocks of every full-batch epoch's chunks."""
 
 from __future__ import annotations
 
+import os
+import pickle
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .errors import ContractViolationError, DegenerateDatasetError, NonFiniteError
+from .errors import ContractViolationError, DegenerateDatasetError, FreqGcnError, NonFiniteError
 from .frequency import BinSpec, FrequencyFeatures
 from .graph import SkeletonTopology
 from .model import Model, Workspace, backward, init_model, loss, model_forward, one_hot
@@ -81,11 +86,11 @@ def train(
     """Full-batch gradient descent with Adam moments; deterministic per seed.
 
     Gradients are summed over chunks of ``chunk_size`` examples in dataset
-    order, one forward and backward per chunk, and averaged, so two runs
-    with the same seed produce bitwise-identical parameters. With
-    ``full_batch=False`` each batch is one example, in order. Raises
-    NonFiniteError, naming the epoch, when the logits or the parameters
-    stop being finite.
+    order, one forward and backward per chunk in whichever process, and
+    averaged, so runs with the same seed give bitwise-identical parameters
+    at any core count. With ``full_batch=False`` each batch is one example,
+    in order. Raises NonFiniteError, naming the epoch, when the logits or
+    the parameters stop being finite, and FreqGcnError if a helper fails.
     """
     if not dataset:
         raise DegenerateDatasetError("training dataset is empty")
@@ -99,13 +104,17 @@ def train(
     history = TrainHistory()
     size = chunk_size(model) if config.full_batch else 1
     chunks = [dataset[start : start + size] for start in range(0, len(dataset), size)]
-    batches = [chunks] if config.full_batch else [[chunk] for chunk in chunks]
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
+    k = min(cores, len(chunks)) if config.full_batch else 1
+    blocks = [chunks[len(chunks) * i // k : len(chunks) * (i + 1) // k] for i in range(k)]  # parent's first
+    batches = [(blocks[0], len(dataset))] if config.full_batch else [([chunk], 1) for chunk in chunks]
     workspace = Workspace()  # one set of layer buffers for every chunk and epoch
 
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught as non-finite values
+    # Overflow is caught as non-finite values; helpers forked in here inherit the setting.
+    with np.errstate(over="ignore", invalid="ignore"), _forked(model, blocks[1:]) as helpers:
         for epoch in range(1, config.epochs + 1):
             try:
-                epoch_loss, correct = _run_epoch(model, optimizer, batches, workspace)
+                epoch_loss, correct = _run_epoch(model, optimizer, batches, workspace, helpers)
             except NonFiniteError as exc:
                 raise NonFiniteError(f"training diverged at epoch {epoch}: {exc}") from None
             history.losses.append(epoch_loss / len(dataset))
@@ -114,24 +123,74 @@ def train(
 
 
 def _run_epoch(
-    model: Model, optimizer: _Adam, batches: list[list[list]], workspace: Workspace
+    model: Model, optimizer: _Adam, batches: list[tuple[list, int]], workspace: Workspace, helpers: list
 ) -> tuple[float, int]:
-    """One Adam step per batch of chunks on its mean gradient; (summed loss, correct count)."""
-    epoch_loss = 0.0
-    correct = 0
-    for batch in batches:
+    """One Adam step per (chunks, examples) batch on its mean gradient, the helpers' blocks
+    (computed meanwhile) following the batch's chunks; (summed loss, correct count)."""
+    epoch_loss, correct = 0.0, 0
+    for batch, examples in batches:
+        for to_helper, _ in helpers:
+            pickle.dump(list(model.params.values()), to_helper)
+        own = (_chunk_result(model, chunk, workspace) for chunk in batch)
         total = dict.fromkeys(model.params, 0.0)
-        for chunk in batch:
-            targets = np.array([one_hot(label) for _, label in chunk])
-            predictions, _, cache = model_forward([f for f, _ in chunk], model, workspace)
-            epoch_loss += loss(cache.logits, targets)
-            correct += sum(p.label == label for p, (_, label) in zip(predictions, chunk))
-            for name, g in backward(cache, targets).items():
+        for result in chain(own, chain.from_iterable(pickle.load(f) for _, f in helpers)):
+            if isinstance(result, Exception):  # a helper's first failing chunk
+                raise result
+            chunk_loss, chunk_correct, grads = result
+            epoch_loss += chunk_loss
+            correct += chunk_correct
+            for name, g in grads.items():
                 total[name] = total[name] + g
-        optimizer.step({name: g / sum(map(len, batch)) for name, g in total.items()})
+        optimizer.step({name: g / examples for name, g in total.items()})
     if not all(np.isfinite(p).all() for p in model.params.values()):
         raise NonFiniteError("parameters are not finite")
     return epoch_loss, correct
+
+
+def _chunk_result(model: Model, chunk: list, workspace: Workspace) -> tuple[float, int, dict]:
+    """(summed loss, correct count, summed gradients) of one chunk."""
+    targets = np.array([one_hot(label) for _, label in chunk])
+    predictions, _, cache = model_forward([f for f, _ in chunk], model, workspace)
+    correct = sum(p.label == label for p, (_, label) in zip(predictions, chunk))
+    return loss(cache.logits, targets), correct, backward(cache, targets)
+
+
+@contextmanager
+def _forked(model: Model, blocks: list[list[list]]):
+    """Fork a helper per block and yield their (to, from) pipes; then close them and reap every helper."""
+    helpers = []  # (pid, to helper, from helper); pipes are written unbuffered, each dump whole
+    try:
+        for block in blocks:
+            (down_r, down_w), (up_r, up_w) = os.pipe(), os.pipe()
+            if (pid := os.fork()) == 0:
+                try:  # the helper: it writes only to its pipe and leaves only through os._exit
+                    for fd in (down_w, up_r, *(f.fileno() for _, *pipes in helpers for f in pipes)):
+                        os.close(fd)
+                    _serve(open(down_r, "rb"), open(up_w, "wb", buffering=0), model, block, Workspace())
+                finally:
+                    os._exit(0)
+            helpers.append((pid, open(down_w, "wb", buffering=0), open(up_r, "rb")))
+            os.close(down_r)
+            os.close(up_w)
+        yield [pipes for _, *pipes in helpers]
+    except (OSError, EOFError, pickle.UnpicklingError):  # a helper that died or could not start
+        raise FreqGcnError("a training helper process failed") from None
+    finally:
+        for pipe in (pipe for _, *pipes in helpers for pipe in pipes):
+            pipe.close()
+        for pid, _, _ in helpers:
+            os.waitpid(pid, 0)
+
+
+def _serve(inbox, outbox, model: Model, chunks: list[list], workspace: Workspace) -> None:
+    """A helper's loop: per parameter list read, write its chunks' results; ends at EOF."""
+    while True:
+        model.params.update(zip(model.params, pickle.load(inbox)))
+        try:
+            results = [_chunk_result(model, chunk, workspace) for chunk in chunks]
+        except Exception as exc:  # its earlier chunks passed, so the parent raises this one
+            results = [exc]
+        pickle.dump(results, outbox)
 
 
 # ---------------------------------------------------------------------------

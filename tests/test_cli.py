@@ -813,6 +813,9 @@ NAN_FRAME = json.dumps({"people": [{"pose_keypoints_2d": [float("nan")] + [1.0] 
 # Joint 0 reads 1.5e308, missing, -1.5e308: its gap fill in frame 1 overflows.
 OVERFLOW_FRAMES = [json.dumps({"people": [{"pose_keypoints_2d": [x, 2.0, c] + [1.0, 2.0, 1.0] * 4}]})
                    for x, c in [(1.5e308, 1.0), (0.0, 0.0), (-1.5e308, 1.0)]]
+# Joint 0 (the root) reads 1.5e308 and joint 1 (the neck) -1.5e308: root-centering joint 1 overflows.
+NORMALIZE_OVERFLOW_FRAME = json.dumps({"people": [{"pose_keypoints_2d": [1.5e308, 2.0, 1.0, -1.5e308, 2.0, 1.0]
+                                                                        + [1.0, 2.0, 1.0] * 3}]})
 NESTED_FRAME = json.dumps({"people": [{"pose_keypoints_2d": [[1, 2, 0.5]] * 15}]})
 LONG_INT = "1" * 4301  # more digits than Python converts to an integer by default
 LONG_INT_FRAME = '{"people": [{"pose_keypoints_2d": [%s%s]}]}' % (LONG_INT, ", 1.0" * 14)
@@ -858,6 +861,10 @@ ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring)
      2, "not valid JSON"),
     ("config-long-integer", synth(config=written("cfg.json", '{"seed": %s}' % LONG_INT)),
      2, "not valid JSON"),
+    ("config-misspelt-key", synth(config=written("cfg.json", '{"n_per_class": 2, "sede": 5}')),
+     2, "Invalid value for '--config': config key 'sede' names no parameter of synth"),
+    ("config-hyphenated-key", synth(config=written("cfg.json", '{"signal-joints": "a", "sede": 5}')),
+     2, "Invalid value for '--config': config key 'signal-joints' names no parameter of synth"),
     ("band0-text", synth(flags=["--band0", "x"]), 2, "expected LO:HI"),
     ("band1-three-fields", synth(flags=["--band1", "1:2:3"]),
      2, "Invalid value for '--band1': expected LO:HI"),
@@ -920,6 +927,10 @@ ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring)
     ("container-gap-fill-overflow",
      extract(written("clip.json", "[%s]" % ", ".join(OVERFLOW_FRAMES * 2 + [TOY5_FRAME] * 34))),
      1, "error: clip.json: frame 1, joint 0: the gap fill overflows; keypoint coordinates must be finite\n"),
+    ("container-normalize-overflow",
+     extract(written("clip.json", "[%s]" % ", ".join([NORMALIZE_OVERFLOW_FRAME] * 40))),
+     1, "error: clip.json: frame 0, joint 1: the normalized coordinates overflow; "
+        "keypoint coordinates must be finite\n"),
     ("container-nested-triples", extract(written("clip.json", f"[{NESTED_FRAME}, {NESTED_FRAME}]")),
      1, "flat numeric array"),
     ("container-long-integer", extract(written("clip.json", f"[{TOY5_FRAME}, {LONG_INT_FRAME}]")),

@@ -624,6 +624,15 @@ class TestNormalizeSequence:
         with pytest.raises(DegeneratePoseError):
             normalize_sequence(seq, root=0, neck=1)
 
+    def test_overflow_names_its_first_frame_and_joint_and_warns_nothing(self):
+        pos = np.array([[[1.0, 2.0], [1.0, 3.0], [1.0, 4.0]]] * 3)
+        pos[1:, 0, 0], pos[1:, 2, 0] = 1.5e308, -1.5e308  # frames 1 and 2: joint 2 centers to -inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^frame 1, joint 2: the normalized coordinates overflow; "
+                                                 "keypoint coordinates must be finite$"):
+                normalize_sequence(PoseSequence(pos, fps=30.0), root=0, neck=1)
+
     @given(
         scale=st.floats(0.01, 100.0, allow_nan=False),
         tx=st.floats(-500.0, 500.0, allow_nan=False),

@@ -1,7 +1,10 @@
+import os
+import signal
+
 import numpy as np
 import pytest
 
-from freqgcn.errors import DegenerateDatasetError, NonFiniteError
+from freqgcn.errors import DegenerateDatasetError, FreqGcnError, NonFiniteError
 from freqgcn.frequency import BinSpec, FrequencyFeatures, extract_features
 from freqgcn.graph import builtin_topology
 from freqgcn.model import model_forward
@@ -121,6 +124,11 @@ def body25_examples(count):
              i % 2) for i in range(count)], spec
 
 
+def use_cores(monkeypatch, k):
+    """Make train see k usable cores, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+
+
 class TestChunkedTraining:
     """train and evaluate run one forward and backward per chunk of examples."""
 
@@ -146,7 +154,8 @@ class TestChunkedTraining:
         monkeypatch.setattr(training._Adam, "step", counting_step)
         return seen
 
-    def test_full_batch_runs_one_pass_per_chunk_and_one_step_per_epoch(self, calls):
+    def test_full_batch_runs_one_pass_per_chunk_and_one_step_per_epoch(self, calls, monkeypatch):
+        use_cores(monkeypatch, 1)  # the calls are counted in this process
         dataset, spec = body25_examples(40)
         model, _ = train(dataset, TrainConfig(epochs=2, seed=1), builtin_topology("body25"), spec)
         assert calls["forward"] == [7, 7, 7, 7, 7, 5] * 2
@@ -155,12 +164,133 @@ class TestChunkedTraining:
         evaluate(model, [(f"s{i}", f, label) for i, (f, label) in enumerate(dataset[:20])])
         assert calls["forward"] == [7, 7, 6]
 
+    def test_with_two_cores_the_parent_runs_the_first_half_of_the_chunks(self, calls, monkeypatch):
+        use_cores(monkeypatch, 2)
+        dataset, spec = body25_examples(40)
+        train(dataset, TrainConfig(epochs=2, seed=1), builtin_topology("body25"), spec)
+        assert calls["forward"] == [7, 7, 7] * 2  # the helper runs [7, 7, 5]
+        assert calls["backward"] == 6 and calls["steps"] == 2
+
     def test_per_example_makes_one_adam_step_per_example(self, calls):
         dataset, spec = body25_examples(9)
         config = TrainConfig(epochs=2, seed=1, full_batch=False)
         train(dataset, config, builtin_topology("body25"), spec)
         assert calls["forward"] == [1] * 18
         assert calls["backward"] == 18 and calls["steps"] == 18
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_on_chunks(monkeypatch, dataset, failing):
+    """Make the chunks that start with dataset[i], for i in ``failing``, raise an error naming i."""
+    result = training._chunk_result
+
+    def chunk_result(model, chunk, workspace):
+        for i in failing:
+            if chunk[0] is dataset[i]:
+                raise NonFiniteError(f"logits of the chunk from example {i} are not finite")
+        return result(model, chunk, workspace)
+
+    monkeypatch.setattr(training, "_chunk_result", chunk_result)
+
+
+class TestHelperProcesses:
+    """train shares a full-batch epoch's chunks with forked helpers, one per usable core."""
+
+    BODY25 = builtin_topology("body25")
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """Fail a test whose helpers hang rather than hang the suite."""
+        def expire(signum, frame):
+            raise TimeoutError("train did not return within 120 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(120)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    def test_core_counts_give_bitwise_identical_training(self, monkeypatch):
+        dataset, spec = body25_examples(40)
+        runs = []
+        for k in (1, 2, 3):
+            use_cores(monkeypatch, k)
+            model, history = train(dataset, TrainConfig(epochs=8, learning_rate=0.01, seed=4), self.BODY25, spec)
+            runs.append(([p.tobytes() for p in model.params.values()], history.losses, history.accuracies))
+            assert_no_child_left()
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("count,full_batch", [(9, False), (7, True)])
+    def test_per_example_and_one_chunk_never_fork(self, monkeypatch, count, full_batch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        use_cores(monkeypatch, 4)
+        monkeypatch.setattr(os, "fork", no_fork)
+        dataset, spec = body25_examples(count)
+        _, history = train(dataset, TrainConfig(epochs=2, full_batch=full_batch), self.BODY25, spec)
+        assert len(history.losses) == 2
+
+    def test_divergence_in_a_helper_chunk_reads_as_with_one_core(self, monkeypatch, capfd):
+        dataset, spec = body25_examples(40)
+        for i in range(28, 35):  # chunk 4, a helper's with 2 or 3 cores
+            dataset[i] = (FrequencyFeatures(dataset[i][0].data * 1e306, spec, 30.0), dataset[i][1])
+        messages = []
+        for k in (1, 2, 3):
+            use_cores(monkeypatch, k)
+            with pytest.raises(NonFiniteError) as caught:
+                train(dataset, TrainConfig(epochs=3, seed=1), self.BODY25, spec)
+            messages.append(str(caught.value))
+            assert_no_child_left()
+        assert messages[0].startswith("training diverged at epoch 1: logits [")
+        assert messages[0] == messages[1] == messages[2]
+        assert capfd.readouterr() == ("", "")  # nor did any helper write a line
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_the_first_failing_chunk_in_chunk_order_is_raised(self, monkeypatch, k):
+        dataset, spec = body25_examples(40)
+        use_cores(monkeypatch, k)
+        fail_on_chunks(monkeypatch, dataset, [35, 21])  # chunks 5 and 3, each a helper's with 3 cores
+        with pytest.raises(NonFiniteError, match="^training diverged at epoch 1: logits of the chunk "
+                                                 "from example 21 are not finite$"):
+            train(dataset, TrainConfig(epochs=2), self.BODY25, spec)
+        assert_no_child_left()
+
+    def test_a_helper_that_dies_is_one_error(self, monkeypatch):
+        dataset, spec = body25_examples(40)
+        use_cores(monkeypatch, 2)
+        parent, result = os.getpid(), training._chunk_result
+
+        def chunk_result(model, chunk, workspace):
+            if os.getpid() != parent:
+                os._exit(3)
+            return result(model, chunk, workspace)
+
+        monkeypatch.setattr(training, "_chunk_result", chunk_result)
+        with pytest.raises(FreqGcnError, match="^a training helper process failed$") as caught:
+            train(dataset, TrainConfig(epochs=2), self.BODY25, spec)
+        assert caught.value.exit_code == 1
+        assert_no_child_left()
+
+    def test_an_interrupted_train_leaves_no_helper(self, monkeypatch):
+        dataset, spec = body25_examples(40)
+        use_cores(monkeypatch, 3)
+        parent, result, calls = os.getpid(), training._chunk_result, []
+
+        def chunk_result(model, chunk, workspace):
+            calls.append(None)
+            if os.getpid() == parent and len(calls) == 3:  # in the second epoch
+                raise KeyboardInterrupt
+            return result(model, chunk, workspace)
+
+        monkeypatch.setattr(training, "_chunk_result", chunk_result)
+        with pytest.raises(KeyboardInterrupt):
+            train(dataset, TrainConfig(epochs=5), self.BODY25, spec)
+        assert_no_child_left()
 
 
 class TestEvaluate:
