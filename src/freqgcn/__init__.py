@@ -20,8 +20,6 @@ from .graph import (
 from .model import (
     AttentionReport,
     Model,
-    Prediction,
-    attention_report,
     backward,
     init_model,
     load_model,
@@ -49,11 +47,9 @@ __all__ = [
     "MetricsReport",
     "Model",
     "PoseSequence",
-    "Prediction",
     "SkeletonTopology",
     "SynthConfig",
     "TrainConfig",
-    "attention_report",
     "backward",
     "band_magnitudes",
     "bin_edges",

@@ -245,11 +245,10 @@ def cmd_train(features_dir, manifest, out_path, topology, channels, epochs, lr, 
         )
 
 
-def _classify(
-    path: Path, loaded: model_mod.Model, fps: float
-) -> tuple[str, model_mod.Prediction, model_mod.AttentionReport, float, float]:
-    """(sequence id, prediction, attention, extract and forward seconds) for one input; features
-    the model cannot take are a ModelMismatchError. Only extraction from raw frames is timed."""
+def _classify(path: Path, loaded: model_mod.Model,
+              fps: float) -> tuple[str, model_mod.ForwardCache, float, float]:
+    """(sequence id, forward cache of the chunk of one, extract and forward seconds) for one input;
+    features the model cannot take are a ModelMismatchError. Only extraction from raw frames is timed."""
     if not path.exists():
         raise FileNotFoundError(f"no such input: {path}")
     extract_seconds = 0.0
@@ -263,10 +262,10 @@ def _classify(
         extract_seconds = time.perf_counter() - start
     start = time.perf_counter()
     try:
-        prediction, report, _ = model_mod.model_forward(features, loaded)
+        cache = model_mod.model_forward([features], loaded)
     except ContractViolationError as exc:
         raise ModelMismatchError(f"{path.name}: {exc}") from exc
-    return seq_id, prediction, report, extract_seconds, time.perf_counter() - start
+    return seq_id, cache, extract_seconds, time.perf_counter() - start
 
 
 @main.command("predict")
@@ -286,10 +285,8 @@ def cmd_predict(model_path, inputs, fps, out_path, timing):
     loaded = model_mod.load_model(model_path)
     lines = []
     for raw in inputs:
-        seq_id, prediction, _, extract_seconds, forward_seconds = _classify(
-            Path(raw), loaded, fps
-        )
-        lines.append(f"{seq_id},{prediction.label},{prediction.probability[1]!r}")
+        seq_id, cache, extract_seconds, forward_seconds = _classify(Path(raw), loaded, fps)
+        lines.append(f"{seq_id},{cache.logits[0].argmax()},{float(cache.probability[0, 1])!r}")
         if timing:
             click.echo(
                 f"# {seq_id}: classification {extract_seconds + forward_seconds:.3f}s "
@@ -317,7 +314,7 @@ def cmd_explain(model_path, input_path, out_prefix, fps, bars):
     if not Path(model_path).exists():
         raise FileNotFoundError(f"no such model: {model_path}")
     loaded = model_mod.load_model(model_path)
-    report = _classify(Path(input_path), loaded, fps)[2]
+    report = model_mod.AttentionReport(_classify(Path(input_path), loaded, fps)[1].alpha[0])
 
     names = loaded.graph.topology.names
     alpha_file = Path(str(out_prefix) + ".alpha.csv")
@@ -362,7 +359,7 @@ def cmd_gradcheck(eps, seed, trials, threshold):
     worst: dict[str, float] = {}
     for trial in range(trials):
         trained = model_mod.init_model(topo, spec, channel_widths=(2, 16, 16), seed=seed + trial)
-        for param in trained.parameter_groups().values():
+        for param in trained.params.values():
             param += rng.normal(scale=0.3, size=param.shape)
         features = training.draw_smooth_check_case(trained, rng, scale=1.5)
         errors = training.gradient_check(trained, features, label=trial % 2, eps=eps)

@@ -8,8 +8,9 @@ Forward pipeline, run on a chunk of E inputs H of shape (N joints, B bins, C cha
 4. run S graph convolutions ReLU(A_hat X W) over the L = B*N node graph
 5. mean-pool the nodes and apply an affine head -> 2 logits
 
-Every intermediate is cached so the backward pass can produce exact
-analytic gradients, summed over the chunk, without an autodiff framework.
+model_forward returns the chunk's ForwardCache: its logits, probabilities and attention
+are the result, and its intermediates let the backward pass produce exact analytic
+gradients, summed over the chunk, without an autodiff framework.
 """
 
 from __future__ import annotations
@@ -81,21 +82,10 @@ class Model:
     def num_layers(self) -> int:
         return len(self.channel_widths) - 1
 
-    def parameter_groups(self) -> dict[str, np.ndarray]:
-        """Live views of every parameter array, keyed by schema name."""
-        return self.params
-
-
-@dataclass(frozen=True)
-class Prediction:
-    logits: tuple[float, float]
-    probability: tuple[float, float]
-    label: int
-
 
 @dataclass(eq=False)
 class AttentionReport:
-    """Attention weights plus the joint ranking they induce.
+    """One example's attention weights, such as ``cache.alpha[e]``, plus the joint ranking they induce.
 
     Importance of a joint is its largest deviation from uniform attention,
     max over bins of |alpha - 1/B|; ranking sorts joints by importance,
@@ -127,7 +117,7 @@ class Workspace(dict):
 
 @dataclass(eq=False)
 class ForwardCache:
-    """Intermediates of one chunk of E inputs, retained by model_forward for the backward pass."""
+    """One chunk of E inputs through model_forward: its result and the intermediates backward reads."""
 
     model: Model
     features: np.ndarray  # (E, N, B, C)
@@ -194,12 +184,13 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def _as_chunk(features, model: Model) -> tuple[np.ndarray, bool]:
-    """The inputs stacked as a float64 (E, N, B, C) array, and whether there was just one."""
-    single = not isinstance(features, (list, tuple))
+def _as_chunk(features, model: Model) -> np.ndarray:
+    """The chunk's inputs stacked as one float64 (E, N, B, C) array."""
+    if isinstance(features, FrequencyFeatures) or (isinstance(features, np.ndarray) and features.ndim != 4):
+        raise ContractViolationError("model_forward takes a list of inputs; pass [features] for one")
     expected = (model.num_joints, model.num_bins, model.in_channels)
     arrays = []
-    for f in [features] if single else features:
+    for f in features:
         if isinstance(f, FrequencyFeatures):
             if f.spec != model.bin_spec:
                 raise ContractViolationError(
@@ -209,19 +200,18 @@ def _as_chunk(features, model: Model) -> tuple[np.ndarray, bool]:
         if np.shape(f) != expected:
             raise ContractViolationError(f"features shape {np.shape(f)} does not match model {expected}")
         arrays.append(f)
-    return np.array(arrays, dtype=np.float64), single
+    return np.array(arrays, dtype=np.float64)
 
 
-def model_forward(
-    features, model: Model, workspace: Workspace | None = None
-) -> tuple[Prediction | tuple, AttentionReport | tuple, ForwardCache]:
-    """Full pipeline from binned features to 0/1 predictions, for one input or a chunk.
+def model_forward(features, model: Model, workspace: Workspace | None = None) -> ForwardCache:
+    """Full pipeline from binned features to class scores, for a chunk of E inputs.
 
-    One input (FrequencyFeatures or an (N, B, C) array) gives one Prediction and AttentionReport,
-    a list of E inputs a tuple of each; the cache holds the chunk (E = 1 for one input) in
-    ``workspace``, a fresh one unless passed. Raises NonFiniteError on non-finite logits.
+    ``features`` is a sequence of FrequencyFeatures or (N, B, C) arrays; one input is a list
+    of one. The result is the chunk's cache, held in ``workspace`` (a fresh one unless
+    passed): its (E, 2) ``logits`` and ``probability`` and (E, N, B) ``alpha``. Example e's
+    label is ``logits[e].argmax()``. Raises NonFiniteError on non-finite logits.
     """
-    h, single = _as_chunk(features, model)
+    h = _as_chunk(features, model)
     ws = Workspace() if workspace is None else workspace
     e, length = len(h), model.num_joints * model.num_bins
     w_z, w_alpha, *layers, head_weight, head_bias = model.params.values()  # schema order
@@ -245,21 +235,9 @@ def model_forward(
     finite = np.isfinite(logits).all(axis=1)
     if not finite.all():
         raise NonFiniteError(f"logits {logits[~finite][0].tolist()} are not finite")
-    probability = _softmax(logits)
-    predictions = tuple(
-        Prediction(logits=tuple(u), probability=tuple(p), label=label)
-        for u, p, label in zip(logits.tolist(), probability.tolist(), logits.argmax(axis=1).tolist())
+    return ForwardCache(
+        model, h, z, alpha, layer_inputs, aggregated, pre_relu, pooled, logits, _softmax(logits), ws
     )
-    reports = tuple(AttentionReport(a) for a in alpha)
-    cache = ForwardCache(
-        model, h, z, alpha, layer_inputs, aggregated, pre_relu, pooled, logits, probability, ws
-    )
-    return (predictions[0], reports[0], cache) if single else (predictions, reports, cache)
-
-
-def attention_report(model: Model, features: FrequencyFeatures | np.ndarray) -> AttentionReport:
-    """Attention weights and joint ranking for one input."""
-    return model_forward(features, model)[1]
 
 
 def one_hot(label: int) -> np.ndarray:
@@ -359,7 +337,7 @@ def save_model(model: Model, path: str | Path) -> None:
     lines.append(f"bins {model.bin_spec.num_bins}")
     lines.append(f"bin-c {model.bin_spec.c!r}")
     lines.append("channels " + " ".join(str(c) for c in model.channel_widths))
-    for name, array in model.parameter_groups().items():
+    for name, array in model.params.items():
         mat = np.atleast_2d(array)
         lines.append(f"param {name} {mat.shape[0]} {mat.shape[1]}")
         for row in mat:

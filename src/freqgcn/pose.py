@@ -369,13 +369,14 @@ def normalize_sequence(seq: PoseSequence, root: int, neck: int) -> PoseSequence:
     Invariant under global translation and uniform positive scaling of the
     input (up to float rounding). Requires a gap-free sequence. A normalized
     coordinate that overflows is a ContractViolationError naming its first
-    frame and joint.
+    frame and joint; a torso scale that overflows, one naming its first frame.
     """
     pos = seq.positions
     n = seq.num_joints
     if not (0 <= root < n and 0 <= neck < n):
         raise ContractViolationError(f"root/neck indices ({root}, {neck}) out of range for {n} joints")
-    torso = float(np.median(np.linalg.norm(pos[:, root] - pos[:, neck], axis=1)))
+    distances = np.linalg.norm(pos[:, root] - pos[:, neck], axis=1)
+    torso = float(np.median(distances))
     if torso <= 1e-9:
         raise DegeneratePoseError(
             f"median root-to-neck distance {torso:g} is too small to scale against"
@@ -385,6 +386,9 @@ def normalize_sequence(seq: PoseSequence, root: int, neck: int) -> PoseSequence:
         t, j, _ = np.argwhere(~np.isfinite(normalized))[0]  # C order: the first frame's lowest joint
         raise ContractViolationError(f"frame {t}, joint {j}: the normalized coordinates overflow; "
                                      "keypoint coordinates must be finite")
+    if torso == np.inf:  # every coordinate would divide to zero
+        raise ContractViolationError(f"frame {np.argmax(distances == np.inf)}: the root-to-neck distance "
+                                     "overflows; keypoint coordinates must be finite")
     return PoseSequence(normalized, fps=seq.fps, confidence=seq.confidence)
 
 

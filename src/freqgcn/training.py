@@ -150,8 +150,8 @@ def _run_epoch(
 def _chunk_result(model: Model, chunk: list, workspace: Workspace) -> tuple[float, int, dict]:
     """(summed loss, correct count, summed gradients) of one chunk."""
     targets = np.array([one_hot(label) for _, label in chunk])
-    predictions, _, cache = model_forward([f for f, _ in chunk], model, workspace)
-    correct = sum(p.label == label for p, (_, label) in zip(predictions, chunk))
+    cache = model_forward([f for f, _ in chunk], model, workspace)
+    correct = int((cache.logits.argmax(axis=1) == targets.argmax(axis=1)).sum())
     return loss(cache.logits, targets), correct, backward(cache, targets)
 
 
@@ -203,18 +203,16 @@ def finite_difference_gradients(
     """Central-difference loss gradients for every parameter entry."""
     target = one_hot(label)
     out: dict[str, np.ndarray] = {}
-    for name, param in model.parameter_groups().items():
+    for name, param in model.params.items():
         grad = np.zeros_like(param)
         flat_p = param.reshape(-1)
         flat_g = grad.reshape(-1)
         for idx in range(flat_p.size):
             original = flat_p[idx]
             flat_p[idx] = original + eps
-            _, _, cache = model_forward(features, model)
-            upper = loss(cache.logits, target)
+            upper = loss(model_forward([features], model).logits, target)
             flat_p[idx] = original - eps
-            _, _, cache = model_forward(features, model)
-            lower = loss(cache.logits, target)
+            lower = loss(model_forward([features], model).logits, target)
             flat_p[idx] = original
             flat_g[idx] = (upper - lower) / (2 * eps)
         out[name] = grad
@@ -237,8 +235,7 @@ def gradient_check(
 ) -> dict[str, float]:
     """Max relative error of analytic vs central-difference gradients, per group."""
     target = one_hot(label)
-    _, _, cache = model_forward(features, model)
-    analytic = backward(cache, target)
+    analytic = backward(model_forward([features], model), target)
     numeric = finite_difference_gradients(model, features, label, eps=eps)
     return {
         name: max_relative_error(analytic[name], numeric[name].reshape(analytic[name].shape))
@@ -258,8 +255,7 @@ def draw_smooth_check_case(
     n, b, c = model.num_joints, model.num_bins, model.in_channels
     for _ in range(1000):
         candidate = scale * np.abs(rng.normal(size=(n, b, c)))
-        _, _, cache = model_forward(candidate, model)
-        if all(np.abs(z).min() > KINK_MARGIN for z in cache.pre_relu):
+        if all(np.abs(z).min() > KINK_MARGIN for z in model_forward([candidate], model).pre_relu):
             return candidate
     raise RuntimeError("could not draw a kink-free gradient-check case")
 
@@ -288,8 +284,9 @@ def evaluate(
     size = chunk_size(model)
     for start in range(0, len(dataset), size):
         chunk = dataset[start : start + size]
-        predictions, _, _ = model_forward([f for _, f, _ in chunk], model)
-        rows += [(sid, y, p.label, p.probability[1]) for (sid, _, y), p in zip(chunk, predictions)]
+        cache = model_forward([f for _, f, _ in chunk], model)
+        labels, p_abnormal = cache.logits.argmax(axis=1).tolist(), cache.probability[:, 1].tolist()
+        rows += [(sid, y, label, p) for (sid, _, y), label, p in zip(chunk, labels, p_abnormal)]
 
     def recall(cls: int) -> float:
         hits = [predicted == cls for _, label, predicted, _ in rows if label == cls]

@@ -12,7 +12,7 @@ from conftest import random_connected_topology
 from freqgcn.cli import main as cli_main
 from freqgcn.frequency import BinSpec, bin_widths, extract_features, fft_bluestein
 from freqgcn.graph import build_feature_graph, builtin_topology
-from freqgcn.model import attention_report, init_model, model_forward
+from freqgcn.model import AttentionReport, init_model, model_forward
 from freqgcn.pose import interpolate_missing, normalize_sequence
 from freqgcn.synthetic import SynthConfig, generate_dataset, generate_sequence
 from freqgcn.training import TrainConfig, draw_smooth_check_case, evaluate, gradient_check, train
@@ -112,7 +112,7 @@ def test_criterion_4_gradient_correctness():
     start = time.perf_counter()
     for draw in range(100):
         model = init_model(TOY, spec, channel_widths=(2, 16, 16), seed=draw)
-        for param in model.parameter_groups().values():
+        for param in model.params.values():
             param += rng.normal(scale=0.3, size=param.shape)
         features = draw_smooth_check_case(model, rng, scale=1.5)
         errors = gradient_check(model, features, label=draw % 2, eps=1e-5)
@@ -199,7 +199,7 @@ def test_criterion_7_attention_marks_signal_joints():
             train_set, TrainConfig(epochs=150, learning_rate=1e-2, seed=seed), TOY, spec
         )
         importance = np.mean(
-            [attention_report(model, f).joint_importance for f in test_feats], axis=0
+            [AttentionReport(model_forward([f], model).alpha[0]).joint_importance for f in test_feats], axis=0
         )
         signal_mean = importance[list(signal)].mean()
         other_mean = np.mean([importance[j] for j in range(5) if j not in signal])
@@ -213,11 +213,11 @@ def test_criterion_8_interactive_time():
     model = init_model(TOY, EXPERIMENT_SPEC, seed=0)
     start = time.perf_counter()
     features = pipeline_features(sequence, TOY, EXPERIMENT_SPEC)
-    prediction, _, _ = model_forward(features, model)
+    cache = model_forward([features], model)
     elapsed = time.perf_counter() - start
     report(
         8,
-        elapsed < 1.0 and prediction.label in (0, 1),
+        elapsed < 1.0 and cache.logits[0].argmax() in (0, 1),
         f"1000-frame classification in {elapsed * 1000:.0f}ms",
     )
 

@@ -816,6 +816,9 @@ OVERFLOW_FRAMES = [json.dumps({"people": [{"pose_keypoints_2d": [x, 2.0, c] + [1
 # Joint 0 (the root) reads 1.5e308 and joint 1 (the neck) -1.5e308: root-centering joint 1 overflows.
 NORMALIZE_OVERFLOW_FRAME = json.dumps({"people": [{"pose_keypoints_2d": [1.5e308, 2.0, 1.0, -1.5e308, 2.0, 1.0]
                                                                         + [1.0, 2.0, 1.0] * 3}]})
+# The root at (0, 0) and the neck at (1e308, 1e308): their distance overflows, the centered neck does not.
+TORSO_OVERFLOW_FRAME = json.dumps({"people": [{"pose_keypoints_2d": [0.0, 0.0, 1.0, 1e308, 1e308, 1.0]
+                                                                    + [1.0, 2.0, 1.0] * 3}]})
 NESTED_FRAME = json.dumps({"people": [{"pose_keypoints_2d": [[1, 2, 0.5]] * 15}]})
 LONG_INT = "1" * 4301  # more digits than Python converts to an integer by default
 LONG_INT_FRAME = '{"people": [{"pose_keypoints_2d": [%s%s]}]}' % (LONG_INT, ", 1.0" * 14)
@@ -931,6 +934,9 @@ ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring)
      extract(written("clip.json", "[%s]" % ", ".join([NORMALIZE_OVERFLOW_FRAME] * 40))),
      1, "error: clip.json: frame 0, joint 1: the normalized coordinates overflow; "
         "keypoint coordinates must be finite\n"),
+    ("container-torso-overflow",
+     extract(written("clip.json", "[%s]" % ", ".join([TORSO_OVERFLOW_FRAME] * 40))),
+     1, "error: clip.json: frame 0: the root-to-neck distance overflows; keypoint coordinates must be finite\n"),
     ("container-nested-triples", extract(written("clip.json", f"[{NESTED_FRAME}, {NESTED_FRAME}]")),
      1, "flat numeric array"),
     ("container-long-integer", extract(written("clip.json", f"[{TOY5_FRAME}, {LONG_INT_FRAME}]")),

@@ -330,6 +330,45 @@ class TestFeatureCsvRoundTrip:
         assert len(rows) == 1 + 3 * 5 * 2
 
 
+class TestFeatureRows:
+    """A defective row is a FormatError naming its line, counted with blank lines and the header."""
+
+    @pytest.fixture()
+    def written(self, tmp_path):
+        path = tmp_path / "f.csv"  # 2 joints x 2 bins x 2 channels: lines 2-9 hold the 8 cells
+        write_features_csv(FrequencyFeatures(data=np.full((2, 2, 2), 0.5), spec=BinSpec(c=1.3, num_bins=2),
+                                             fps=30.0), path)
+        return path
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda rows: rows[:3] + ["0,1,y,0.5"] + rows[4:], "f.csv:4: expected 0,1,x,<value>: '0,1,y,0.5'"),
+        (lambda rows: rows[:3] + ["0,1,x,1,5"] + rows[4:], "f.csv:4: expected 0,1,x,<value>: '0,1,x,1,5'"),
+        (lambda rows: rows[:3] + ["0,1,x"] + rows[4:], "f.csv:4: expected 0,1,x,<value>: '0,1,x'"),
+        (lambda rows: rows[:3] + ["0,1,x,"] + rows[4:], "f.csv:4: expected 0,1,x,<value>: '0,1,x,'"),
+        (lambda rows: rows[:3] + ["0,1,x,nan"] + rows[4:], "f.csv:4: non-finite or negative value in '0,1,x,nan'"),
+        (lambda rows: rows[:3] + ["0,1,x,-1.0"] + rows[4:],
+         "f.csv:4: non-finite or negative value in '0,1,x,-1.0'"),
+        (lambda rows: rows[:1] + ["", ""] + rows[1:3] + ["0,1,y,0.5"] + rows[4:],
+         "f.csv:6: expected 0,1,x,<value>: '0,1,y,0.5'"),
+        (lambda rows: rows[:2] + [""] + rows[2:3] + ["", "0,1,x,inf"] + rows[4:],
+         "f.csv:6: non-finite or negative value in '0,1,x,inf'"),
+        (lambda rows: rows[:5] + ["0,2,x,0.5"] + rows[6:], "f.csv:6: expected 1,0,x,<value>: '0,2,x,0.5'"),
+        (lambda rows: rows + ["1,1,y,0.5"], "f.csv:10: row past the last cell"),
+        (lambda rows: rows + ["", "extra"], "f.csv:11: row past the last cell"),
+        (lambda rows: rows[:-1], "f.csv:9: missing rows, 7 of 8"),
+    ])
+    def test_first_row_at_fault_is_named(self, written, edit, message):
+        written.write_text("\n".join(edit(written.read_text().splitlines())) + "\n")
+        with pytest.raises(FormatError) as raised:
+            read_features_csv(written)
+        assert str(raised.value) == message
+
+    def test_blank_lines_between_rows_are_skipped(self, written):
+        rows = written.read_text().splitlines()
+        written.write_text("\n".join(rows[:1] + [""] + rows[1:5] + ["", ""] + rows[5:]) + "\n\n")
+        assert np.array_equal(read_features_csv(written)[0].data, np.full((2, 2, 2), 0.5))
+
+
 class TestFeatureSidecar:
     """A defective sidecar is a FormatError, never a raw exception."""
 

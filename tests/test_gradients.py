@@ -10,6 +10,7 @@ from freqgcn.model import Workspace, backward, init_model, model_forward, one_ho
 from freqgcn.training import (
     chunk_size,
     draw_smooth_check_case,
+    evaluate,
     finite_difference_gradients,
     gradient_check,
     max_relative_error,
@@ -22,7 +23,7 @@ SPEC3 = BinSpec(c=1.3, num_bins=3)
 
 def randomized_model(rng, seed):
     model = init_model(TOY, SPEC3, channel_widths=(2, 16, 16), seed=seed)
-    for param in model.parameter_groups().values():
+    for param in model.params.values():
         param += rng.normal(scale=0.3, size=param.shape)
     return model
 
@@ -43,7 +44,7 @@ class TestGradientCorrectness:
         model = randomized_model(np.random.default_rng(1), 1)
         model.params["head_bias"] += np.array([60.0, -60.0])
         features = np.abs(np.random.default_rng(2).normal(size=(5, 3, 2)))
-        _, _, cache = model_forward(features, model)
+        cache = model_forward([features], model)
         grads = backward(cache, one_hot(0))
         total = sum(float(np.abs(g).sum()) for g in grads.values())
         assert total < 1e-8
@@ -54,7 +55,7 @@ class TestGradientCorrectness:
         dead_col = 4
         model.params["layer0"][:, dead_col] = -10.0  # strongly negative pre-activations
         features = np.abs(np.random.default_rng(5).normal(size=(5, 3, 2))) + 0.5
-        _, _, cache = model_forward(features, model)
+        cache = model_forward([features], model)
         assert np.all(cache.pre_relu[0][:, dead_col] < 0.0)
         grads = backward(cache, one_hot(1))
         # Column feeds only dead units, so its weight gradient vanishes.
@@ -64,14 +65,14 @@ class TestGradientCorrectness:
         # The oracle itself on the head bias: d loss / d bias = p - y.
         model = randomized_model(np.random.default_rng(6), 6)
         features = draw_smooth_check_case(model, np.random.default_rng(7))
-        _, _, cache = model_forward(features, model)
+        cache = model_forward([features], model)
         fd = finite_difference_gradients(model, features, label=0, eps=1e-6)
         expected = cache.probability - one_hot(0)
         assert max_relative_error(expected, fd["head_bias"].reshape(-1)) < 1e-6
 
     def test_backward_rejects_bad_label(self):
         model = randomized_model(np.random.default_rng(8), 8)
-        _, _, cache = model_forward(np.abs(np.random.default_rng(9).normal(size=(5, 3, 2))), model)
+        cache = model_forward([np.abs(np.random.default_rng(9).normal(size=(5, 3, 2)))], model)
         with pytest.raises(ContractViolationError):
             backward(cache, np.array([0.2, 0.8]))
 
@@ -138,7 +139,7 @@ class TestChunkedPath:
     def case(self):
         rng = np.random.default_rng(20)
         model = init_model(builtin_topology("body25"), BinSpec(c=1.15, num_bins=22), seed=20)
-        for param in model.parameter_groups().values():
+        for param in model.params.values():
             param += rng.normal(scale=0.3, size=param.shape)
         examples = [(np.abs(rng.normal(size=(25, 22, 2))), i % 2) for i in range(self.EXAMPLES)]
         want = dict.fromkeys(model.params, 0.0)
@@ -163,7 +164,7 @@ class TestChunkedPath:
         logits = []
         for start in range(0, len(examples), size):
             chunk = examples[start:start + size]
-            _, _, cache = model_forward([h for h, _ in chunk], model, workspace)
+            cache = model_forward([h for h, _ in chunk], model, workspace)
             logits.append(cache.logits.copy())
             targets = np.array([one_hot(label) for _, label in chunk])
             for name, g in backward(cache, targets).items():
@@ -177,24 +178,38 @@ class TestChunkedPath:
             assert error <= 1e-12, f"{name} off by {error:.1e} at chunk size {size}"
 
     def test_one_input_is_the_chunk_of_one(self, case):
-        model, examples, want_logits, want = case
-        h, label = examples[0]
-        prediction, report, cache = model_forward(h, model)
-        predictions, reports, chunk_cache = model_forward([h], model)
-        assert predictions == (prediction,)
-        assert np.array_equal(reports[0].alpha, report.alpha)
-        assert cache.logits.shape == (1, 2) and cache.layer_inputs[-1].shape == (550, 16)
-        one, chunk = backward(cache, one_hot(label)), backward(chunk_cache, one_hot(label)[None])
-        for name in one:
-            assert np.array_equal(one[name], chunk[name])
+        # A chunk of one gives what its example gives inside the whole chunk, and the oracle's gradients.
+        model, examples, want_logits, _ = case
+        whole = model_forward([h for h, _ in examples], model)
+        for index, (h, label) in enumerate(examples):
+            cache = model_forward([h], model)
+            assert cache.logits.shape == (1, 2) and cache.layer_inputs[-1].shape == (550, 16)
+            for name in ("logits", "probability", "alpha"):
+                np.testing.assert_allclose(getattr(cache, name)[0], getattr(whole, name)[index],
+                                           rtol=1e-12, atol=0)
+            np.testing.assert_allclose(cache.logits[0], want_logits[index], rtol=1e-12, atol=0)
+            want = example_oracle(model, h, label)[1]
+            for name, g in backward(cache, one_hot(label)).items():
+                error = np.abs(g - want[name]).max() / np.abs(want[name]).max()
+                assert error <= 1e-12, f"{name} off by {error:.1e} on example {index}"
+
+    def test_evaluate_labels_and_p_abnormal_follow_the_oracle_logits(self, case):
+        model, examples, want_logits, _ = case  # two chunks at the 7-example budget
+        report = evaluate(model, [(f"e{i}", h, label) for i, (h, label) in enumerate(examples)])
+        ids, labels, predicted, p_abnormal = zip(*report.predictions)
+        assert ids == tuple(f"e{i}" for i in range(self.EXAMPLES))
+        assert labels == tuple(label for _, label in examples)
+        assert list(predicted) == want_logits.argmax(axis=1).tolist()
+        want_probability = np.exp(want_logits) / np.exp(want_logits).sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(p_abnormal, want_probability[:, 1], rtol=1e-12, atol=0)
 
     def test_plain_call_cache_is_not_overwritten(self, case):
         model, examples, _, _ = case
-        _, _, first = model_forward(examples[0][0], model)
+        first = model_forward([examples[0][0]], model)
         kept = {name: [a.copy() for a in getattr(first, name)]
                 for name in ("layer_inputs", "aggregated", "pre_relu")}
         before = backward(first, one_hot(0))
-        _, _, second = model_forward([h for h, _ in examples[1:4]], model)
+        second = model_forward([h for h, _ in examples[1:4]], model)
         backward(second, np.array([one_hot(1), one_hot(0), one_hot(1)]))
         for name, arrays in kept.items():
             for got, want in zip(getattr(first, name), arrays):
@@ -207,12 +222,12 @@ class TestChunkedPath:
     def test_shared_workspace_is_reused(self, case):
         model, examples, _, _ = case
         workspace = Workspace()
-        _, _, first = model_forward([examples[0][0]], model, workspace)
-        _, _, second = model_forward([examples[1][0]], model, workspace)
+        first = model_forward([examples[0][0]], model, workspace)
+        second = model_forward([examples[1][0]], model, workspace)
         assert np.shares_memory(first.pre_relu[-1], second.pre_relu[-1])
 
     def test_mismatched_label_rows_rejected(self, case):
         model, examples, _, _ = case
-        _, _, cache = model_forward([h for h, _ in examples[:3]], model)
+        cache = model_forward([h for h, _ in examples[:3]], model)
         with pytest.raises(ContractViolationError):
             backward(cache, np.array([one_hot(0), one_hot(1)]))

@@ -11,7 +11,6 @@ from freqgcn.frequency import BinSpec, FrequencyFeatures
 from freqgcn.graph import SkeletonTopology, builtin_topology
 from freqgcn.model import (
     AttentionReport,
-    attention_report,
     backward,
     init_model,
     load_model,
@@ -154,7 +153,7 @@ class TestGcnForward:
                            channel_widths=widths, seed=bins)
         model.params["w_alpha"] += rng.normal(size=2)
         feats = np.abs(rng.normal(size=(model.num_joints, bins, 2)))
-        _, _, cache = model_forward(feats, model)
+        cache = model_forward([feats], model)
         layers = [model.params[f"layer{l}"] for l in range(model.num_layers)]
         for l, weight in enumerate(layers):
             want = gcn_forward(normalized(model.graph), cache.layer_inputs[l], weight)
@@ -165,45 +164,53 @@ class TestModelForward:
     def test_zero_features_predict_head_bias(self):
         model = toy_model()
         model.params["head_bias"] += np.array([0.3, -0.2])
-        prediction, _, _ = model_forward(np.zeros((5, 3, 2)), model)
-        assert prediction.logits == pytest.approx((0.3, -0.2))
-        assert prediction.label == 0
+        cache = model_forward([np.zeros((5, 3, 2))], model)
+        assert tuple(cache.logits[0]) == pytest.approx((0.3, -0.2))
+        assert cache.logits[0].argmax() == 0
 
     def test_deterministic(self):
         model = toy_model(seed=5, randomize_attention=True)
         rng = np.random.default_rng(6)
         feats = np.abs(rng.normal(size=(5, 3, 2)))
-        first, _, _ = model_forward(feats, model)
-        second, _, _ = model_forward(feats, model)
-        assert first.logits == second.logits
+        first = model_forward([feats], model)
+        second = model_forward([feats], model)
+        assert np.array_equal(first.logits, second.logits)
 
     def test_probabilities_sum_to_one_and_label_is_argmax(self):
         rng = np.random.default_rng(7)
         model = toy_model(seed=7, randomize_attention=True)
         for _ in range(20):
-            prediction, _, _ = model_forward(np.abs(rng.normal(size=(5, 3, 2))), model)
-            assert sum(prediction.probability) == pytest.approx(1.0, abs=1e-9)
-            assert prediction.label == int(np.argmax(prediction.logits))
+            cache = model_forward([np.abs(rng.normal(size=(5, 3, 2)))], model)
+            assert sum(cache.probability[0]) == pytest.approx(1.0, abs=1e-9)
+            assert cache.probability[0].argmax() == cache.logits[0].argmax()
 
     def test_overflowing_weights_raise_instead_of_predicting_nan(self):
         model = toy_model()
         model.params["layer0"][:] = 1e300
         model.params["layer1"][:] = 1e300
         with pytest.raises(NonFiniteError, match="logits"):
-            model_forward(np.ones((5, 3, 2)), model)
+            model_forward([np.ones((5, 3, 2))], model)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ContractViolationError):
-            model_forward(np.zeros((4, 3, 2)), toy_model())
+            model_forward([np.zeros((4, 3, 2))], toy_model())
+
+    def test_bare_input_is_refused_with_a_list_expected(self):
+        data = np.ones((5, 3, 2))
+        bare = FrequencyFeatures(data=data, spec=BinSpec(c=1.3, num_bins=3), fps=30.0)
+        for features in (bare, data):
+            with pytest.raises(ContractViolationError, match=r"list of inputs; pass \[features\] for one"):
+                model_forward(features, toy_model())
 
     def test_features_binned_with_another_spec_rejected(self):
         # Same (N, B, C) shape, different growth: the bins cover other frequencies.
         data = np.ones((5, 3, 2))
         other = FrequencyFeatures(data=data, spec=BinSpec(c=1.5, num_bins=3), fps=30.0)
         with pytest.raises(ContractViolationError, match="binned with"):
-            model_forward(other, toy_model())
+            model_forward([other], toy_model())
         same = FrequencyFeatures(data=data, spec=BinSpec(c=1.3, num_bins=3), fps=30.0)
-        assert model_forward(same, toy_model())[0] == model_forward(data, toy_model())[0]
+        a, b = model_forward([same], toy_model()), model_forward([data], toy_model())
+        assert np.array_equal(a.logits, b.logits) and np.array_equal(a.probability, b.probability)
 
     def test_joint_permutation_leaves_logits_unchanged(self):
         rng = np.random.default_rng(8)
@@ -220,10 +227,10 @@ class TestModelForward:
         conjugated = init_model(permuted_topo, SPEC3, seed=3)
         base.params["w_alpha"] += 0.7
         conjugated.params["w_alpha"] += 0.7
-        p_base, _, _ = model_forward(feats, base)
+        p_base = model_forward([feats], base)
         permuted_feats = np.empty_like(feats)
         permuted_feats[perm] = feats
-        p_perm, _, _ = model_forward(permuted_feats, conjugated)
+        p_perm = model_forward([permuted_feats], conjugated)
         assert np.allclose(p_base.logits, p_perm.logits, atol=1e-9)
 
 
@@ -244,12 +251,12 @@ class TestStructuredPropagationInModel:
     def test_forward_and_backward_match_dense_reference(self, preset, bins, seed):
         rng = np.random.default_rng(seed)
         model = init_model(builtin_topology(preset), BinSpec(c=1.15, num_bins=bins), seed=seed)
-        for param in model.parameter_groups().values():
+        for param in model.params.values():
             param += rng.normal(scale=0.3, size=param.shape)
         reference = dataclasses.replace(model, graph=DenseGraph(model.graph))
         feats = np.abs(rng.normal(size=(model.num_joints, bins, 2)))
-        _, _, cache = model_forward(feats, model)
-        _, _, dense_cache = model_forward(feats, reference)
+        cache = model_forward([feats], model)
+        dense_cache = model_forward([feats], reference)
         for name in ("aggregated", "pre_relu", "layer_inputs"):
             for got, want in zip(getattr(cache, name), getattr(dense_cache, name)):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -269,7 +276,7 @@ class TestStructuredPropagationInModel:
         try:
             built = init_model(topo, spec, seed=1)
             loaded = load_model(tmp_path / "model.txt")
-            _, _, cache = model_forward(feats, loaded)
+            cache = model_forward([feats], loaded)
             backward(cache, one_hot(0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -287,11 +294,11 @@ class TestParameterSchema:
         assert list(schema) == ["w_z", "w_alpha"] + [
             f"layer{l}" for l in range(len(widths) - 1)
         ] + ["head_weight", "head_bias"]
-        groups = model.parameter_groups()
+        groups = model.params
         assert list(groups) == list(schema)
         assert [p.shape for p in groups.values()] == list(schema.values())
         feats = np.abs(np.random.default_rng(0).normal(size=(5, 3, 2)))
-        _, _, cache = model_forward(feats, model)
+        cache = model_forward([feats], model)
         grads = backward(cache, one_hot(0))
         assert list(grads) == list(schema)
         assert [g.shape for g in grads.values()] == list(schema.values())
@@ -348,7 +355,7 @@ class TestAttentionReportOp:
     def test_fresh_model_reports_zero_importance_in_input_order(self):
         model = toy_model()  # w_alpha zero-initialized
         rng = np.random.default_rng(10)
-        report = attention_report(model, np.abs(rng.normal(size=(5, 3, 2))))
+        report = AttentionReport(model_forward([np.abs(rng.normal(size=(5, 3, 2)))], model).alpha[0])
         assert np.allclose(report.joint_importance, 0.0)
         assert list(report.ranking) == [0, 1, 2, 3, 4]
 
@@ -359,7 +366,7 @@ class TestAttentionReportOp:
         assert report.ranking[0] == 3
 
     def test_ranking_is_computed_on_first_access_only(self):
-        _, report, _ = model_forward(np.ones((5, 3, 2)), toy_model())
+        report = AttentionReport(model_forward([np.ones((5, 3, 2))], toy_model()).alpha[0])
         assert "ranking" not in vars(report) and "joint_importance" not in vars(report)
         assert list(report.ranking) == [0, 1, 2, 3, 4]
         assert "ranking" in vars(report) and "joint_importance" in vars(report)
@@ -367,7 +374,7 @@ class TestAttentionReportOp:
     def test_alpha_rows_sum_to_one(self):
         model = toy_model(seed=11, randomize_attention=True)
         rng = np.random.default_rng(11)
-        report = attention_report(model, np.abs(rng.normal(size=(5, 3, 2))))
+        report = AttentionReport(model_forward([np.abs(rng.normal(size=(5, 3, 2)))], model).alpha[0])
         assert np.allclose(report.alpha.sum(axis=1), 1.0, atol=1e-9)
 
 
@@ -378,7 +385,7 @@ class TestPersistence:
         save_model(model, path)
         loaded = load_model(path)
         for (name_a, a), (name_b, b) in zip(
-            model.parameter_groups().items(), loaded.parameter_groups().items()
+            model.params.items(), loaded.params.items()
         ):
             assert name_a == name_b
             assert np.array_equal(a, b)
@@ -399,9 +406,9 @@ class TestPersistence:
         loaded = load_model(tmp_path / "model.txt")
         rng = np.random.default_rng(14)
         feats = np.abs(rng.normal(size=(5, 3, 2)))
-        a, _, _ = model_forward(feats, model)
-        b, _, _ = model_forward(feats, loaded)
-        assert a.logits == b.logits
+        a = model_forward([feats], model)
+        b = model_forward([feats], loaded)
+        assert np.array_equal(a.logits, b.logits)
 
     def test_version_mismatch_rejected(self, tmp_path):
         model = toy_model()

@@ -633,6 +633,15 @@ class TestNormalizeSequence:
                                                  "keypoint coordinates must be finite$"):
                 normalize_sequence(PoseSequence(pos, fps=30.0), root=0, neck=1)
 
+    def test_a_torso_scale_that_overflows_names_its_first_frame_and_warns_nothing(self):
+        pos = np.array([[[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]]] * 4)
+        pos[1:, 1] = 1e308  # frames 1-3: the root-to-neck distance overflows, the centered neck does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^frame 1: the root-to-neck distance overflows; "
+                                                 "keypoint coordinates must be finite$"):
+                normalize_sequence(PoseSequence(pos, fps=30.0), root=0, neck=1)
+
     @given(
         scale=st.floats(0.01, 100.0, allow_nan=False),
         tx=st.floats(-500.0, 500.0, allow_nan=False),

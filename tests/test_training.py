@@ -58,7 +58,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=20, seed=9)
         model_a, _ = train(dataset, cfg, TOY, SPEC3)
         model_b, _ = train(dataset, cfg, TOY, SPEC3)
-        for a, b in zip(model_a.parameter_groups().values(), model_b.parameter_groups().values()):
+        for a, b in zip(model_a.params.values(), model_b.params.values()):
             assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
@@ -95,8 +95,7 @@ class TestTrain:
         )
         correct = 0
         for features, label in dataset:
-            prediction, _, _ = model_forward(features, model)
-            correct += prediction.label == label
+            correct += model_forward([features], model).logits[0].argmax() == label
         assert correct == len(dataset)
 
     @pytest.mark.parametrize("full_batch", [True, False])
