@@ -154,7 +154,7 @@ def _load_feature_table(
     features_dir: Path, manifest_rows: list[dict[str, str]], topology: SkeletonTopology
 ) -> list[tuple[str, frequency.FrequencyFeatures, int, str]]:
     """(id, features, label, split) per manifest row; every file shares the first one's
-    bin spec and the topology's joint count."""
+    bin spec and fps and the topology's joint count."""
     table = []
     for row in manifest_rows:
         seq_id = row["sequence_id"]
@@ -165,6 +165,10 @@ def _load_feature_table(
         if table and spec != table[0][1].spec:
             raise ModelMismatchError(
                 f"feature file for {seq_id} has bin spec {spec}, the first file {table[0][1].spec}"
+            )
+        if table and features.fps != table[0][1].fps:
+            raise ModelMismatchError(
+                f"feature file for {seq_id} has fps {features.fps}, the first file {table[0][1].fps}"
             )
         if features.num_joints != topology.num_joints:
             raise ModelMismatchError(

@@ -2,8 +2,9 @@
 
 Binned magnitudes keep the low-to-mid band and discard everything past the
 last bin edge, which is where sensor noise lives, so features come from a
-two-level direct DFT of that band alone. The general transform is a
-chirp-z (Bluestein) FFT of any length, primes included.
+two-level direct DFT of that band alone. The general transform is a chirp-z
+(Bluestein) FFT of any length over a four-step kernel of the same two-level
+kind. One routine, _phases, builds every DFT table but the chirp.
 """
 
 from __future__ import annotations
@@ -31,43 +32,29 @@ def _finite_signals(signal, name: str, dtype) -> np.ndarray:
     return x.astype(dtype)
 
 
-def _pow2_plan(m: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Bit-reversal permutation and per-stage twiddles of a length-m radix-2 FFT."""
-    rev = np.zeros(m, dtype=np.int64)
-    work = np.arange(m)
-    for _ in range(m.bit_length() - 1):
-        rev = (rev << 1) | (work & 1)
-        work >>= 1
-    twiddles = []
-    size = 2
-    while size <= m:
-        twiddles.append(np.exp((-2j * np.pi / size) * np.arange(size // 2)))
-        size *= 2
-    return rev, twiddles
+def _phases(rows, cols, m: int, sign: float = -1.0) -> np.ndarray:
+    """Table exp(sign*2*pi*i*(r*c mod m)/m) over index arrays rows (r) and cols (c).
+
+    The product is reduced mod m in int64, so large products do not lose precision.
+    """
+    return np.exp((sign * 2j * np.pi / m) * (rows.astype(np.int64)[:, None] * cols % m))
 
 
-def _fft_pow2(values: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 Cooley-Tukey along the last axis, whose length must be a power of two."""
+def _fft_pow2(values: np.ndarray, sign: float = -1.0) -> np.ndarray:
+    """Four-step DFT along the last axis, whose length m = p*q must be a power of two.
+
+    With p = 2^floor(log2(m)/2), n = q*a + b, k = c + p*d and W_n = exp(sign*2*pi*i/n),
+    X[k] = sum_b W_q^(b*d) W_m^(b*c) sum_a x[q*a + b] W_p^(a*c): length-p DFTs, a twiddle,
+    then length-q DFTs, each a matmul by a direct table. sign=+1 gives m times the inverse.
+    """
     m = values.shape[-1]
-    rev, twiddles = _pow2_plan(m)
-    out = values[..., rev]
-    for twiddle in twiddles:
-        half = twiddle.shape[0]
-        blocks = out.reshape(*out.shape[:-1], m // (2 * half), 2 * half)
-        even = blocks[..., :half]
-        odd = blocks[..., half:]
-        odd *= twiddle
-        lower = even - odd
-        even += odd
-        odd[...] = lower
-    return out
-
-
-def _ifft_pow2(values: np.ndarray) -> np.ndarray:
-    out = _fft_pow2(np.conj(values))
-    np.conj(out, out=out)
-    out /= out.shape[-1]
-    return out
+    p = 1 << (m.bit_length() - 1) // 2
+    q = m // p
+    ip, iq = np.arange(p), np.arange(q)
+    columns = values.reshape(*values.shape[:-1], p, q).swapaxes(-1, -2)  # (b, a): x[q*a + b]
+    inner = columns @ _phases(ip, ip, p, sign)  # (b, c): sum_a x[q*a + b] W_p^(a*c)
+    inner *= _phases(iq, ip, m, sign)  # the twiddle W_m^(b*c)
+    return (_phases(iq, iq, q, sign) @ inner).reshape(values.shape)  # (d, c) is k = c + p*d
 
 
 def _chirp_plan(t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -84,11 +71,10 @@ def _chirp_plan(t: int) -> tuple[np.ndarray, np.ndarray]:
 def fft_bluestein(signal) -> np.ndarray:
     """DFT of any length via the chirp-z decomposition, along the last axis.
 
-    Accepts shape (..., T) and transforms every row at once. Writes
-    k*t = (k^2 + t^2 - (k-t)^2) / 2, turning the transform into a chirp
-    multiply, a circular convolution at the next power of two >= 2T-1 (run
-    with the radix-2 kernel), and a final chirp multiply. Chirp phases use
-    t^2 mod 2T so they stay exact for long signals.
+    Accepts shape (..., T) and transforms every row at once. Writes k*t = (k^2 + t^2 - (k-t)^2) / 2,
+    turning the transform into a chirp multiply, a circular convolution at the next power
+    of two >= 2T-1 (run with the four-step kernel), and a final chirp multiply. Chirp
+    phases use t^2 mod 2T so they stay exact for long signals.
     """
     x = _finite_signals(signal, "fft_bluestein", np.complex128)
     t = x.shape[-1]
@@ -98,7 +84,7 @@ def fft_bluestein(signal) -> np.ndarray:
     spectrum = _fft_pow2(padded)
     del padded  # one fewer full-size array alive during the inverse transform
     spectrum *= kernel
-    return _ifft_pow2(spectrum)[..., :t] * chirp
+    return _fft_pow2(spectrum, sign=1.0)[..., :t] * chirp / kernel.shape[-1]
 
 
 def band_magnitudes(signal, hi: int) -> np.ndarray:
@@ -108,8 +94,7 @@ def band_magnitudes(signal, hi: int) -> np.ndarray:
     for W = exp(-2*pi*i/T). Each row, zero-padded to whole blocks of p, takes a real matmul
     by the (p, hi) table W^(k*b), its cosines and sines interleaved, so the product reads as
     complex; the (blocks, hi) table W^(k*a*p) then combines the blocks. The tables take
-    about 2*sqrt(T)*hi exponentials, so nothing is cached. Phases are reduced mod T in
-    integers, so large products do not lose precision.
+    about 2*sqrt(T)*hi exponentials, so nothing is cached.
     """
     x = _finite_signals(signal, "band_magnitudes", np.float64)
     t = x.shape[-1]
@@ -117,9 +102,9 @@ def band_magnitudes(signal, hi: int) -> np.ndarray:
         raise ContractViolationError(f"band_magnitudes needs 1 <= hi <= T, got hi={hi} and T={t}")
     p = math.isqrt(t - 1) + 1
     blocks = -(-t // p)
-    k = np.arange(hi, dtype=np.int64)
-    inner, outer = (np.exp((-2j * np.pi / t) * (np.arange(0, n * step, step)[:, None] * k % t))
-                    for n, step in ((p, 1), (blocks, p)))
+    k = np.arange(hi)
+    inner = _phases(np.arange(p), k, t)
+    outer = _phases(np.arange(0, blocks * p, p), k, t)
     padded = np.zeros((math.prod(x.shape[:-1]), blocks * p))
     padded[:, :t] = x.reshape(-1, t)
     # A product per row: one (rows * blocks, p) product is split over OpenBLAS threads, which on

@@ -153,6 +153,7 @@ def read_topology(path: str | Path) -> SkeletonTopology:
     root = 0
     neck = 1
     names: dict[int, str] = {}
+    name_lines: dict[int, int] = {}  # joint -> the line that names it
     edges: list[tuple[int, int]] = []
     for lineno, line in enumerate(read_input(path, FormatError).splitlines(), start=1):
         line = line.strip()
@@ -169,7 +170,11 @@ def read_topology(path: str | Path) -> SkeletonTopology:
                     neck = int(body[5:])
                 elif body.startswith("joint "):
                     _, idx, label = body.split(maxsplit=2)
-                    names[int(idx)] = label
+                    joint = int(idx)
+                    if joint in names:
+                        raise FormatError(f"{path.name}:{lineno}: joint {joint} is named twice")
+                    names[joint] = label
+                    name_lines[joint] = lineno
                 continue
             i, j = line.split()
             edges.append((int(i), int(j)))
@@ -179,6 +184,9 @@ def read_topology(path: str | Path) -> SkeletonTopology:
         raise FormatError(f"{path.name}: missing '# N=<n>' header")
     if n > len(edges) + 1:  # before any per-joint work, so a huge N fails at once
         raise FormatError(f"{path.name}: {len(edges)} edges cannot connect {n} joints")
+    for joint, lineno in name_lines.items():  # after the loop: '# N=' may follow the names
+        if not 0 <= joint < n:
+            raise FormatError(f"{path.name}:{lineno}: joint {joint} is outside [0, {n})")
     name_tuple = tuple(names.get(i, f"j{i}") for i in range(n)) if names else ()
     try:
         return SkeletonTopology(

@@ -69,6 +69,22 @@ class TestSynthCommand:
         fb = sorted((tmp_path / "b" / "sequences").rglob("*.json"))
         assert [p.read_bytes() for p in fa] == [p.read_bytes() for p in fb]
 
+    def test_off_grid_is_deterministic_and_changes_only_the_frames(self, runner, tmp_path):
+        for name, flags in (("a", ["--off-grid"]), ("b", ["--off-grid"]), ("grid", [])):
+            result = run(runner, "synth", "--out", tmp_path / name, "--n-per-class", 2,
+                         "--frames", 40, "--seed", 5, *flags)
+            assert result.exit_code == 0
+
+        def frames(name):
+            return {seq.name: [p.read_bytes() for p in sorted(seq.iterdir())]
+                    for seq in (tmp_path / name / "sequences").iterdir()}
+
+        manifests = {(tmp_path / name / "manifest.csv").read_bytes() for name in ("a", "b", "grid")}
+        assert len(manifests) == 1
+        assert frames("a") == frames("b")
+        on_grid = frames("grid")
+        assert all(on_grid[seq] != files for seq, files in frames("a").items())
+
     def test_aliasing_band_fails(self, runner, tmp_path):
         result = runner.invoke(
             main, ["synth", "--out", str(tmp_path / "x"), "--band1", "3:20", "--frames", "40"]
@@ -619,8 +635,11 @@ class TestHostileTopologyFile:
         ("# N=5\n0 x\n", "bad.topo:2: "),
         ("# N=7\n0 1\n1 2\n1 3\n1 4\n", "bad.topo: "),  # too few edges to connect N
         ("# N=5\n# joint 0 r\xf6ot\n", "bad.topo: "),  # written below as Latin-1
+        ("# N=5\n# joint 7 far\n0 1\n1 2\n1 3\n1 4\n", "bad.topo:2: joint 7 is outside [0, 5)"),
+        ("# joint -1 neg\n# N=5\n0 1\n1 2\n1 3\n1 4\n", "bad.topo:1: joint -1 is outside [0, 5)"),
+        ("# N=5\n# joint 1 x\n# joint 1 y\n0 1\n1 2\n1 3\n1 4\n", "bad.topo:3: joint 1 is named twice"),
     ], ids=["n-text", "edge-past-n", "joint-no-name", "three-fields", "edge-text",
-            "n-unconnectable", "non-utf8"])
+            "n-unconnectable", "non-utf8", "joint-past-n", "joint-negative", "joint-named-twice"])
     def test_extract_exits_1(self, runner, workspace, tmp_path, text, where):
         topo = tmp_path / "bad.topo"
         topo.write_bytes(text.encode("latin-1"))
@@ -742,6 +761,16 @@ def features_dir(sidecar):
     def build(ws, tmp):
         shutil.copytree(ws / "features", tmp / "features")
         (tmp / "features" / "seq_0000.csv.meta.json").write_text(sidecar)
+        return tmp / "features"
+    return build
+
+
+def features_with_fps(seq_id, fps):
+    """Input builder: a copy of the workspace features with <seq_id>'s sidecar fps set to ``fps``."""
+    def build(ws, tmp):
+        shutil.copytree(ws / "features", tmp / "features")
+        meta = tmp / "features" / f"{seq_id}.csv.meta.json"
+        meta.write_text(json.dumps({**json.loads(meta.read_text()), "fps": fps}))
         return tmp / "features"
     return build
 
@@ -882,6 +911,8 @@ ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring)
      1, "missing feature sidecar"),
     ("features-wrong-header", predict(features=features_copy(header="joint,bin,value")),
      1, "expected header"),
+    ("train-mixed-fps", train(features=features_with_fps("seq_0001", 60.0)),
+     5, "feature file for seq_0001 has fps 60.0, the first file 30.0"),
     ("features-sidecar-long-integer",
      train(features=features_dir('{"format": "freqgcn-features", "version": %s}' % LONG_INT)),
      1, "seq_0000.csv.meta.json: invalid JSON"),

@@ -1,3 +1,4 @@
+import cmath
 import json
 
 import numpy as np
@@ -72,12 +73,38 @@ class TestFftBluestein:
         freq_energy = np.sum(np.abs(spectrum) ** 2) / length
         assert freq_energy == pytest.approx(time_energy, rel=1e-6)
 
-    @given(st.integers(1, 64), st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
+    # Up to 1,024, so the padded kernel reaches m = 2,048; the profile sets the example count.
+    @given(st.integers(1, 1024), st.integers(0, 2**32 - 1))
+    @settings(deadline=None)
     def test_oracle_equivalence_property(self, length, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=length) + 1j * rng.normal(size=length)
         assert np.max(np.abs(fft_bluestein(x) - dft_naive(x))) < 1e-9
+
+
+class TestFourStepKernel:
+    """The power-of-two kernel under Bluestein and its phase tables, against independent forms."""
+
+    # Even exponents split m into p = q, odd ones into q = 2p; (2, 3) are leading batch axes.
+    @pytest.mark.parametrize("m", [1 << e for e in range(13)])
+    def test_forward_and_inverse_match_oracle(self, m):
+        rng = np.random.default_rng(m)
+        x = rng.normal(size=(2, 3, m)) + 1j * rng.normal(size=(2, 3, m))
+        expected = dft_naive(x)
+        forward = frequency._fft_pow2(x)
+        assert forward.shape == x.shape
+        assert np.max(np.abs(forward - expected)) < 1e-9
+        # sign=+1 is the inverse without its 1/m, so it takes the oracle's spectrum back to m*x.
+        assert np.max(np.abs(frequency._fft_pow2(expected, sign=1.0) / m - x)) < 1e-9
+
+    @pytest.mark.parametrize("m", [7, 1009, 65536])
+    def test_phases_reduce_products_far_above_m(self, m):
+        rows = np.array([0, 1, 10**6 + 3, 3 * 10**9 + 7])
+        cols = np.array([0, 5, 10**6 + 9, 2 * 10**9 + 11])  # products up to 6e18, below 2^63
+        for sign in (-1.0, 1.0):
+            expected = np.array([[cmath.exp(sign * 2j * cmath.pi * (r * c % m) / m)
+                                  for c in cols.tolist()] for r in rows.tolist()])
+            assert np.max(np.abs(frequency._phases(rows, cols, m, sign) - expected)) < 1e-12
 
 
 class TestBatchedFftBluestein:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_connected_topology
 
-from freqgcn.errors import ContractViolationError, UnknownPresetError
+from freqgcn.errors import ContractViolationError, FormatError, UnknownPresetError
 from freqgcn.graph import (
     SkeletonTopology,
     build_feature_graph,
@@ -54,6 +54,25 @@ class TestBuiltinTopology:
         assert set(loaded.edges) == set(topo.edges)
         assert (loaded.root, loaded.neck) == (topo.root, topo.neck)
         assert loaded.names == topo.names
+
+    @pytest.mark.parametrize("text,message", [
+        ("# N=3\n# joint 7 far\n0 1\n1 2\n", "t.topo:2: joint 7 is outside [0, 3)"),
+        ("# N=3\n0 1\n1 2\n# joint -1 neg\n", "t.topo:4: joint -1 is outside [0, 3)"),
+        ("# joint 5 far\n0 1\n1 2\n# N=3\n", "t.topo:1: joint 5 is outside [0, 3)"),
+        ("# N=3\n# joint 1 x\n0 1\n# joint 1 y\n1 2\n", "t.topo:4: joint 1 is named twice"),
+    ], ids=["past-n", "negative", "past-a-later-n", "named-twice"])
+    def test_bad_joint_line_is_a_format_error(self, tmp_path, text, message):
+        path = tmp_path / "t.topo"
+        path.write_text(text)
+        with pytest.raises(FormatError) as caught:
+            read_topology(path)
+        assert str(caught.value) == message
+        assert caught.value.exit_code == 1
+
+    def test_joint_names_may_precede_the_joint_count(self, tmp_path):
+        path = tmp_path / "t.topo"
+        path.write_text("# joint 2 tip\n# joint 0 root\n# N=3\n0 1\n1 2\n")
+        assert read_topology(path).names == ("root", "j1", "tip")
 
 
 class TestBuildFeatureGraph:

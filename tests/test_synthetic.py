@@ -7,6 +7,7 @@ from freqgcn.graph import builtin_topology
 from freqgcn.pose import interpolate_missing, load_sequence, normalize_sequence
 from freqgcn.synthetic import (
     SynthConfig,
+    _draw_band_frequency,
     generate_dataset,
     generate_sequence,
     read_manifest,
@@ -87,6 +88,32 @@ class TestGenerateSequence:
         topo = builtin_topology("body25")
         normalized = normalize_sequence(filled, topo.root, topo.neck)
         assert normalized.num_joints == 25
+
+
+class TestOffGrid:
+    """SynthConfig(on_grid=False) draws each tone anywhere in its band, not on the fps/T grid."""
+
+    def test_drawn_frequencies_lie_in_band_and_off_the_grid(self):
+        cfg = SynthConfig(num_frames=300, fps=30.0, on_grid=False)
+        step = cfg.fps / cfg.num_frames
+        rng = np.random.default_rng(0)
+        for band in (cfg.class0_band, cfg.class1_band):
+            for _ in range(200):
+                freq = _draw_band_frequency(rng, band, cfg)
+                assert band[0] <= freq <= band[1]
+                assert freq / step != round(freq / step)
+
+    def test_noiseless_tone_peaks_in_band_and_leaks_past_it(self):
+        cfg = SynthConfig(num_frames=300, fps=30.0, noise_sigma=0.0, on_grid=False)
+        seq = generate_sequence(cfg, label=1, seed=3)
+        for joint in cfg.signal_joints:
+            x = seq.positions[:, joint, 0]
+            spectrum = np.abs(dft_naive(x - x.mean()))[:151]
+            peak = int(np.argmax(spectrum[1:])) + 1
+            assert 30 <= peak <= 40  # [3, 4] Hz at T=300, fps=30
+            in_band = np.sum(spectrum[30:41] ** 2)
+            # An on-grid tone leaves under 1e-6 of its energy outside its bins.
+            assert np.sum(spectrum**2) - in_band > 1e-4 * in_band
 
 
 class TestGenerateDataset:
