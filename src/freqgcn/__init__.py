@@ -18,10 +18,10 @@ from .graph import (
     builtin_topology,
 )
 from .model import (
-    AttentionReport,
     Model,
     backward,
     init_model,
+    joint_ranking,
     load_model,
     loss,
     model_forward,
@@ -39,7 +39,6 @@ from .training import MetricsReport, TrainConfig, evaluate, gradient_check, trai
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttentionReport",
     "BinSpec",
     "FeatureGraph",
     "FreqGcnError",
@@ -65,6 +64,7 @@ __all__ = [
     "gradient_check",
     "init_model",
     "interpolate_missing",
+    "joint_ranking",
     "load_model",
     "load_sequence",
     "loss",

@@ -318,26 +318,27 @@ def cmd_explain(model_path, input_path, out_prefix, fps, bars):
     if not Path(model_path).exists():
         raise FileNotFoundError(f"no such model: {model_path}")
     loaded = model_mod.load_model(model_path)
-    report = model_mod.AttentionReport(_classify(Path(input_path), loaded, fps)[1].alpha[0])
+    alpha = _classify(Path(input_path), loaded, fps)[1].alpha[0]
+    importance, ranking = model_mod.joint_ranking(alpha)
 
     names = loaded.graph.topology.names
     alpha_file = Path(str(out_prefix) + ".alpha.csv")
     lines = ["joint,bin,alpha"]
     for joint in range(loaded.num_joints):
         for b in range(loaded.num_bins):
-            lines.append(f"{joint},{b},{float(report.alpha[joint, b])!r}")
+            lines.append(f"{joint},{b},{float(alpha[joint, b])!r}")
     write_atomic(alpha_file, "\n".join(lines) + "\n")
 
     ranking_file = Path(str(out_prefix) + ".ranking.csv")
     lines = ["joint,importance"]
-    lines += [f"{j},{float(report.joint_importance[j])!r}" for j in report.ranking]
+    lines += [f"{j},{float(importance[j])!r}" for j in ranking]
     write_atomic(ranking_file, "\n".join(lines) + "\n")
 
     if bars:
-        top = report.joint_importance.max() or 1.0
-        for j in report.ranking:
-            width = int(round(40 * report.joint_importance[j] / top))
-            click.echo(f"{names[j]:>14s} {'#' * width} {report.joint_importance[j]:.4f}")
+        top = importance.max() or 1.0
+        for j in ranking:
+            width = int(round(40 * importance[j] / top))
+            click.echo(f"{names[j]:>14s} {'#' * width} {importance[j]:.4f}")
     click.echo(f"wrote {alpha_file} and {ranking_file}")
 
 

@@ -149,9 +149,7 @@ def write_topology(topology: SkeletonTopology, path: str | Path) -> None:
 def read_topology(path: str | Path) -> SkeletonTopology:
     """Parse the edge-list text form written by :func:`write_topology`."""
     path = Path(path)
-    n = None
-    root = 0
-    neck = 1
+    header: dict[str, int] = {}  # N, root and neck, each from one '# <key>=' line
     names: dict[int, str] = {}
     name_lines: dict[int, int] = {}  # joint -> the line that names it
     edges: list[tuple[int, int]] = []
@@ -162,12 +160,11 @@ def read_topology(path: str | Path) -> SkeletonTopology:
         try:
             if line.startswith("#"):
                 body = line[1:].strip()
-                if body.startswith("N="):
-                    n = int(body[2:])
-                elif body.startswith("root="):
-                    root = int(body[5:])
-                elif body.startswith("neck="):
-                    neck = int(body[5:])
+                key, equals, value = body.partition("=")
+                if equals and key in ("N", "root", "neck"):
+                    if key in header:
+                        raise FormatError(f"{path.name}:{lineno}: a second '# {key}=' line")
+                    header[key] = int(value)
                 elif body.startswith("joint "):
                     _, idx, label = body.split(maxsplit=2)
                     joint = int(idx)
@@ -180,6 +177,7 @@ def read_topology(path: str | Path) -> SkeletonTopology:
             edges.append((int(i), int(j)))
         except ValueError:
             raise FormatError(f"{path.name}:{lineno}: cannot parse {line!r}") from None
+    n, root, neck = header.get("N"), header.get("root", 0), header.get("neck", 1)
     if n is None:
         raise FormatError(f"{path.name}: missing '# N=<n>' header")
     if n > len(edges) + 1:  # before any per-joint work, so a huge N fails at once

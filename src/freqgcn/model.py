@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +27,6 @@ from .frequency import BinSpec, FrequencyFeatures
 from .graph import FeatureGraph, SkeletonTopology, build_feature_graph
 
 NUM_CLASSES = 2
-
-LABELS = {0: (1.0, 0.0), 1: (0.0, 1.0)}
 
 
 def parameter_schema(channel_widths: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
@@ -83,24 +80,15 @@ class Model:
         return len(self.channel_widths) - 1
 
 
-@dataclass(eq=False)
-class AttentionReport:
-    """One example's attention weights, such as ``cache.alpha[e]``, plus the joint ranking they induce.
+def joint_ranking(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(importance, ranking) of the joints for one example's attention weights, such as ``cache.alpha[e]``.
 
     Importance of a joint is its largest deviation from uniform attention,
     max over bins of |alpha - 1/B|; ranking sorts joints by importance,
-    descending, stable on ties. Both are computed on first access.
+    descending, stable on ties.
     """
-
-    alpha: np.ndarray  # (N, B)
-
-    @cached_property
-    def joint_importance(self) -> np.ndarray:  # (N,)
-        return np.abs(self.alpha - 1.0 / self.alpha.shape[1]).max(axis=1)
-
-    @cached_property
-    def ranking(self) -> np.ndarray:  # (N,) joint indices
-        return np.argsort(-self.joint_importance, kind="stable")
+    importance = np.abs(alpha - 1.0 / alpha.shape[1]).max(axis=1)
+    return importance, np.argsort(-importance, kind="stable")
 
 
 class Workspace(dict):
@@ -240,37 +228,32 @@ def model_forward(features, model: Model, workspace: Workspace | None = None) ->
     )
 
 
-def one_hot(label: int) -> np.ndarray:
-    if label not in LABELS:
-        raise ContractViolationError(f"label must be 0 or 1, got {label!r}")
-    return np.array(LABELS[label])
-
-
-def _label_vector(label_onehot: np.ndarray, logits: np.ndarray) -> np.ndarray:
-    y = np.asarray(label_onehot, dtype=np.float64)
-    if y.shape not in ((NUM_CLASSES,), np.shape(logits)) or not (
-        (y == LABELS[0]).all(axis=-1) | (y == LABELS[1]).all(axis=-1)
-    ).all():
-        raise ContractViolationError(f"label must be one-hot (1,0) or (0,1), got {y!r}")
+def _labels(labels, logits: np.ndarray) -> np.ndarray:
+    """The (E,) integer labels, each 0 or 1, of (E, 2) logits."""
+    y = np.asarray(labels)
+    shapes_agree = y.ndim == 1 and np.shape(logits) == (len(y), NUM_CLASSES)
+    if not shapes_agree or y.dtype.kind not in "iu" or not np.isin(y, (0, 1)).all():
+        raise ContractViolationError(f"labels must be one integer 0 or 1 per row of (E, 2) logits, "
+                                     f"got {labels!r} for logits of shape {np.shape(logits)}")
     return y
 
 
-def loss(logits: np.ndarray, label_onehot: np.ndarray) -> float:
+def loss(logits: np.ndarray, labels) -> float:
     """Softmax cross-entropy, stabilized through log-sum-exp; summed over (E, 2) logits."""
     u = np.asarray(logits, dtype=np.float64)
-    y = _label_vector(label_onehot, u)
-    return float((np.logaddexp(u[..., 0], u[..., 1]) - (u * y).sum(axis=-1)).sum())
+    y = _labels(labels, u)
+    return float((np.logaddexp(u[:, 0], u[:, 1]) - u[np.arange(len(y)), y]).sum())
 
 
-def backward(cache: ForwardCache, label_onehot: np.ndarray) -> dict[str, np.ndarray]:
+def backward(cache: ForwardCache, labels) -> dict[str, np.ndarray]:
     """Exact cross-entropy gradients summed over the cached chunk, keyed like the parameters.
 
-    ``label_onehot`` holds one one-hot row per example, or one row for all.
-    Reverse-mode chain rule through the head, the mean pool, each
-    ReLU(A_hat X W) layer, the B*alpha gating, the per-joint softmax, and
-    the tanh transform. Scratch arrays go into the cache's workspace.
+    ``labels`` holds one integer, 0 or 1, per example. Reverse-mode chain rule
+    through the head, the mean pool, each ReLU(A_hat X W) layer, the B*alpha
+    gating, the per-joint softmax, and the tanh transform. Scratch arrays go
+    into the cache's workspace.
     """
-    y = _label_vector(label_onehot, cache.logits)
+    y = _labels(labels, cache.logits)
     model, ws = cache.model, cache.workspace
     e, n, b, c_in = cache.features.shape
     length = n * b
@@ -279,7 +262,8 @@ def backward(cache: ForwardCache, label_onehot: np.ndarray) -> dict[str, np.ndar
     _, w_alpha, *layers, head_weight, _ = model.params.values()  # schema order
 
     # Head and pooling; every node of an example receives the same share of its pooled gradient.
-    d_logits = cache.probability - y
+    d_logits = cache.probability.copy()
+    d_logits[np.arange(e), y] -= 1.0
     d_head_weight = cache.pooled.T @ d_logits
     d_head_bias = d_logits.sum(axis=0)
     d_x = (d_logits @ head_weight.T / length)[:, None, :]  # (E, 1, C_last)

@@ -3,18 +3,23 @@ forks helpers from the calling thread to compute fixed blocks of every full-batc
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import math
 import os
 import pickle
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractViolationError, DegenerateDatasetError, FreqGcnError, NonFiniteError
 from .frequency import BinSpec, FrequencyFeatures
 from .graph import SkeletonTopology
-from .model import Model, Workspace, backward, init_model, loss, model_forward, one_hot
+from .model import Model, Workspace, backward, init_model, loss, model_forward
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -76,6 +81,41 @@ def chunk_size(model: Model) -> int:
     return max(1, CHUNK_BYTES // widest)
 
 
+@functools.cache
+def _openblas_threads():
+    """The loaded OpenBLAS's (get, set) thread-count functions, or None where none is found."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return None
+    for lib in sorted({line.split()[-1] for line in maps.splitlines() if "openblas" in line.lower()}):
+        handle = ctypes.CDLL(lib)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get, set_ = (getattr(handle, f"{prefix}_{verb}_num_threads{suffix}", None) for verb in ("get", "set"))
+            if get is not None and set_ is not None:
+                get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run OpenBLAS on one thread inside, restoring its count after: a product split over
+    threads sums in an order that depends on their count. Without an OpenBLAS, nothing."""
+    found = _openblas_threads()
+    if found is None:
+        yield
+        return
+    get, set_ = found
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+@_one_blas_thread()
 def train(
     dataset: list[tuple[FrequencyFeatures, int]],
     config: TrainConfig,
@@ -88,9 +128,11 @@ def train(
     Gradients are summed over chunks of ``chunk_size`` examples in dataset
     order, one forward and backward per chunk in whichever process, and
     averaged, so runs with the same seed give bitwise-identical parameters
-    at any core count. With ``full_batch=False`` each batch is one example,
-    in order. Raises NonFiniteError, naming the epoch, when the logits or
-    the parameters stop being finite, and FreqGcnError if a helper fails.
+    at any core count; BLAS runs on one thread, set before the helpers fork.
+    With ``full_batch=False`` each batch is one example, in order. Raises
+    NonFiniteError, naming the epoch, when the logits stop being finite or a
+    parameter's magnitude reaches the square root of the largest float, past
+    which one product of two parameters overflows; FreqGcnError if a helper fails.
     """
     if not dataset:
         raise DegenerateDatasetError("training dataset is empty")
@@ -128,6 +170,7 @@ def _run_epoch(
     """One Adam step per (chunks, examples) batch on its mean gradient, the helpers' blocks
     (computed meanwhile) following the batch's chunks; (summed loss, correct count)."""
     epoch_loss, correct = 0.0, 0
+    limit = math.sqrt(sys.float_info.max)
     for batch, examples in batches:
         for to_helper, _ in helpers:
             pickle.dump(list(model.params.values()), to_helper)
@@ -142,17 +185,18 @@ def _run_epoch(
             for name, g in grads.items():
                 total[name] = total[name] + g
         optimizer.step({name: g / examples for name, g in total.items()})
-    if not all(np.isfinite(p).all() for p in model.params.values()):
-        raise NonFiniteError("parameters are not finite")
+        for name, p in model.params.items():
+            if not (peak := np.abs(p).max()) < limit:  # NaN included
+                raise NonFiniteError(f"parameter {name} reaches magnitude {peak:.3g}, not below {limit:.3g}")
     return epoch_loss, correct
 
 
 def _chunk_result(model: Model, chunk: list, workspace: Workspace) -> tuple[float, int, dict]:
     """(summed loss, correct count, summed gradients) of one chunk."""
-    targets = np.array([one_hot(label) for _, label in chunk])
+    labels = [label for _, label in chunk]
     cache = model_forward([f for f, _ in chunk], model, workspace)
-    correct = int((cache.logits.argmax(axis=1) == targets.argmax(axis=1)).sum())
-    return loss(cache.logits, targets), correct, backward(cache, targets)
+    correct = int((cache.logits.argmax(axis=1) == labels).sum())
+    return loss(cache.logits, labels), correct, backward(cache, labels)
 
 
 @contextmanager
@@ -201,7 +245,6 @@ def finite_difference_gradients(
     model: Model, features: FrequencyFeatures | np.ndarray, label: int, eps: float = 1e-5
 ) -> dict[str, np.ndarray]:
     """Central-difference loss gradients for every parameter entry."""
-    target = one_hot(label)
     out: dict[str, np.ndarray] = {}
     for name, param in model.params.items():
         grad = np.zeros_like(param)
@@ -210,9 +253,9 @@ def finite_difference_gradients(
         for idx in range(flat_p.size):
             original = flat_p[idx]
             flat_p[idx] = original + eps
-            upper = loss(model_forward([features], model).logits, target)
+            upper = loss(model_forward([features], model).logits, [label])
             flat_p[idx] = original - eps
-            lower = loss(model_forward([features], model).logits, target)
+            lower = loss(model_forward([features], model).logits, [label])
             flat_p[idx] = original
             flat_g[idx] = (upper - lower) / (2 * eps)
         out[name] = grad
@@ -234,8 +277,7 @@ def gradient_check(
     eps: float = 1e-5,
 ) -> dict[str, float]:
     """Max relative error of analytic vs central-difference gradients, per group."""
-    target = one_hot(label)
-    analytic = backward(model_forward([features], model), target)
+    analytic = backward(model_forward([features], model), [label])
     numeric = finite_difference_gradients(model, features, label, eps=eps)
     return {
         name: max_relative_error(analytic[name], numeric[name].reshape(analytic[name].shape))
@@ -275,9 +317,11 @@ class MetricsReport:
     predictions: tuple[tuple[str, int, int, float], ...]  # (id, true, predicted, p_abnormal)
 
 
+@_one_blas_thread()
 def evaluate(
     model: Model, dataset: list[tuple[str, FrequencyFeatures, int]]
 ) -> MetricsReport:
+    """Each (id, features, label)'s predicted label and p_abnormal, one forward per chunk."""
     if not dataset:
         raise DegenerateDatasetError("evaluation dataset is empty")
     rows = []

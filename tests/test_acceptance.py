@@ -12,7 +12,7 @@ from conftest import random_connected_topology
 from freqgcn.cli import main as cli_main
 from freqgcn.frequency import BinSpec, bin_widths, extract_features, fft_bluestein
 from freqgcn.graph import build_feature_graph, builtin_topology
-from freqgcn.model import AttentionReport, init_model, model_forward
+from freqgcn.model import init_model, joint_ranking, model_forward
 from freqgcn.pose import interpolate_missing, normalize_sequence
 from freqgcn.synthetic import SynthConfig, generate_dataset, generate_sequence
 from freqgcn.training import TrainConfig, draw_smooth_check_case, evaluate, gradient_check, train
@@ -199,7 +199,7 @@ def test_criterion_7_attention_marks_signal_joints():
             train_set, TrainConfig(epochs=150, learning_rate=1e-2, seed=seed), TOY, spec
         )
         importance = np.mean(
-            [AttentionReport(model_forward([f], model).alpha[0]).joint_importance for f in test_feats], axis=0
+            [joint_ranking(model_forward([f], model).alpha[0])[0] for f in test_feats], axis=0
         )
         signal_mean = importance[list(signal)].mean()
         other_mean = np.mean([importance[j] for j in range(5) if j not in signal])

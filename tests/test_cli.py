@@ -638,8 +638,10 @@ class TestHostileTopologyFile:
         ("# N=5\n# joint 7 far\n0 1\n1 2\n1 3\n1 4\n", "bad.topo:2: joint 7 is outside [0, 5)"),
         ("# joint -1 neg\n# N=5\n0 1\n1 2\n1 3\n1 4\n", "bad.topo:1: joint -1 is outside [0, 5)"),
         ("# N=5\n# joint 1 x\n# joint 1 y\n0 1\n1 2\n1 3\n1 4\n", "bad.topo:3: joint 1 is named twice"),
+        ("# N=5\n# N=3\n# root=0\n# root=2\n0 1\n1 2\n", "bad.topo:2: a second '# N=' line"),
     ], ids=["n-text", "edge-past-n", "joint-no-name", "three-fields", "edge-text",
-            "n-unconnectable", "non-utf8", "joint-past-n", "joint-negative", "joint-named-twice"])
+            "n-unconnectable", "non-utf8", "joint-past-n", "joint-negative", "joint-named-twice",
+            "n-twice"])
     def test_extract_exits_1(self, runner, workspace, tmp_path, text, where):
         topo = tmp_path / "bad.topo"
         topo.write_bytes(text.encode("latin-1"))
@@ -801,10 +803,10 @@ def seq_0000_csv(ws, tmp):
     return ws / "features" / "seq_0000.csv"
 
 
-def extract(src):
+def extract(src=lambda ws, tmp: ws / "data" / "sequences" / "seq_0000", topology=lambda ws, tmp: "toy5"):
     return lambda ws, tmp, out: [
         "extract", "--input", src(ws, tmp), "--out", out / "f.csv",
-        "--topology", "toy5", "--c", "1.15", "--bins", "14",
+        "--topology", topology(ws, tmp), "--c", "1.15", "--bins", "14",
     ]
 
 
@@ -911,6 +913,8 @@ ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring)
      1, "missing feature sidecar"),
     ("features-wrong-header", predict(features=features_copy(header="joint,bin,value")),
      1, "expected header"),
+    ("train-diverges", train(flags=["--lr", "1e300"]),
+     1, "training diverged at epoch 1: parameter w_alpha reaches magnitude 1e+300"),
     ("train-mixed-fps", train(features=features_with_fps("seq_0001", 60.0)),
      5, "feature file for seq_0001 has fps 60.0, the first file 30.0"),
     ("features-sidecar-long-integer",
@@ -923,6 +927,10 @@ ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring)
      5, "param head_bias declared 1x2"),
     ("model-no-end", predict(model=edited_model("end", "param extra 1 1")),
      5, "expected 'end'"),
+    # Topology files.
+    ("topology-root-twice",
+     extract(topology=written("twice.topo", "# N=5\n# root=0\n0 1\n1 2\n1 3\n1 4\n# root=2\n")),
+     1, "error: twice.topo:7: a second '# root=' line\n"),
     # Raw keypoint input.
     ("frame-no-people", extract(frame_dir([b"{}"] * 2)), 1, "'people'"),
     ("frame-people-not-list", extract(frame_dir([b'{"people": 3}'] * 2)), 1, "'people' is not"),

@@ -6,7 +6,7 @@ import pytest
 from freqgcn.errors import ContractViolationError
 from freqgcn.frequency import BinSpec
 from freqgcn.graph import builtin_topology
-from freqgcn.model import Workspace, backward, init_model, model_forward, one_hot
+from freqgcn.model import Workspace, backward, init_model, model_forward
 from freqgcn.training import (
     chunk_size,
     draw_smooth_check_case,
@@ -45,7 +45,7 @@ class TestGradientCorrectness:
         model.params["head_bias"] += np.array([60.0, -60.0])
         features = np.abs(np.random.default_rng(2).normal(size=(5, 3, 2)))
         cache = model_forward([features], model)
-        grads = backward(cache, one_hot(0))
+        grads = backward(cache, [0])
         total = sum(float(np.abs(g).sum()) for g in grads.values())
         assert total < 1e-8
 
@@ -57,7 +57,7 @@ class TestGradientCorrectness:
         features = np.abs(np.random.default_rng(5).normal(size=(5, 3, 2))) + 0.5
         cache = model_forward([features], model)
         assert np.all(cache.pre_relu[0][:, dead_col] < 0.0)
-        grads = backward(cache, one_hot(1))
+        grads = backward(cache, [1])
         # Column feeds only dead units, so its weight gradient vanishes.
         assert np.array_equal(grads["layer0"][:, dead_col], np.zeros(2))
 
@@ -67,14 +67,15 @@ class TestGradientCorrectness:
         features = draw_smooth_check_case(model, np.random.default_rng(7))
         cache = model_forward([features], model)
         fd = finite_difference_gradients(model, features, label=0, eps=1e-6)
-        expected = cache.probability - one_hot(0)
+        expected = cache.probability[0] - (1.0, 0.0)
         assert max_relative_error(expected, fd["head_bias"].reshape(-1)) < 1e-6
 
     def test_backward_rejects_bad_label(self):
         model = randomized_model(np.random.default_rng(8), 8)
         cache = model_forward([np.abs(np.random.default_rng(9).normal(size=(5, 3, 2)))], model)
-        with pytest.raises(ContractViolationError):
-            backward(cache, np.array([0.2, 0.8]))
+        for labels in ([0.5], [2], [-1], [True], 1, [[0, 1]], [0, 1], []):
+            with pytest.raises(ContractViolationError, match="labels must be one integer 0 or 1 per row"):
+                backward(cache, labels)
 
     def test_coarse_epsilon_degrades_the_oracle(self):
         rng = np.random.default_rng(10)
@@ -115,7 +116,7 @@ def example_oracle(model, h, label):
     pooled = xs[-1].mean(axis=0)
     logits = pooled @ params["head_weight"] + params["head_bias"]
     probability = np.exp(logits - logits.max())
-    d_logits = probability / probability.sum() - one_hot(label)
+    d_logits = probability / probability.sum() - np.eye(2)[label]
     grads = {"head_weight": np.outer(pooled, d_logits), "head_bias": d_logits}
     d_x = np.tile(params["head_weight"] @ d_logits / (n * b), (n * b, 1))
     for l in reversed(range(len(layers))):
@@ -166,8 +167,7 @@ class TestChunkedPath:
             chunk = examples[start:start + size]
             cache = model_forward([h for h, _ in chunk], model, workspace)
             logits.append(cache.logits.copy())
-            targets = np.array([one_hot(label) for _, label in chunk])
-            for name, g in backward(cache, targets).items():
+            for name, g in backward(cache, [label for _, label in chunk]).items():
                 got[name] = got[name] + g
         assert len(chunk) == last
         np.testing.assert_allclose(np.concatenate(logits), want_logits, rtol=1e-12, atol=0)
@@ -189,7 +189,7 @@ class TestChunkedPath:
                                            rtol=1e-12, atol=0)
             np.testing.assert_allclose(cache.logits[0], want_logits[index], rtol=1e-12, atol=0)
             want = example_oracle(model, h, label)[1]
-            for name, g in backward(cache, one_hot(label)).items():
+            for name, g in backward(cache, [label]).items():
                 error = np.abs(g - want[name]).max() / np.abs(want[name]).max()
                 assert error <= 1e-12, f"{name} off by {error:.1e} on example {index}"
 
@@ -208,14 +208,14 @@ class TestChunkedPath:
         first = model_forward([examples[0][0]], model)
         kept = {name: [a.copy() for a in getattr(first, name)]
                 for name in ("layer_inputs", "aggregated", "pre_relu")}
-        before = backward(first, one_hot(0))
+        before = backward(first, [0])
         second = model_forward([h for h, _ in examples[1:4]], model)
-        backward(second, np.array([one_hot(1), one_hot(0), one_hot(1)]))
+        backward(second, [1, 0, 1])
         for name, arrays in kept.items():
             for got, want in zip(getattr(first, name), arrays):
                 assert np.array_equal(got, want)
                 assert not any(np.shares_memory(got, other) for other in getattr(second, name))
-        after = backward(first, one_hot(0))
+        after = backward(first, [0])
         for name in before:
             assert np.array_equal(before[name], after[name])
 
@@ -230,4 +230,4 @@ class TestChunkedPath:
         model, examples, _, _ = case
         cache = model_forward([h for h, _ in examples[:3]], model)
         with pytest.raises(ContractViolationError):
-            backward(cache, np.array([one_hot(0), one_hot(1)]))
+            backward(cache, [0, 1])

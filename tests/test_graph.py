@@ -69,6 +69,19 @@ class TestBuiltinTopology:
         assert str(caught.value) == message
         assert caught.value.exit_code == 1
 
+    @pytest.mark.parametrize("text,message", [
+        ("# N=5\n# N=3\n# root=0\n# root=2\n0 1\n1 2\n", "t.topo:2: a second '# N=' line"),
+        ("# N=3\n# root=0\n0 1\n# root=2\n1 2\n", "t.topo:4: a second '# root=' line"),
+        ("# neck=1\n# N=3\n0 1\n1 2\n#neck=1\n", "t.topo:5: a second '# neck=' line"),
+    ], ids=["n", "root", "neck-same-value"])
+    def test_repeated_header_line_is_a_format_error(self, tmp_path, text, message):
+        path = tmp_path / "t.topo"
+        path.write_text(text)
+        with pytest.raises(FormatError) as caught:
+            read_topology(path)
+        assert str(caught.value) == message
+        assert caught.value.exit_code == 1
+
     def test_joint_names_may_precede_the_joint_count(self, tmp_path):
         path = tmp_path / "t.topo"
         path.write_text("# joint 2 tip\n# joint 0 root\n# N=3\n0 1\n1 2\n")

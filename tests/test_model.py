@@ -10,13 +10,12 @@ from freqgcn.errors import ContractViolationError, ModelMismatchError, NonFinite
 from freqgcn.frequency import BinSpec, FrequencyFeatures
 from freqgcn.graph import SkeletonTopology, builtin_topology
 from freqgcn.model import (
-    AttentionReport,
     backward,
     init_model,
+    joint_ranking,
     load_model,
     loss,
     model_forward,
-    one_hot,
     parameter_schema,
     save_model,
 )
@@ -261,8 +260,8 @@ class TestStructuredPropagationInModel:
             for got, want in zip(getattr(cache, name), getattr(dense_cache, name)):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(cache.logits, dense_cache.logits, rtol=0, atol=1e-12)
-        grads = backward(cache, one_hot(1))
-        dense_grads = backward(dense_cache, one_hot(1))
+        grads = backward(cache, [1])
+        dense_grads = backward(dense_cache, [1])
         assert list(grads) == list(dense_grads)
         for name, got in grads.items():
             np.testing.assert_allclose(got, dense_grads[name], rtol=1e-10, atol=1e-12)
@@ -277,7 +276,7 @@ class TestStructuredPropagationInModel:
             built = init_model(topo, spec, seed=1)
             loaded = load_model(tmp_path / "model.txt")
             cache = model_forward([feats], loaded)
-            backward(cache, one_hot(0))
+            backward(cache, [0])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -299,7 +298,7 @@ class TestParameterSchema:
         assert [p.shape for p in groups.values()] == list(schema.values())
         feats = np.abs(np.random.default_rng(0).normal(size=(5, 3, 2)))
         cache = model_forward([feats], model)
-        grads = backward(cache, one_hot(0))
+        grads = backward(cache, [0])
         assert list(grads) == list(schema)
         assert [g.shape for g in grads.values()] == list(schema.values())
         save_model(model, tmp_path / "model.txt")
@@ -334,48 +333,67 @@ class TestParameterSchema:
 
 class TestLoss:
     def test_uniform_logits(self):
-        assert loss(np.zeros(2), one_hot(0)) == pytest.approx(np.log(2.0))
-        assert loss(np.zeros(2), one_hot(1)) == pytest.approx(np.log(2.0))
+        assert loss(np.zeros((1, 2)), [0]) == pytest.approx(np.log(2.0))
+        assert loss(np.zeros((1, 2)), [1]) == pytest.approx(np.log(2.0))
 
     def test_confident_correct_logits(self):
-        assert loss(np.array([10.0, -10.0]), one_hot(0)) == pytest.approx(2.061153622e-9, rel=1e-3)
+        assert loss(np.array([[10.0, -10.0]]), [0]) == pytest.approx(2.061153622e-9, rel=1e-3)
 
     def test_loss_non_negative(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
-            logits = rng.normal(scale=5.0, size=2)
-            assert loss(logits, one_hot(int(rng.integers(2)))) >= 0.0
+            logits = rng.normal(scale=5.0, size=(1, 2))
+            assert loss(logits, [int(rng.integers(2))]) >= 0.0
 
     def test_rejects_bad_label(self):
-        with pytest.raises(ContractViolationError):
-            loss(np.zeros(2), np.array([0.5, 0.5]))
+        for logits, labels in [(np.zeros((1, 2)), [0.5]), (np.zeros((1, 2)), [2]),
+                               (np.zeros((3, 2)), [0, 1]), (np.zeros(2), [0, 1])]:
+            with pytest.raises(ContractViolationError, match="labels must be one integer 0 or 1 per row"):
+                loss(logits, labels)
+
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+    @settings(deadline=None)
+    def test_integer_labels_match_the_one_hot_formulas_bit_for_bit(self, examples, seed):
+        # The one-hot rows y written out: loss = logsumexp(u) - sum(u * y), d_logits = p - y.
+        rng = np.random.default_rng(seed)
+        model = toy_model(seed=seed % 7, randomize_attention=True)
+        for param in model.params.values():
+            param += rng.normal(scale=2.0, size=param.shape)
+        labels = rng.integers(2, size=examples)
+        y = np.array([(1.0, 0.0), (0.0, 1.0)])[labels]
+        logits = rng.normal(scale=10.0, size=(examples, 2))
+        want = float((np.logaddexp(logits[:, 0], logits[:, 1]) - (logits * y).sum(axis=-1)).sum())
+        assert loss(logits, labels) == want
+        cache = model_forward(list(np.abs(rng.normal(size=(examples, 5, 3, 2)))), model)
+        d_logits = cache.probability - y
+        grads = backward(cache, labels)
+        assert np.array_equal(grads["head_bias"], d_logits.sum(axis=0))
+        assert np.array_equal(grads["head_weight"], cache.pooled.T @ d_logits)
 
 
 class TestAttentionReportOp:
+    """joint_ranking, which orders the joints of the report explain writes."""
+
     def test_fresh_model_reports_zero_importance_in_input_order(self):
         model = toy_model()  # w_alpha zero-initialized
         rng = np.random.default_rng(10)
-        report = AttentionReport(model_forward([np.abs(rng.normal(size=(5, 3, 2)))], model).alpha[0])
-        assert np.allclose(report.joint_importance, 0.0)
-        assert list(report.ranking) == [0, 1, 2, 3, 4]
+        alpha = model_forward([np.abs(rng.normal(size=(5, 3, 2)))], model).alpha[0]
+        importance, ranking = joint_ranking(alpha)
+        assert np.allclose(importance, 0.0)
+        assert list(ranking) == [0, 1, 2, 3, 4]
 
     def test_concentrated_attention_ranks_first(self):
         alpha = np.full((4, 5), 0.2)
         alpha[3] = (1.0, 0.0, 0.0, 0.0, 0.0)
-        report = AttentionReport(alpha)
-        assert report.ranking[0] == 3
-
-    def test_ranking_is_computed_on_first_access_only(self):
-        report = AttentionReport(model_forward([np.ones((5, 3, 2))], toy_model()).alpha[0])
-        assert "ranking" not in vars(report) and "joint_importance" not in vars(report)
-        assert list(report.ranking) == [0, 1, 2, 3, 4]
-        assert "ranking" in vars(report) and "joint_importance" in vars(report)
+        importance, ranking = joint_ranking(alpha)
+        assert ranking[0] == 3
+        assert importance[3] == pytest.approx(0.8)
 
     def test_alpha_rows_sum_to_one(self):
         model = toy_model(seed=11, randomize_attention=True)
         rng = np.random.default_rng(11)
-        report = AttentionReport(model_forward([np.abs(rng.normal(size=(5, 3, 2)))], model).alpha[0])
-        assert np.allclose(report.alpha.sum(axis=1), 1.0, atol=1e-9)
+        alpha = model_forward([np.abs(rng.normal(size=(5, 3, 2)))], model).alpha[0]
+        assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-9)
 
 
 class TestPersistence:

@@ -1,5 +1,7 @@
+import math
 import os
 import signal
+import sys
 
 import numpy as np
 import pytest
@@ -101,8 +103,38 @@ class TestTrain:
     @pytest.mark.parametrize("full_batch", [True, False])
     def test_divergence_names_its_epoch(self, full_batch):
         config = TrainConfig(epochs=5, learning_rate=1e300, full_batch=full_batch)
-        with pytest.raises(NonFiniteError, match=r"diverged at epoch [12]: logits"):
+        with pytest.raises(NonFiniteError, match=r"^training diverged at epoch 1: parameter w_alpha "
+                                                 r"reaches magnitude 1e\+300, not below 1\.34e\+154$"):
             train(tone_dataset(), config, TOY, BinSpec(c=1.5, num_bins=5))
+
+    def test_huge_finite_parameters_are_divergence(self):
+        # Every logit of this pair stays finite at this rate: losses reached 7.1e299 and
+        # parameters 3.0e300 while only non-finite values were refused.
+        config = TrainConfig(epochs=5, learning_rate=1e300)
+        with pytest.raises(NonFiniteError, match="^training diverged at epoch 1: parameter w_alpha"):
+            train(separable_pair(), config, TOY, SPEC3)
+
+    @pytest.mark.parametrize("value,diverges", [
+        (np.nextafter(math.sqrt(sys.float_info.max), 0.0), False),
+        (math.sqrt(sys.float_info.max), True),
+        (-math.sqrt(sys.float_info.max), True),
+        (float("nan"), True),
+    ])
+    def test_a_parameter_diverges_at_the_square_root_of_the_largest_float(self, monkeypatch, value,
+                                                                         diverges):
+        step = training._Adam.step
+
+        def step_to(self, grads):  # past this magnitude, a product of two parameters overflows
+            step(self, grads)
+            self.params["head_bias"][1] = value
+
+        monkeypatch.setattr(training._Adam, "step", step_to)
+        if diverges:
+            with pytest.raises(NonFiniteError, match="^training diverged at epoch 1: parameter head_bias"):
+                train(separable_pair(), TrainConfig(epochs=1), TOY, SPEC3)
+        else:
+            model, _ = train(separable_pair(), TrainConfig(epochs=1), TOY, SPEC3)
+            assert model.params["head_bias"][1] == value
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -319,3 +351,67 @@ class TestEvaluate:
         _, _, predicted, p_abnormal = report.predictions[0]
         assert predicted == 1
         assert p_abnormal > 0.5
+
+
+class TestBlasThreads:
+    """train and evaluate run OpenBLAS on one thread, so a product's sums do not depend on
+    the core count, and give the caller its thread count back."""
+
+    @pytest.fixture
+    def threads(self):
+        """The loaded OpenBLAS's thread-count getter (None where there is none), at 2 threads."""
+        found = training._openblas_threads()
+        if found is None:
+            yield lambda: None
+            return
+        get, set_ = found
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    def test_train_and_evaluate_read_one_thread_inside_and_restore_the_count(self, threads, monkeypatch):
+        inside = []
+        forward = training.model_forward
+
+        def recording_forward(features, model, workspace=None):
+            inside.append(threads())
+            return forward(features, model, workspace)
+
+        monkeypatch.setattr(training, "model_forward", recording_forward)
+        outside = threads()
+        model, _ = train(separable_pair(), TrainConfig(epochs=2), TOY, SPEC3)
+        assert threads() == outside
+        evaluate(model, [("a", separable_pair()[0][0], 0)])
+        assert threads() == outside
+        one = None if outside is None else 1
+        assert inside == [one] * 3
+
+    def test_helpers_inherit_one_thread(self, threads, monkeypatch):
+        use_cores(monkeypatch, 2)
+        parent, result = os.getpid(), training._chunk_result
+
+        def chunk_result(model, chunk, workspace):
+            if os.getpid() != parent:
+                raise NonFiniteError(f"a helper runs {threads()} BLAS threads")
+            return result(model, chunk, workspace)
+
+        monkeypatch.setattr(training, "_chunk_result", chunk_result)
+        dataset, spec = body25_examples(14)
+        outside = threads()
+        with pytest.raises(NonFiniteError, match=f"a helper runs {None if outside is None else 1} BLAS"):
+            train(dataset, TrainConfig(epochs=1), builtin_topology("body25"), spec)
+        assert threads() == outside
+        assert_no_child_left()
+
+    def test_fake_openblas_is_set_to_one_and_restored_when_train_fails(self, monkeypatch):
+        counts = [3]
+        monkeypatch.setattr(training, "_openblas_threads", lambda: (lambda: counts[-1], counts.append))
+        with pytest.raises(DegenerateDatasetError):
+            train([separable_pair()[0]], TrainConfig(epochs=1), TOY, SPEC3)
+        assert counts == [3, 1, 3]
+
+    def test_no_openblas_sets_nothing(self, monkeypatch):
+        monkeypatch.setattr(training, "_openblas_threads", lambda: None)
+        _, history = train(separable_pair(), TrainConfig(epochs=2), TOY, SPEC3)
+        assert len(history.losses) == 2
