@@ -64,7 +64,7 @@ def _config_callback(ctx: click.Context, param: click.Parameter, value):
         raise click.BadParameter(f"no such config file: {value}") from None
     except ReadError as exc:
         raise click.BadParameter(str(exc)) from None
-    except ValueError as exc:  # not JSON, not UTF-8, or an integer of too many digits
+    except (ValueError, RecursionError) as exc:  # not JSON or UTF-8, a too long integer, deep nesting
         raise click.BadParameter(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(loaded, dict):
         raise click.BadParameter("config file must hold a JSON object")

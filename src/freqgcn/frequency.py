@@ -324,7 +324,7 @@ def _read_sidecar(meta_file: Path) -> tuple[int, BinSpec, float]:
     name = meta_file.name
     try:
         meta = json.loads(read_input(meta_file))
-    except ValueError as exc:  # not JSON, not UTF-8, or an integer of too many digits
+    except (ValueError, RecursionError) as exc:  # not JSON or UTF-8, a too long integer, deep nesting
         raise FormatError(f"{name}: invalid JSON: {exc}") from None
     if (
         not isinstance(meta, dict)

@@ -232,7 +232,7 @@ def _labels(labels, logits: np.ndarray) -> np.ndarray:
     """The (E,) integer labels, each 0 or 1, of (E, 2) logits."""
     y = np.asarray(labels)
     shapes_agree = y.ndim == 1 and np.shape(logits) == (len(y), NUM_CLASSES)
-    if not shapes_agree or y.dtype.kind not in "iu" or not np.isin(y, (0, 1)).all():
+    if not shapes_agree or y.dtype.kind not in "iu" or not ((y == 0) | (y == 1)).all():
         raise ContractViolationError(f"labels must be one integer 0 or 1 per row of (E, 2) logits, "
                                      f"got {labels!r} for logits of shape {np.shape(logits)}")
     return y

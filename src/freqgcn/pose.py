@@ -13,8 +13,10 @@ distinct remainder, and one ``np.loadtxt`` reads every cut array that a byte che
 passes as JSON numbers. Every other file (a second person, say) is parsed whole
 with ``json``, in frame order, and so is a cut array that the byte check or
 ``np.loadtxt`` refuses, from the bytes already read: each file is read once.
-Nothing falls back: the table and any error are those that one ``json.loads``
-per document gives.
+A container is cut or parsed whole: one split cuts out every array, which the same
+byte check and ``np.loadtxt`` read, and each distinct rest is parsed once; any other
+container is parsed by one ``json.loads``. The table and any error are those that
+one ``json.loads`` per document gives.
 """
 
 from __future__ import annotations
@@ -48,7 +50,11 @@ _DIGITS = re.compile(r"(\d+)")
 _NOT_NUMERIC = "'pose_keypoints_2d' must be a flat numeric array"
 
 _KEY = b'"pose_keypoints_2d"'
-_CUT = re.compile(rb'"pose_keypoints_2d"\s*:\s*\[')  # the array runs from here to the next "]"
+_WS = rb"[ \t\n\r]*"  # JSON's whitespace; \s and bytes.strip() also take \v and \f
+_CUT = re.compile(rb'("pose_keypoints_2d"' + _WS + rb":" + _WS + rb"\[)")  # the array runs to the next "]"
+_SPLIT = re.compile(rb"\}" + _WS + rb"," + _WS + rb"\{")  # between two documents of a container
+_OPEN = re.compile(_WS + rb"\[" + _WS + rb"(\{.*)", re.S)  # a container's text before its first array
+_CLOSE = re.compile(rb"(.*\})" + _WS + rb"\]" + _WS, re.S)  # and after the "]" of its last
 # The class of each byte of the cut keypoint text (0 any other byte, 1 digit, 2 "-",
 # 3 "+", 4 ".", 5 exponent, 6 "," or row end, 7 " "), and the pairs of neighbouring
 # classes, written 0o<previous><next>, that rows of JSON numbers allow.
@@ -177,8 +183,16 @@ def _load_json(raw: bytes | str, what: str):
         raise ParseError(f"invalid {what}: {exc.msg}", offset=exc.pos) from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"invalid {what}: not UTF-8", offset=exc.start) from exc
-    except ValueError as exc:  # an integer of more digits than Python converts
+    except (ValueError, RecursionError) as exc:  # an integer of too many digits, deep nesting
         raise ParseError(f"invalid {what}: {exc}") from exc
+
+
+def _alone(doc: bytes) -> list | None | bool:
+    """``_first_person`` of ``doc`` parsed alone, or False where json or the keypoint layout refuses it."""
+    try:
+        return _first_person(_load_json(doc, "keypoint document"))
+    except (ParseError, FormatError):
+        return False
 
 
 def _frame_list(path: Path, names: list[str] | None, t: int, doc) -> list | None:
@@ -216,7 +230,8 @@ def _frame_files(directory: Path) -> list[str]:
 
 
 def _not_json_numbers(bodies: list[bytes]) -> list[int]:
-    """Indices of the ``bodies``, fields separated by "," or ", ", that hold more than JSON numbers.
+    """Indices of the ``bodies``, fields separated by "," or ", ", that hold more than JSON numbers
+    or a newline (a pretty-printed array).
 
     ``np.loadtxt`` alone would also read ``.5``, ``5.``, ``+1``, ``01`` or ``nan``; ``-0``
     is refused because JSON reads it as the integer 0, not as -0.0. A field with a second "."
@@ -231,14 +246,31 @@ def _not_json_numbers(bodies: list[bytes]) -> list[int]:
     zero &= (cls[2:] == 1) | sign[:-2] & sep[2:]  # 01, -01 or -0
     ends = np.cumsum([len(body) + 1 for body in bodies])  # where each body's closing "\n" lies
     bad = np.r_[np.flatnonzero(~pair_ok), np.flatnonzero(zero)] + 1  # the later byte of a pair
-    return np.unique(np.searchsorted(ends, bad)).tolist()
+    refused = set(np.searchsorted(ends, bad).tolist())
+    if text.count(b"\n") > len(bodies) + 1:  # a newline inside a body
+        refused.update(k for k, body in enumerate(bodies) if b"\n" in body)
+    return sorted(refused)
 
 
-def _read_frames(path: Path, names: list[str]) -> tuple[dict[int, list], np.ndarray, np.ndarray | list[int]]:
+def _rows(bodies: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """The loadtxt rows of the cut arrays ``bodies`` that stand for their JSON numbers, and the indices
+    of those bodies. Refused are the bodies that the byte check refuses and those that loadtxt cannot
+    stand for: rows of different widths, a width not a multiple of 3, an integer from 2**63."""
+    kept = np.delete(np.arange(len(bodies)), _not_json_numbers(bodies))
+    if not kept.size:
+        return np.empty((0, 3)), kept
+    try:  # the byte check lets no "#" through
+        values = np.loadtxt([bodies[k] for k in kept.tolist()], delimiter=",", comments=None, ndmin=2)
+    except ValueError:  # rows of different widths, or a field with a second "." or exponent
+        return np.empty((0, 3)), kept[:0]
+    fits = ~(np.abs(values) >= 2.0**63).any(axis=1) & (values.shape[1] % 3 == 0)
+    return values[fits], kept[fits]
+
+
+def _read_frames(path: Path, names: list[str]) -> tuple[dict[int, list], np.ndarray, np.ndarray]:
     """The keypoint lists of directory ``path``'s frame files parsed with json, and the loadtxt rows
-    of the cut arrays of frames ``rows``. Each file is read once; a refused cut array is parsed whole
-    from those bytes: one that is not JSON numbers, or one that loadtxt cannot stand for (rows of
-    different widths, a width not a multiple of 3, an integer from 2**63)."""
+    of the cut arrays of frames ``rows``. Each file is read once; a cut array that ``_rows`` refuses
+    is parsed whole from those bytes."""
     raws, bodies, rows, remainders = [], [], [], {}
     for t, name in enumerate(names):
         raws.append(raw := read_input(name))
@@ -246,27 +278,48 @@ def _read_frames(path: Path, names: list[str]) -> tuple[dict[int, list], np.ndar
         if cut and (end := raw.find(b"]", cut.end())) >= 0 and raw.count(_KEY) == 1:
             body, rest = raw[cut.end() : end], raw[: cut.end()] + raw[end:]
             if rest not in remainders:  # with a backslash, an escaped key could stand for the cut one
-                try:
-                    remainders[rest] = b"\\" not in rest and _first_person(_load_json(rest, "keypoint document"))
-                except (ParseError, FormatError):
-                    remainders[rest] = False
-            if remainders[rest] == [] and b"\n" not in body:  # not a pretty-printed array
+                remainders[rest] = b"\\" not in rest and _alone(rest)
+            if remainders[rest] == []:
                 bodies.append(body)
                 rows.append(t)
-    for k in reversed(_not_json_numbers(bodies) if bodies else []):  # to be parsed whole
-        del bodies[k], rows[k]
-    values = np.empty((0, 3))
-    if bodies:
-        try:
-            values = np.loadtxt(bodies, delimiter=",", comments=None, ndmin=2)  # the byte check refuses "#"
-            refused = np.flatnonzero((np.abs(values) >= 2.0**63).any(axis=1) | (values.shape[1] % 3 != 0))
-        except ValueError:  # rows of different widths, or a field with a second "." or exponent
-            values, refused = np.empty((len(bodies), 0)), np.arange(len(bodies))
-        values, rows = np.delete(values, refused, 0), np.delete(rows, refused)
+    values, kept = _rows(bodies)
+    rows = np.array(rows, np.intp)[kept]
     whole = np.ones(len(names), bool)
     whole[rows] = False
     lists = {t: _frame_list(path, names, t, raws[t]) for t in np.flatnonzero(whole).tolist()}  # in frame order
     return {t: flat for t, flat in lists.items() if flat is not None}, values, rows
+
+
+def _cut_container(raw: bytes) -> tuple[int, dict, np.ndarray, np.ndarray] | None:
+    """The frame count, no keypoint lists, and the loadtxt rows and their frames of container ``raw``,
+    or None where the cut cannot stand for one ``json.loads`` of it. Each distinct text between two
+    arrays is split at "}", ",", "{" into the end of one array's document, whole documents and the
+    start of the next. Each distinct remainder (a document with its array emptied) must parse alone
+    to that empty array, each whole document to nobody, and ``_rows`` must pass every array; then
+    "[" and the documents joined by "," parse to exactly these documents."""
+    parts = _CUT.split(raw)  # the text before the first array, then each array's key and what follows
+    head, close = _OPEN.fullmatch(parts[0]), _CLOSE.fullmatch(parts[-1].partition(b"]")[2])
+    if len(parts) < 3 or not head or not close or b"\\" in raw or raw.count(_KEY) != len(parts) // 2:
+        return None
+    cuts = [part.partition(b"]") for part in parts[2::2]]
+    # The texts between arrays, and before the first and after the last framed as such: "}," and ",{"
+    # give them an empty end and an empty start.
+    tails = [b"}," + head[1], *[tail for _, _, tail in cuts[:-1]], close[1] + b",{"]
+    pieces = {tail: _SPLIT.split(tail) for tail in set(tails)}
+    if any(len(split) < 2 for split in pieces.values()):  # two arrays in one document, or one not closed
+        return None
+    remainders = {(b"{" + pieces[before][-1] + key + b"]" + pieces[after][0] + b"}")
+                  for before, key, after in set(zip(tails, parts[1::2], tails[1:]))}
+    between = {b"{" + doc + b"}" for split in pieces.values() for doc in split[1:-1]}
+    # Each piece runs from "{" to "}", so json reads its bytes as UTF-8, as it reads the container's.
+    if any(_alone(doc) != [] for doc in remainders) or any(_alone(doc) is not None for doc in between):
+        return None
+    bodies = [body for body, _, _ in cuts]
+    values, kept = _rows(bodies)
+    if len(kept) < len(bodies):
+        return None
+    counts = np.array([len(pieces[tail]) - 2 for tail in tails])  # the documents in each text between arrays
+    return len(bodies) + int(counts.sum()), {}, values, np.arange(len(bodies)) + np.cumsum(counts)[:-1]
 
 
 def _table(path: Path, names: list[str] | None, expected_joints: int | None) -> np.ndarray:
@@ -275,7 +328,10 @@ def _table(path: Path, names: list[str] | None, expected_joints: int | None) -> 
         if not names:
             raise EmptyInputError(f"no keypoint files in {path}")
         return _keypoint_table(path, names, len(names), *_read_frames(path, names), expected_joints)
-    docs = _load_json(read_input(path), "container file")
+    raw = read_input(path)
+    if cut := _cut_container(raw):
+        return _keypoint_table(path, None, *cut, expected_joints)
+    docs = _load_json(raw, "container file")
     if not isinstance(docs, list):
         raise ParseError("container file must hold a JSON array of frame documents")
     if not docs:

@@ -6,10 +6,10 @@ from freqgcn.graph import SkeletonTopology
 # CI runs with --hypothesis-profile=ci: the same examples on every run, and
 # 1,000 for each test that sets no count of its own, the ingest oracle among them.
 settings.register_profile("ci", derandomize=True, max_examples=1000)
-# Four more CI steps run the ingest oracle, the band transform's Bluestein property, the
-# Bluestein FFT's direct-DFT property and the gap fill's np.interp property alone on 3,000
-# fresh random examples each, which draw what the fixed ones never do; a failing example
-# prints a blob to replay it.
+# Five more CI steps run the ingest oracle, the container ingest oracle, the band transform's
+# Bluestein property, the Bluestein FFT's direct-DFT property and the gap fill's np.interp
+# property alone on 3,000 fresh random examples each, which draw what the fixed ones never do;
+# a failing example prints a blob to replay it.
 settings.register_profile("ci-fresh", derandomize=False, max_examples=3000, print_blob=True)
 
 

@@ -758,6 +758,14 @@ def features_copy(header=None, sidecar=True):
     return build
 
 
+def features_sidecar(body):
+    """Input builder: seq_0000's feature file beside a sidecar holding ``body``."""
+    def build(ws, tmp):
+        written("seq_0000.csv.meta.json", body)(ws, tmp)
+        return features_copy(sidecar=False)(ws, tmp)
+    return build
+
+
 def features_dir(sidecar):
     """Input builder: a copy of the workspace features with seq_0000's sidecar set to ``sidecar``."""
     def build(ws, tmp):
@@ -853,6 +861,7 @@ TORSO_OVERFLOW_FRAME = json.dumps({"people": [{"pose_keypoints_2d": [0.0, 0.0, 1
 NESTED_FRAME = json.dumps({"people": [{"pose_keypoints_2d": [[1, 2, 0.5]] * 15}]})
 LONG_INT = "1" * 4301  # more digits than Python converts to an integer by default
 LONG_INT_FRAME = '{"people": [{"pose_keypoints_2d": [%s%s]}]}' % (LONG_INT, ", 1.0" * 14)
+DEEP = "[" * 100_000 + "]" * 100_000  # nests deeper than json's recursion allows
 
 ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring)
     # Values that the type holding them rejects.
@@ -895,6 +904,8 @@ ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring)
      2, "not valid JSON"),
     ("config-long-integer", synth(config=written("cfg.json", '{"seed": %s}' % LONG_INT)),
      2, "not valid JSON"),
+    ("config-deep-nesting", synth(config=written("cfg.json", DEEP)),
+     2, "not valid JSON: maximum recursion depth"),
     ("config-misspelt-key", synth(config=written("cfg.json", '{"n_per_class": 2, "sede": 5}')),
      2, "Invalid value for '--config': config key 'sede' names no parameter of synth"),
     ("config-hyphenated-key", synth(config=written("cfg.json", '{"signal-joints": "a", "sede": 5}')),
@@ -920,6 +931,8 @@ ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring)
     ("features-sidecar-long-integer",
      train(features=features_dir('{"format": "freqgcn-features", "version": %s}' % LONG_INT)),
      1, "seq_0000.csv.meta.json: invalid JSON"),
+    ("features-sidecar-deep-nesting", predict(features=features_sidecar(DEEP)),
+     1, "seq_0000.csv.meta.json: invalid JSON: maximum recursion depth"),
     # Model documents.
     ("model-non-numeric-value", predict(model=edited_model("param head_bias 1 2", "0.5 abc", 1)),
      5, "bad values in param head_bias"),
@@ -944,6 +957,8 @@ ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring)
     ("frame-nested-triples", extract(frame_dir([NESTED_FRAME.encode()] * 3)), 1, "flat numeric array"),
     ("frame-long-integer", extract(frame_dir([TOY5_FRAME.encode(), LONG_INT_FRAME.encode()])),
      1, "invalid keypoint document"),
+    ("frame-deep-nesting", extract(frame_dir([TOY5_FRAME.encode(), DEEP.encode()])),
+     1, "error: frame_000001.json: invalid keypoint document: maximum recursion depth"),
     ("frame-name-no-digits",
      extract(frame_dir([TOY5_FRAME.encode()] * 2, ["a.json", "b.json"])),
      1, "no numeric component"),
@@ -980,6 +995,8 @@ ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring)
      1, "flat numeric array"),
     ("container-long-integer", extract(written("clip.json", f"[{TOY5_FRAME}, {LONG_INT_FRAME}]")),
      1, "invalid container file"),
+    ("container-deep-nesting", extract(written("clip.json", DEEP)),
+     1, "error: invalid container file: maximum recursion depth"),
 ]
 
 

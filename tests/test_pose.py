@@ -274,16 +274,16 @@ def ingest(directory, joints, table):
     return seq.positions.shape, seq.positions.tobytes(), seq.confidence.tobytes()
 
 
-def paths_agree(directory, joints=None):
-    """Assert that load_sequence and the json oracle give bit-equal arrays or the same error;
-    return how many of the directory's documents load_sequence parsed whole, or None when
-    both fail."""
-    docs = {path.read_bytes() for path in directory.iterdir()}
+def paths_agree(path, joints=None):
+    """Assert that load_sequence and the json oracle give bit-equal arrays or the same error for
+    a frame directory or a container file; return how many of the directory's documents, or
+    containers, load_sequence parsed whole, or None when both fail."""
+    docs = {doc.read_bytes() for doc in path.iterdir()} if path.is_dir() else {path.read_bytes()}
     parsed = []
     load_json = pose._load_json
     with mock.patch.object(pose, "_load_json", lambda raw, what: parsed.append(raw) or load_json(raw, what)):
-        got = ingest(directory, joints, pose._table)
-    assert got == ingest(directory, joints, json_table)
+        got = ingest(path, joints, pose._table)
+    assert got == ingest(path, joints, json_table)
     return None if isinstance(got[0], type) else sum(raw in docs for raw in parsed)
 
 
@@ -353,9 +353,9 @@ def mutate(raw, draw):
 
 
 @st.composite
-def frame_docs(draw):
+def frame_docs(draw, mutated=True):
     """Documents of a valid sequence in the writer's or the compact OpenPose layout, with
-    nobody in some frames, then some documents mutated."""
+    nobody in some frames, then some documents mutated if ``mutated``."""
     frames, joints = draw(st.integers(2, 5)), draw(st.integers(1, 3))
     xy = st.floats(-1e4, 1e4)
     if draw(st.booleans()):  # magnitudes from 2**63 on, which json may read as integers
@@ -372,7 +372,7 @@ def frame_docs(draw):
         else:
             fmt = draw(st.sampled_from(FORMATS))
             docs.append(OPENPOSE_PERSON % ",".join(fmt(v) for v in frame.ravel().tolist()).encode())
-    for k in draw(st.sets(st.integers(0, frames - 1), max_size=frames)):
+    for k in draw(st.sets(st.integers(0, frames - 1), max_size=frames * mutated)):
         docs[k] = mutate(docs[k], draw)
     return docs, draw(st.sampled_from([None, None, joints, joints + 1]))
 
@@ -484,6 +484,125 @@ class TestFastPathOracle:
         assert writer.confidence.tobytes() == seq.confidence.tobytes()
         load_sequence(tmp_path / "compact", fps=30.0)
         assert len(calls) == 1 + 2  # a person's remainder and the empty frame's
+
+
+def write_container(path, docs, separator=b","):
+    path.write_bytes(b"[" + separator.join(docs) + b"]")
+    return path
+
+
+DEEP = b"[" * 100_000 + b"]" * 100_000  # nests deeper than json's recursion allows
+PERSON = b'{"people":[{"pose_keypoints_2d":[1,2,0.5]}]}'
+
+
+@st.composite
+def containers(draw):
+    """The documents of ``frame_docs()``, mutated or not, as one container file with a container-level
+    change."""
+    docs, joints = draw(frame_docs(mutated=draw(st.booleans())))
+    alphabet = [b" ", b"\t", b"\n", b"\r", *draw(st.sampled_from([[]] * 4 + [[b"\v"], [b"\f"]]))]
+    space = st.lists(st.sampled_from(alphabet), max_size=2).map(b"".join)
+    kind = draw(st.sampled_from(["none"] * 6 + ["trailing comma", "bom", "trailing garbage", "non-object",
+                                                "split in a string", "two arrays", "deep", "empty"]))
+    k = draw(st.integers(0, len(docs) - 1))
+    if kind == "non-object":
+        docs.insert(k, draw(st.sampled_from([b"1", b"null", b"[]", b'"x"', b"[{}]"])))
+    elif kind == "split in a string":
+        docs[k] = docs[k].replace(b"{", b'{"note":"%s",' % draw(st.sampled_from([b"},{", b"} , {"])), 1)
+    elif kind == "two arrays" and b"}" in docs[k]:
+        docs[k] = docs[k][: docs[k].rindex(b"}")] + b',"more":{"pose_keypoints_2d":[1,2,0.5]}}'
+    elif kind == "deep":
+        docs[k] = b'{"people":[],"deep":%s}' % DEEP
+    elif kind == "empty":
+        docs = []
+    raw = b"".join(draw(space) + b"," + draw(space) + doc if t else doc for t, doc in enumerate(docs))
+    raw = draw(space) + b"[" + draw(space) + raw + draw(space) + b"," * (kind == "trailing comma")
+    raw += b"]" + draw(space)
+    if kind == "bom":
+        raw = b"\xef\xbb\xbf" + raw
+    if kind == "trailing garbage":
+        raw += draw(st.sampled_from([b"x", b"]", b",{}", b"[]", b"\0"]))
+    return raw, joints
+
+
+class TestContainerOracle:
+    """load_sequence on a container file against one ``json.loads`` of it, the oracle."""
+
+    @given(containers())
+    @settings(deadline=None)
+    def test_cut_and_json_paths_agree(self, case):
+        raw, joints = case
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "clip.json"
+            path.write_bytes(raw)
+            paths_agree(path, joints)
+
+    @pytest.mark.parametrize("nobody", [(), (2,), (0, 999), (0, 1, 500, 501, 998, 999)])
+    @pytest.mark.parametrize("writer", [True, False], ids=["writer", "compact"])
+    def test_a_plain_container_is_cut_with_few_parses(self, tmp_path, monkeypatch, writer, nobody):
+        """1,000 documents cost one parse for each distinct remainder and document between arrays,
+        and none of the whole container."""
+        rng = np.random.default_rng(5)
+        frames = np.concatenate([rng.normal(size=(1000, 4, 2)), rng.random((1000, 4, 1))], axis=2)
+        if writer:
+            docs = [b'{"people": []}' if t in nobody else serialize_keypoint_frame(frame)
+                    for t, frame in enumerate(frames)]
+        else:
+            docs = [OPENPOSE_NOBODY if t in nobody else OPENPOSE_PERSON % ",".join(
+                "%.3f" % v for v in frame.ravel()).encode() for t, frame in enumerate(frames)]
+        path = write_container(tmp_path / "clip.json", docs, b", " if writer else b",")
+        assert paths_agree(path) == 0
+        calls = []
+        load_json = pose._load_json
+        monkeypatch.setattr(pose, "_load_json", lambda raw, what: calls.append(raw) or load_json(raw, what))
+        seq = load_sequence(path, fps=30.0)
+        assert len(calls) == 1 + bool(nobody)  # the remainder, and the document of nobody
+        assert path.read_bytes() not in calls
+        if writer:  # whose floats load back bit-exactly
+            seen = np.setdiff1d(np.arange(1000), nobody)
+            assert seq.positions[seen].tobytes() == frames[seen, :, :2].tobytes()
+
+    @pytest.mark.parametrize("doc", [
+        b'{"people":[{"pose_keypoints_2d":[1,2,0.5]},{"pose_keypoints_2d":[3,4,0.5]}]}',
+        b'{"people":[{"pose_keypoints_2d":[-0,2,0.5]}]}',
+        b'{"people":[{"pose_keypoints_2d":[1,\n2,\n0.5]}]}',
+        b'{"people":[{"pose_keypoints_2d":[9223372036854775808,2,0.5]}]}',
+    ], ids=["bystander", "minus zero", "pretty-printed array", "2**63"])
+    def test_one_frame_the_cut_refuses_sends_the_container_to_one_whole_parse(self, tmp_path, monkeypatch,
+                                                                              doc):
+        docs = [b'{"people":[{"pose_keypoints_2d":[%d,2,0.5]}]}' % t for t in range(6)]
+        docs[3] = doc
+        path = write_container(tmp_path / "clip.json", docs)
+        assert paths_agree(path) == 1
+        opened = []
+        os_open = pose.os.open
+        monkeypatch.setattr(pose.os, "open", lambda *a: opened.append(a[0]) or os_open(*a))
+        load_sequence(path, fps=30.0)
+        assert opened == [path]
+
+    @pytest.mark.parametrize("raw", [
+        b"[]", b"[{}]", b'[{"people":[]}]', b'[{"people":[]},{"people":[]}]',
+        b"[%s,]" % PERSON, b"[%s,%s" % (PERSON, PERSON), b"[%s,%s]]" % (PERSON, PERSON),
+        b"[%s,%s\v]" % (PERSON, PERSON), b"[%s\f,%s]" % (PERSON, PERSON),
+        b'[%s,{"people":[{"pose_keypoints_2d":[1,2,0.5]' % PERSON,
+        b"\xef\xbb\xbf[%s,%s]" % (PERSON, PERSON),
+        b'[%s,%s,"x":"\xff"}]' % (PERSON, PERSON[:-1]),
+        b'[%s,%s,"x":"\\""}]' % (PERSON, PERSON[:-1]),
+        b'[%s,"x":"},{"},%s]' % (PERSON[:-1], PERSON),
+        b'[%s,"x":{"pose_keypoints_2d":[1,2,0.5]}},%s]' % (PERSON[:-1], PERSON),
+        b"[%s,1,%s]" % (PERSON, PERSON),
+        b'[1,{"people":[]},%s,%s]' % (PERSON, PERSON),
+        b"[%s,{\0%s]" % (PERSON, PERSON[1:]),
+        b'[%s,{"people":[],"deep":%s}]' % (PERSON, DEEP),
+        b"[%s,%s],{}" % (PERSON, PERSON),
+    ], ids=["empty", "no people", "nobody", "nobody twice", "trailing comma", "not closed",
+            "second close", "vertical tab", "form feed", "array not closed", "BOM", "not UTF-8",
+            "backslash", "split in a string", "two arrays in a document", "not an object",
+            "not an object first", "NUL after a brace", "deep nesting", "trailing garbage"])
+    def test_a_container_the_cut_cannot_stand_for_is_parsed_whole(self, tmp_path, raw):
+        path = tmp_path / "clip.json"
+        path.write_bytes(raw)
+        assert paths_agree(path) in (None, 1)
 
 
 class TestInterpolateMissing:
