@@ -14,9 +14,10 @@ passes as JSON numbers. Every other file (a second person, say) is parsed whole
 with ``json``, in frame order, and so is a cut array that the byte check or
 ``np.loadtxt`` refuses, from the bytes already read: each file is read once.
 A container is cut or parsed whole: one split cuts out every array, which the same
-byte check and ``np.loadtxt`` read, and each distinct rest is parsed once; any other
-container is parsed by one ``json.loads``. The table and any error are those that
-one ``json.loads`` per document gives.
+byte check and ``np.loadtxt`` read, each distinct rest is parsed once, and a document
+whose array they refuse is parsed alone. One ``json.loads`` parses a container with a
+second person, a backslash or a first array on several lines, or any other the cut
+cannot stand for. The table and any error are those one ``json.loads`` per document gives.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ _CLOSE = re.compile(rb"(.*\})" + _WS + rb"\]" + _WS, re.S)  # and after the "]" 
 # The class of each byte of the cut keypoint text (0 any other byte, 1 digit, 2 "-",
 # 3 "+", 4 ".", 5 exponent, 6 "," or row end, 7 " "), and the pairs of neighbouring
 # classes, written 0o<previous><next>, that rows of JSON numbers allow.
-_CLASS_OF = bytes(b"\0\1\1\1\1\1\1\1\1\1\1\2\3\4\5\5\6\6\7"[b"0123456789-+.eE,\n ".find(c) + 1]
+_CLASS_OF = bytes(b"\0\1\1\1\1\1\1\1\1\1\1\2\3\4\5\5\6\6\7"[b"0123456789-+.eE,] ".find(c) + 1]
                   for c in range(256))
 _PAIR_OK = bytes(i in (0o11, 0o14, 0o15, 0o16, 0o21, 0o31, 0o41, 0o51, 0o52, 0o53, 0o61, 0o62, 0o67,
                        0o71, 0o72, 0o77) for i in range(256))
@@ -230,26 +231,23 @@ def _frame_files(directory: Path) -> list[str]:
 
 
 def _not_json_numbers(bodies: list[bytes]) -> list[int]:
-    """Indices of the ``bodies``, fields separated by "," or ", ", that hold more than JSON numbers
-    or a newline (a pretty-printed array).
+    """Indices of the ``bodies``, fields separated by "," or ", ", that hold more than JSON numbers.
 
     ``np.loadtxt`` alone would also read ``.5``, ``5.``, ``+1``, ``01`` or ``nan``; ``-0``
     is refused because JSON reads it as the integer 0, not as -0.0. A field with a second "."
-    or exponent passes here, and ``np.loadtxt`` refuses it.
+    or exponent passes here, and ``np.loadtxt`` refuses it. A newline (a pretty-printed array) is
+    refused: the bodies are joined at "]", which none holds, and a newline is any other byte.
     """
-    text = b"\n".join([b"", *bodies, b""])
+    text = b"]".join([b"", *bodies, b""])
     cls = np.frombuffer(text.translate(_CLASS_OF), np.uint8)
     pair_ok = np.frombuffer((cls[:-1] << 3 | cls[1:]).tobytes().translate(_PAIR_OK), np.bool_)
     sep, sign = cls >= 6, cls == 2
     sign[1:] &= sep[:-1]  # a minus that starts a field, not an exponent's
     zero = (np.frombuffer(text, np.uint8)[1:-1] == ord("0")) & (sep[:-2] | sign[:-2])
     zero &= (cls[2:] == 1) | sign[:-2] & sep[2:]  # 01, -01 or -0
-    ends = np.cumsum([len(body) + 1 for body in bodies])  # where each body's closing "\n" lies
+    ends = np.cumsum([len(body) + 1 for body in bodies])  # where each body's closing "]" lies
     bad = np.r_[np.flatnonzero(~pair_ok), np.flatnonzero(zero)] + 1  # the later byte of a pair
-    refused = set(np.searchsorted(ends, bad).tolist())
-    if text.count(b"\n") > len(bodies) + 1:  # a newline inside a body
-        refused.update(k for k, body in enumerate(bodies) if b"\n" in body)
-    return sorted(refused)
+    return np.unique(np.searchsorted(ends, bad)).tolist()
 
 
 def _rows(bodies: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
@@ -290,24 +288,26 @@ def _read_frames(path: Path, names: list[str]) -> tuple[dict[int, list], np.ndar
     return {t: flat for t, flat in lists.items() if flat is not None}, values, rows
 
 
-def _cut_container(raw: bytes) -> tuple[int, dict, np.ndarray, np.ndarray] | None:
-    """The frame count, no keypoint lists, and the loadtxt rows and their frames of container ``raw``,
-    or None where the cut cannot stand for one ``json.loads`` of it. Each distinct text between two
+def _cut_container(raw: bytes) -> tuple[int, dict[int, list], np.ndarray, np.ndarray] | None:
+    """The frame count, keypoint lists, and the loadtxt rows and their frames of container ``raw``, or
+    None where the cut cannot stand for one ``json.loads`` of it. Each distinct text between two
     arrays is split at "}", ",", "{" into the end of one array's document, whole documents and the
     start of the next. Each distinct remainder (a document with its array emptied) must parse alone
-    to that empty array, each whole document to nobody, and ``_rows`` must pass every array; then
-    "[" and the documents joined by "," parse to exactly these documents."""
+    to that empty array, each whole document to nobody, and each document whose array ``_rows``
+    refuses to its keypoint list, as a refused frame file does; then "[" and the documents joined by
+    "," parse to exactly these documents. Two arrays in one document leave a remainder that cannot
+    parse: the text between them would have to close the one document and open the next."""
+    first = _CUT.search(raw)  # a pretty-printed container is refused before the split, on its first array
+    if not first or b"\n" in raw[first.end() : raw.find(b"]", first.end())] or b"\\" in raw:
+        return None  # with a backslash, an escaped key could stand for a cut one
     parts = _CUT.split(raw)  # the text before the first array, then each array's key and what follows
     head, close = _OPEN.fullmatch(parts[0]), _CLOSE.fullmatch(parts[-1].partition(b"]")[2])
-    if len(parts) < 3 or not head or not close or b"\\" in raw or raw.count(_KEY) != len(parts) // 2:
+    if not head or not close:
         return None
     cuts = [part.partition(b"]") for part in parts[2::2]]
-    # The texts between arrays, and before the first and after the last framed as such: "}," and ",{"
-    # give them an empty end and an empty start.
+    # The texts between arrays, and before the first and after the last framed as such by "}," and ",{".
     tails = [b"}," + head[1], *[tail for _, _, tail in cuts[:-1]], close[1] + b",{"]
     pieces = {tail: _SPLIT.split(tail) for tail in set(tails)}
-    if any(len(split) < 2 for split in pieces.values()):  # two arrays in one document, or one not closed
-        return None
     remainders = {(b"{" + pieces[before][-1] + key + b"]" + pieces[after][0] + b"}")
                   for before, key, after in set(zip(tails, parts[1::2], tails[1:]))}
     between = {b"{" + doc + b"}" for split in pieces.values() for doc in split[1:-1]}
@@ -316,10 +316,14 @@ def _cut_container(raw: bytes) -> tuple[int, dict, np.ndarray, np.ndarray] | Non
         return None
     bodies = [body for body, _, _ in cuts]
     values, kept = _rows(bodies)
-    if len(kept) < len(bodies):
-        return None
     counts = np.array([len(pieces[tail]) - 2 for tail in tails])  # the documents in each text between arrays
-    return len(bodies) + int(counts.sum()), {}, values, np.arange(len(bodies)) + np.cumsum(counts)[:-1]
+    frames = np.arange(len(bodies)) + np.cumsum(counts)[:-1]
+    refused = np.setdiff1d(np.arange(len(bodies)), kept).tolist()  # each parsed with its document alone
+    lists = {int(frames[k]): _alone(b"{%s%s%s]%s}" % (pieces[tails[k]][-1], parts[2 * k + 1], bodies[k],
+                                                       pieces[tails[k + 1]][0])) for k in refused}
+    if any(flat is False for flat in lists.values()):  # json's error would carry the container's offsets
+        return None
+    return len(bodies) + int(counts.sum()), lists, values, frames[kept]
 
 
 def _table(path: Path, names: list[str] | None, expected_joints: int | None) -> np.ndarray:

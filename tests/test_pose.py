@@ -563,22 +563,47 @@ class TestContainerOracle:
             assert seq.positions[seen].tobytes() == frames[seen, :, :2].tobytes()
 
     @pytest.mark.parametrize("doc", [
-        b'{"people":[{"pose_keypoints_2d":[1,2,0.5]},{"pose_keypoints_2d":[3,4,0.5]}]}',
         b'{"people":[{"pose_keypoints_2d":[-0,2,0.5]}]}',
         b'{"people":[{"pose_keypoints_2d":[1,\n2,\n0.5]}]}',
         b'{"people":[{"pose_keypoints_2d":[9223372036854775808,2,0.5]}]}',
-    ], ids=["bystander", "minus zero", "pretty-printed array", "2**63"])
-    def test_one_frame_the_cut_refuses_sends_the_container_to_one_whole_parse(self, tmp_path, monkeypatch,
-                                                                              doc):
+    ], ids=["minus zero", "pretty-printed array", "2**63"])
+    def test_a_refused_array_is_parsed_with_its_document_alone(self, tmp_path, monkeypatch, doc):
+        """An array the byte check or loadtxt refuses costs one parse of its document, as a refused
+        frame file does; the other arrays still take the cut."""
         docs = [b'{"people":[{"pose_keypoints_2d":[%d,2,0.5]}]}' % t for t in range(6)]
         docs[3] = doc
         path = write_container(tmp_path / "clip.json", docs)
-        assert paths_agree(path) == 1
-        opened = []
-        os_open = pose.os.open
+        assert paths_agree(path) == 0
+        opened, parsed = [], []
+        os_open, load_json = pose.os.open, pose._load_json
         monkeypatch.setattr(pose.os, "open", lambda *a: opened.append(a[0]) or os_open(*a))
+        monkeypatch.setattr(pose, "_load_json", lambda raw, what: parsed.append(raw) or load_json(raw, what))
+        seq = load_sequence(path, fps=30.0)
+        assert seq.positions[[0, 1, 2, 4, 5], 0, 0].tolist() == [0, 1, 2, 4, 5]
+        assert opened == [path] and parsed == [b'{"people":[{"pose_keypoints_2d":[]}]}', doc]
+
+    @pytest.mark.parametrize("frame, indent", [(3, None), (0, None), (None, 1), (None, "\t")],
+                             ids=["bystander", "pretty-printed first array", "indented", "tab-indented"])
+    def test_a_container_the_cut_refuses_costs_one_whole_parse(self, tmp_path, monkeypatch, frame, indent):
+        """A bystander, whose document holds two arrays, sends the container to one whole parse. So does
+        a pretty-printed first array, and then nothing else is parsed: the cut refuses the container
+        before it splits it."""
+        docs = [b'{"people":[{"pose_keypoints_2d":[%d,2,0.5]}]}' % t for t in range(6)]
+        if frame == 3:
+            docs[3] = b'{"people":[{"pose_keypoints_2d":[1,2,0.5]},{"pose_keypoints_2d":[3,4,0.5]}]}'
+        elif frame == 0:
+            docs[0] = b'{"people":[{"pose_keypoints_2d":[0,\n2,\n0.5]}]}'
+        path = write_container(tmp_path / "clip.json", docs)
+        if indent is not None:
+            path.write_text(json.dumps(json.loads(path.read_bytes()), indent=indent))
+        assert paths_agree(path) == 1
+        opened, parsed = [], []
+        os_open, load_json = pose.os.open, pose._load_json
+        monkeypatch.setattr(pose.os, "open", lambda *a: opened.append(a[0]) or os_open(*a))
+        monkeypatch.setattr(pose, "_load_json", lambda raw, what: parsed.append(raw) or load_json(raw, what))
         load_sequence(path, fps=30.0)
-        assert opened == [path]
+        assert opened == [path] and parsed[-1] == path.read_bytes()
+        assert frame == 3 or parsed == [path.read_bytes()]
 
     @pytest.mark.parametrize("raw", [
         b"[]", b"[{}]", b'[{"people":[]}]', b'[{"people":[]},{"people":[]}]',
