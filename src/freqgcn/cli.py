@@ -1,10 +1,10 @@
 """Command-line front end: extract, train, predict, explain, gradcheck, synth.
 
-A package error ends a command in one ``error:`` line and its type's ``exit_code``: 2
-missing input, 3 insufficient data, 4 degenerate dataset, 5 model mismatch, 1 any other,
-an output that cannot be written among them. A missing file and a flag that does not
-parse (click's usage error) exit 2. Every command is deterministic given its flags and
-seeds; timing output goes to stderr so repeated runs stay byte-identical on stdout.
+A package error ends a command in one ``error:`` line and its type's ``exit_code``: 2 missing
+input, 3 insufficient data, 4 degenerate dataset, 5 model mismatch, 1 any other, an output that
+cannot be written and a failed allocation among them. A missing file, named with its kind by the
+reader that opens it, and a flag that does not parse (click's usage error) exit 2. Every command is
+deterministic given its flags and seeds; timing output goes to stderr so reruns stay byte-identical.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .graph import SkeletonTopology, builtin_topology, read_topology
 
 
 def guarded(fn):
-    """End a package error or a missing file in one ``error:`` line and its exit status."""
+    """End a package error, a missing file or a failed allocation in one ``error:`` line."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -34,6 +34,9 @@ def guarded(fn):
         except (FreqGcnError, FileNotFoundError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(exc.exit_code if isinstance(exc, FreqGcnError) else 2)
+        except MemoryError as exc:  # sizes in an input that ask for more memory than there is
+            click.echo(f"error: out of memory: {str(exc) or 'an allocation failed'}", err=True)
+            sys.exit(1)
 
     return wrapper
 
@@ -59,10 +62,8 @@ def _config_callback(ctx: click.Context, param: click.Parameter, value):
     if value is None:
         return None
     try:
-        loaded = json.loads(read_input(value))
-    except FileNotFoundError:
-        raise click.BadParameter(f"no such config file: {value}") from None
-    except ReadError as exc:
+        loaded = json.loads(read_input(value, what="config file"))
+    except (FileNotFoundError, ReadError) as exc:
         raise click.BadParameter(str(exc)) from None
     except (ValueError, RecursionError) as exc:  # not JSON or UTF-8, a too long integer, deep nesting
         raise click.BadParameter(f"config file is not valid JSON: {exc}") from exc
@@ -158,10 +159,7 @@ def _load_feature_table(
     table = []
     for row in manifest_rows:
         seq_id = row["sequence_id"]
-        csv_path = features_dir / f"{seq_id}.csv"
-        if not csv_path.exists():
-            raise FileNotFoundError(f"missing feature file: {csv_path}")
-        features, spec = frequency.read_features_csv(csv_path)
+        features, spec = frequency.read_features_csv(features_dir / f"{seq_id}.csv")
         if table and spec != table[0][1].spec:
             raise ModelMismatchError(
                 f"feature file for {seq_id} has bin spec {spec}, the first file {table[0][1].spec}"
@@ -202,15 +200,9 @@ def _load_feature_table(
 def cmd_train(features_dir, manifest, out_path, topology, channels, epochs, lr, seed,
               per_example, history_path, metrics_path):
     """Train the classifier on extracted features."""
-    features_dir = Path(features_dir)
-    if not features_dir.is_dir():
-        raise FileNotFoundError(f"no such feature directory: {features_dir}")
-    manifest_path = Path(manifest)
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"no such manifest: {manifest_path}")
+    rows = synthetic.read_manifest(manifest)
     topo = _resolve_topology(topology)
-    rows = synthetic.read_manifest(manifest_path)
-    table = _load_feature_table(features_dir, rows, topo)
+    table = _load_feature_table(Path(features_dir), rows, topo)
 
     config = training.TrainConfig(
         epochs=epochs, learning_rate=lr, seed=seed, full_batch=not per_example
@@ -253,8 +245,6 @@ def _classify(path: Path, loaded: model_mod.Model,
               fps: float) -> tuple[str, model_mod.ForwardCache, float, float]:
     """(sequence id, forward cache of the chunk of one, extract and forward seconds) for one input;
     features the model cannot take are a ModelMismatchError. Only extraction from raw frames is timed."""
-    if not path.exists():
-        raise FileNotFoundError(f"no such input: {path}")
     extract_seconds = 0.0
     if path.suffix == ".csv":
         seq_id, features = path.stem, frequency.read_features_csv(path)[0]
@@ -284,8 +274,6 @@ def _classify(path: Path, loaded: model_mod.Model,
 @guarded
 def cmd_predict(model_path, inputs, fps, out_path, timing):
     """Classify sequences; one 'id,label,prob_abnormal' line per input."""
-    if not Path(model_path).exists():
-        raise FileNotFoundError(f"no such model: {model_path}")
     loaded = model_mod.load_model(model_path)
     lines = []
     for raw in inputs:
@@ -315,8 +303,6 @@ def cmd_predict(model_path, inputs, fps, out_path, timing):
 @guarded
 def cmd_explain(model_path, input_path, out_prefix, fps, bars):
     """Write the attention weights and joint-importance ranking for one input."""
-    if not Path(model_path).exists():
-        raise FileNotFoundError(f"no such model: {model_path}")
     loaded = model_mod.load_model(model_path)
     alpha = _classify(Path(input_path), loaded, fps)[1].alpha[0]
     importance, ranking = model_mod.joint_ranking(alpha)

@@ -10,7 +10,8 @@ from .errors import ReadError, WriteError
 
 
 def read_input(path: str | Path, error: type[Exception] | None = None, what: str = "file") -> bytes | str:
-    """The bytes of ``path``, or given ``error`` its UTF-8 text; a failed read raises ReadError."""
+    """The bytes of ``path``, or given ``error`` its UTF-8 text. A missing ``path`` raises
+    FileNotFoundError ``no such <what>: <path>``, any other failed read ReadError."""
     try:
         fd = os.open(path, os.O_RDONLY)
         chunks = []
@@ -19,8 +20,8 @@ def read_input(path: str | Path, error: type[Exception] | None = None, what: str
                 chunks.append(chunk)
         finally:
             os.close(fd)
-    except FileNotFoundError:  # a missing input keeps its own error
-        raise
+    except FileNotFoundError:  # a missing input keeps its own error, and exit status
+        raise FileNotFoundError(f"no such {what}: {path}") from None
     except OSError as exc:  # a directory, say, or no read permission
         raise ReadError(exc.errno, exc.strerror or str(exc), str(path)) from None
     raw = b"".join(chunks)

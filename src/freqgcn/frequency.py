@@ -275,11 +275,8 @@ def read_features_csv(path: str | Path) -> tuple[FrequencyFeatures, BinSpec]:
     and >= 0; the first row that is not, or one past the last cell, is a FormatError.
     """
     path = Path(path)
-    meta_file = sidecar_path(path)
-    if not meta_file.exists():
-        raise FormatError(f"missing feature sidecar {meta_file}")
-    n, spec, fps = _read_sidecar(meta_file)
-    lines = read_input(path, FormatError).splitlines()
+    lines = read_input(path, FormatError, "feature file").splitlines()
+    n, spec, fps = _read_sidecar(sidecar_path(path))
     if not lines or lines[0] != "joint,bin,channel,value":
         raise FormatError(f"{path.name}: expected header 'joint,bin,channel,value'")
     rows = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line]
@@ -323,7 +320,7 @@ def _read_sidecar(meta_file: Path) -> tuple[int, BinSpec, float]:
     """
     name = meta_file.name
     try:
-        meta = json.loads(read_input(meta_file))
+        meta = json.loads(read_input(meta_file, what="feature sidecar"))
     except (ValueError, RecursionError) as exc:  # not JSON or UTF-8, a too long integer, deep nesting
         raise FormatError(f"{name}: invalid JSON: {exc}") from None
     if (

@@ -332,7 +332,7 @@ def save_model(model: Model, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> Model:
     path = Path(path)
-    lines = read_input(path, ModelMismatchError, "document").splitlines()
+    lines = read_input(path, ModelMismatchError, "model document").splitlines()
     cursor = 0
 
     def take() -> str:

@@ -271,7 +271,7 @@ def _read_frames(path: Path, names: list[str]) -> tuple[dict[int, list], np.ndar
     is parsed whole from those bytes."""
     raws, bodies, rows, remainders = [], [], [], {}
     for t, name in enumerate(names):
-        raws.append(raw := read_input(name))
+        raws.append(raw := read_input(name, what="keypoint file"))
         cut = _CUT.search(raw)
         if cut and (end := raw.find(b"]", cut.end())) >= 0 and raw.count(_KEY) == 1:
             body, rest = raw[cut.end() : end], raw[: cut.end()] + raw[end:]
@@ -332,12 +332,16 @@ def _table(path: Path, names: list[str] | None, expected_joints: int | None) -> 
         if not names:
             raise EmptyInputError(f"no keypoint files in {path}")
         return _keypoint_table(path, names, len(names), *_read_frames(path, names), expected_joints)
-    raw = read_input(path)
+    raw = read_input(path, what="input")
     if cut := _cut_container(raw):
         return _keypoint_table(path, None, *cut, expected_joints)
-    docs = _load_json(raw, "container file")
-    if not isinstance(docs, list):
-        raise ParseError("container file must hold a JSON array of frame documents")
+    try:
+        docs = _load_json(raw, "container file")
+        if not isinstance(docs, list):
+            raise ParseError("container file must hold a JSON array of frame documents")
+    except ParseError as exc:
+        exc.args = (f"{path.name}: {exc}",)
+        raise
     if not docs:
         raise EmptyInputError(f"container file {path} holds no frames")
     lists = {t: flat for t, doc in enumerate(docs) if (flat := _frame_list(path, None, t, doc)) is not None}
@@ -351,15 +355,12 @@ def load_sequence(
 ) -> PoseSequence:
     """Load a sequence from a directory of per-frame documents or a container file.
 
-    Directory entries are ordered by the last numeric component of their
-    file names (numeric, not lexical). A container file holds a JSON array
-    of per-frame documents in frame order. An fps outside
-    ``FPS_QUIET_RANGE`` is accepted with one warning.
+    Directory entries are ordered by the last numeric component of their file names
+    (numeric, not lexical). A container file holds a JSON array of per-frame documents in
+    frame order; any path but a directory is read as one, so ``read_input`` reports a missing
+    path or frame file. An fps outside ``FPS_QUIET_RANGE`` is accepted with one warning.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such input: {path}")
-
     names = _frame_files(path) if path.is_dir() else None
     table = _table(path, names, expected_joints)
     try:

@@ -211,7 +211,7 @@ def read_manifest(path: str | Path) -> list[dict[str, str]]:
     """Rows of the dataset manifest; each needs a sequence_id and a label of 0 or 1."""
     path = Path(path)
     rows = []
-    reader = csv.DictReader(io.StringIO(read_input(path, FormatError), newline=""))
+    reader = csv.DictReader(io.StringIO(read_input(path, FormatError, "manifest"), newline=""))
     missing = {"sequence_id", "label"} - set(reader.fieldnames or ())
     if reader.fieldnames and missing:
         raise FormatError(f"{path.name}: manifest missing columns {sorted(missing)}")

@@ -101,9 +101,13 @@ def json_table(path: Path, names: list[str] | None, expected_joints: int | None)
             raise EmptyInputError(f"no keypoint files in {path}")
         labels = [os.path.basename(name) for name in names]
     else:
-        docs = _load_json(path.read_bytes(), "container file")
-        if not isinstance(docs, list):
-            raise ParseError("container file must hold a JSON array of frame documents")
+        try:
+            docs = _load_json(path.read_bytes(), "container file")
+            if not isinstance(docs, list):
+                raise ParseError("container file must hold a JSON array of frame documents")
+        except ParseError as exc:
+            exc.args = (f"{path.name}: {exc}",)
+            raise
         if not docs:
             raise EmptyInputError(f"container file {path} holds no frames")
         flats = [_frame_list(path, None, t, doc) for t, doc in enumerate(docs)]

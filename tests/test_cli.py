@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner, Result
 
+from freqgcn import model as model_mod, pose
 from freqgcn.cli import main
 from freqgcn.errors import FormatError
 from freqgcn.frequency import read_features_csv
@@ -863,7 +864,7 @@ LONG_INT = "1" * 4301  # more digits than Python converts to an integer by defau
 LONG_INT_FRAME = '{"people": [{"pose_keypoints_2d": [%s%s]}]}' % (LONG_INT, ", 1.0" * 14)
 DEEP = "[" * 100_000 + "]" * 100_000  # nests deeper than json's recursion allows
 
-ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring)
+ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring with {tmp} and {ws} filled in)
     # Values that the type holding them rejects.
     ("train-seed-negative", train(flags=["--seed", "-1"]), 1, "seed must be >= 0"),
     ("train-lr-inf", train(flags=["--lr", "inf"]), 1, "learning_rate must be finite and > 0, got inf"),
@@ -873,16 +874,23 @@ ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring)
     ("train-one-width", train(flags=["--channels", "5"]), 1, "channels (5,)"),
     ("model-width-zero", predict(model=edited_model("channels 2 16 16", "channels 2 0")),
      5, "channels (2, 0)"),
-    # Missing inputs.
-    ("predict-no-model", predict(model=absent), 2, "no such model"),
-    ("explain-no-model", explain(model=absent), 2, "no such model"),
-    ("predict-no-input", predict(features=absent), 2, "no such input"),
-    ("explain-no-input", explain(features=absent), 2, "no such input"),
-    ("train-no-features-dir", train(features=absent), 2, "no such feature directory"),
-    ("train-no-manifest", train(manifest=absent), 2, "no such manifest"),
+    # Missing inputs: the reader that opens each one names its kind and path.
+    ("predict-no-model", predict(model=absent), 2, "error: no such model document: {tmp}/absent\n"),
+    ("explain-no-model", explain(model=absent), 2, "error: no such model document: {tmp}/absent\n"),
+    ("predict-no-input", predict(features=absent), 2, "error: no such input: {tmp}/absent\n"),
+    ("explain-no-input", explain(features=absent), 2, "error: no such input: {tmp}/absent\n"),
+    ("predict-no-input-dir", predict(features=lambda ws, tmp: tmp / "absent_dir"),
+     2, "error: no such input: {tmp}/absent_dir\n"),
+    ("predict-no-feature-file", predict(features=lambda ws, tmp: tmp / "absent.csv"),
+     2, "error: no such feature file: {tmp}/absent.csv\n"),
+    ("extract-no-input", extract(lambda ws, tmp: tmp / "absent.json"),
+     2, "error: no such input: {tmp}/absent.json\n"),
+    ("train-no-features-dir", train(features=absent),
+     2, "error: no such feature file: {tmp}/absent/seq_0000.csv\n"),
+    ("train-no-manifest", train(manifest=absent), 2, "error: no such manifest: {tmp}/absent\n"),
     ("train-missing-feature-file",
      train(manifest=written("manifest.csv", "sequence_id,label\nseq_9999,0\n")),
-     2, "missing feature file"),
+     2, "error: no such feature file: {ws}/features/seq_9999.csv\n"),
     ("train-manifest-missing-columns",
      train(manifest=written("manifest.csv", "sequence_id,split\nseq_0000,train\n")),
      1, "manifest missing columns"),
@@ -921,7 +929,7 @@ ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring)
      2, "Invalid value for '--signal-joints': expected comma-separated joint indices, got ''"),
     # Feature files.
     ("features-no-sidecar", predict(features=features_copy(sidecar=False)),
-     1, "missing feature sidecar"),
+     2, "error: no such feature sidecar: {tmp}/seq_0000.csv.meta.json\n"),
     ("features-wrong-header", predict(features=features_copy(header="joint,bin,value")),
      1, "expected header"),
     ("train-diverges", train(flags=["--lr", "1e300"]),
@@ -974,6 +982,10 @@ ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring)
      extract(written("clip.json", "[%s]" % ", ".join("{}" if k == 17 else TOY5_FRAME for k in range(40)))),
      1, "error: frame 17 of clip.json: document has no 'people' array\n"),
     ("container-not-array", extract(written("clip.json", TOY5_FRAME)), 1, "JSON array"),
+    ("container-not-json", extract(written("clip.json", '{"people": [')),
+     1, "error: clip.json: invalid container file: Expecting value (byte offset 12)\n"),
+    ("container-a-number", extract(written("clip.json", "3")),
+     1, "error: clip.json: container file must hold a JSON array of frame documents\n"),
     ("container-empty", extract(written("clip.json", "[]")), 2, "holds no frames"),
     ("container-all-frames-empty",
      extract(written("clip.json", '[{"people": []}, {"people": []}]')),
@@ -996,7 +1008,7 @@ ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring)
     ("container-long-integer", extract(written("clip.json", f"[{TOY5_FRAME}, {LONG_INT_FRAME}]")),
      1, "invalid container file"),
     ("container-deep-nesting", extract(written("clip.json", DEEP)),
-     1, "error: invalid container file: maximum recursion depth"),
+     1, "error: clip.json: invalid container file: maximum recursion depth"),
 ]
 
 
@@ -1013,8 +1025,31 @@ class TestErrorBranches:
             assert_usage_error(result)
         else:
             assert_one_line_diagnostic(result, exit_code)
-        assert message in result.stderr
+        assert message.format(tmp=tmp_path, ws=workspace) in result.stderr
         assert list(out.iterdir()) == []
+
+
+def test_a_frame_file_gone_after_the_listing_is_a_missing_input(runner, workspace, tmp_path, monkeypatch):
+    gone = tmp_path / "seq" / "frame_000000.json"
+    gone.parent.mkdir()
+    monkeypatch.setattr(pose, "_frame_files", lambda directory: [str(gone)])
+    result = runner.invoke(main, ["predict", "--model", str(workspace / "model.txt"), "--input", str(gone.parent)])
+    assert_one_line_diagnostic(result, 2)
+    assert result.stderr == f"error: no such keypoint file: {gone}\n"
+
+
+NUMPY_ALLOCATION = "Unable to allocate 26.8 GiB for an array with shape (60000, 60000) and data type float64"
+
+
+@pytest.mark.parametrize("text,reason", [(NUMPY_ALLOCATION, NUMPY_ALLOCATION), ("", "an allocation failed")])
+def test_an_allocation_that_fails_ends_in_one_line(runner, workspace, monkeypatch, text, reason):
+    def refuse(path):  # as np.eye does for a model document that asks for 60,000 bins
+        raise MemoryError(text)
+    monkeypatch.setattr(model_mod, "load_model", refuse)
+    result = runner.invoke(main, ["predict", "--model", str(workspace / "model.txt"),
+                                  "--input", str(workspace / "features" / "seq_0000.csv")])
+    assert_one_line_diagnostic(result, 1)
+    assert result.stderr == f"error: out of memory: {reason}\n"
 
 
 def cli_run(runner, *args):

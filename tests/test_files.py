@@ -119,8 +119,9 @@ def test_a_read_that_fails_names_the_file(tmp_path):
         read_input(tmp_path)
     assert isinstance(excinfo.value, FreqGcnError) and isinstance(excinfo.value, OSError)
     assert str(excinfo.value) == f"cannot read {tmp_path}: Is a directory"
-    with pytest.raises(FileNotFoundError):  # a missing input keeps its own exit code
-        read_input(tmp_path / "absent")
+    with pytest.raises(FileNotFoundError) as excinfo:  # a missing input keeps its own exit code
+        read_input(tmp_path / "absent", what="manifest")
+    assert str(excinfo.value) == f"no such manifest: {tmp_path / 'absent'}"
 
 
 def test_text_that_is_not_utf8_raises_the_readers_error(tmp_path):
