@@ -19,8 +19,9 @@ import click
 import numpy as np
 
 from . import frequency, model as model_mod, pose, synthetic, training
-from .errors import ContractViolationError, EmptyInputError, FreqGcnError, ModelMismatchError, ReadError
-from .files import make_directory, read_input, write_atomic
+from .errors import (ContractViolationError, EmptyInputError, FreqGcnError, ModelMismatchError, ReadError,
+                     UnknownPresetError)
+from .files import make_directory, read_input, write_atomic, write_table
 from .graph import SkeletonTopology, builtin_topology, read_topology
 
 
@@ -88,10 +89,14 @@ def config_option(fn):
 
 
 def _resolve_topology(spec: str) -> SkeletonTopology:
-    path = Path(spec)
-    if path.is_file():
-        return read_topology(path)
-    return builtin_topology(spec)
+    """A preset name, else a topology file; a bare name no file has, such as body52, is an unknown preset."""
+    try:
+        return builtin_topology(spec)
+    except UnknownPresetError as unknown:
+        try:
+            return read_topology(spec)
+        except FileNotFoundError as missing:  # a bare name has no suffix and no directory
+            raise unknown if Path(spec).name == spec and not Path(spec).suffix else missing from None
 
 
 def _ingest(path: Path, fps: float, topology: SkeletonTopology) -> pose.PoseSequence:
@@ -214,27 +219,17 @@ def cmd_train(features_dir, manifest, out_path, topology, channels, epochs, lr, 
     )
     model_mod.save_model(trained, out_path)
 
-    history_file = Path(history_path) if history_path else Path(str(out_path) + ".history.csv")
-    lines = ["epoch,loss,accuracy"]
-    lines += [
-        f"{epoch},{lo!r},{acc!r}"
-        for epoch, (lo, acc) in enumerate(zip(history.losses, history.accuracies), start=1)
-    ]
-    write_atomic(history_file, "\n".join(lines) + "\n")
+    write_table(history_path or f"{out_path}.history.csv", "epoch,loss,accuracy",
+                zip(range(1, epochs + 1), history.losses, history.accuracies))
 
     click.echo(f"trained on {len(train_set)} sequences for {epochs} epochs -> {out_path}")
     if test_set:
         report = training.evaluate(trained, test_set)
-        metrics_file = Path(metrics_path) if metrics_path else Path(str(out_path) + ".metrics.csv")
-        out = ["metric,value"]
-        out.append(f"accuracy,{report.accuracy!r}")
-        out.append(f"sensitivity,{report.sensitivity!r}")
-        out.append(f"specificity,{report.specificity!r}")
-        write_atomic(metrics_file, "\n".join(out) + "\n")
-        pred_file = Path(str(metrics_file) + ".predictions.csv")
-        out = ["sequence_id,label,predicted,prob_abnormal"]
-        out += [f"{sid},{y},{yhat},{p!r}" for sid, y, yhat, p in report.predictions]
-        write_atomic(pred_file, "\n".join(out) + "\n")
+        metrics_file = Path(metrics_path or f"{out_path}.metrics.csv")
+        write_table(metrics_file, "metric,value",
+                    [(name, getattr(report, name)) for name in ("accuracy", "sensitivity", "specificity")])
+        write_table(f"{metrics_file}.predictions.csv", "sequence_id,label,predicted,prob_abnormal",
+                    report.predictions)
         click.echo(
             f"held-out accuracy {report.accuracy:.4f} "
             f"sensitivity {report.sensitivity:.4f} specificity {report.specificity:.4f}"
@@ -308,17 +303,10 @@ def cmd_explain(model_path, input_path, out_prefix, fps, bars):
     importance, ranking = model_mod.joint_ranking(alpha)
 
     names = loaded.graph.topology.names
-    alpha_file = Path(str(out_prefix) + ".alpha.csv")
-    lines = ["joint,bin,alpha"]
-    for joint in range(loaded.num_joints):
-        for b in range(loaded.num_bins):
-            lines.append(f"{joint},{b},{float(alpha[joint, b])!r}")
-    write_atomic(alpha_file, "\n".join(lines) + "\n")
-
-    ranking_file = Path(str(out_prefix) + ".ranking.csv")
-    lines = ["joint,importance"]
-    lines += [f"{j},{float(importance[j])!r}" for j in ranking]
-    write_atomic(ranking_file, "\n".join(lines) + "\n")
+    alpha_file, ranking_file = Path(f"{out_prefix}.alpha.csv"), Path(f"{out_prefix}.ranking.csv")
+    write_table(alpha_file, "joint,bin,alpha",
+                [(j, b, a) for j, row in enumerate(alpha.tolist()) for b, a in enumerate(row)])
+    write_table(ranking_file, "joint,importance", zip(ranking.tolist(), importance[ranking].tolist()))
 
     if bars:
         top = importance.max() or 1.0

@@ -81,6 +81,13 @@ class WriteError(FreqGcnError, OSError):
         return f"cannot write {self.filename}: {self.strerror}"
 
 
+class MissingDirectoryError(FileNotFoundError):
+    """An output's directory does not exist; like a missing input, it ends a command in exit 2."""
+
+    def __str__(self) -> str:
+        return f"no such directory for {self.filename}"
+
+
 class ReadError(FreqGcnError, OSError):
     """An input could not be read: a directory, say, or a file without read permission."""
 

@@ -1,4 +1,6 @@
-"""Reads whose failures name the file, and outputs that a failed write leaves whole, old or new."""
+"""Reads whose failures name the file, and outputs that a failed write leaves whole, old or new.
+Every CSV table goes through :func:`write_table`: a header, one comma-joined line per row, each
+float as its shortest text that reads back bit-exactly, and a final newline."""
 
 from __future__ import annotations
 
@@ -6,7 +8,7 @@ import os
 import stat
 from pathlib import Path
 
-from .errors import ReadError, WriteError
+from .errors import MissingDirectoryError, ReadError, WriteError
 
 
 def read_input(path: str | Path, error: type[Exception] | None = None, what: str = "file") -> bytes | str:
@@ -39,15 +41,22 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
     with a plain write, a symlink is written through to its target, an existing
     file keeps its permission bits and a new one gets 0o666 less the umask. An
     existing target that is not a regular file is written in place. A missing
-    directory raises FileNotFoundError and any other failure WriteError, both
-    naming ``path``.
+    directory raises MissingDirectoryError, a FileNotFoundError, and any other
+    failure WriteError, both naming ``path``.
     """
     try:
         _replace(path, data.encode("utf-8") if isinstance(data, str) else data)
     except FileNotFoundError as exc:  # name the file asked for, not the temp file
-        raise FileNotFoundError(exc.errno, exc.strerror, str(path)) from None
+        raise MissingDirectoryError(exc.errno, exc.strerror, str(path)) from None
     except OSError as exc:
         raise WriteError(exc.errno, exc.strerror or str(exc), str(path)) from None
+
+
+def write_table(path: str | Path, header: str, rows) -> None:
+    """Write ``header``, then each row tuple of Python values as its ``%s`` fields joined by commas,
+    through :func:`write_atomic`; a float field is its shortest round-trip repr."""
+    template = ",".join(["%s"] * (header.count(",") + 1))
+    write_atomic(path, "\n".join([header, *(template % row for row in rows)]) + "\n")
 
 
 def _replace(path: str | Path, data: bytes) -> None:

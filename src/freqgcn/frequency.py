@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolationError, FormatError, InsufficientLengthError
-from .files import read_input, write_atomic
+from .files import read_input, write_atomic, write_table
 from .pose import PoseSequence
 
 CHANNELS = ("x", "y")
@@ -240,15 +240,15 @@ def extract_features(seq: PoseSequence, spec: BinSpec) -> FrequencyFeatures:
     return FrequencyFeatures(data=np.moveaxis(binned, 1, 2), spec=spec, fps=seq.fps)
 
 
+def _cells(num_joints: int, num_bins: int):
+    """The ``(joint, bin, channel)`` key of each feature row, in file order."""
+    return ((i, k, ch) for i in range(num_joints) for k in range(num_bins) for ch in CHANNELS)
+
+
 def write_features_csv(features: FrequencyFeatures, path: str | Path) -> None:
     """Write one ``joint,bin,channel,value`` row per cell, in that key order, and the sidecar."""
-    path = Path(path)
-    lines = ["joint,bin,channel,value"]
-    for joint in range(features.num_joints):
-        for b in range(features.num_bins):
-            for ch, label in enumerate(CHANNELS):
-                lines.append(f"{joint},{b},{label},{float(features.data[joint, b, ch])!r}")
-    write_atomic(path, "\n".join(lines) + "\n")
+    values = zip(_cells(features.num_joints, features.num_bins), features.data.ravel().tolist())
+    write_table(path, "joint,bin,channel,value", [(*cell, value) for cell, value in values])
     sidecar = {
         "format": "freqgcn-features",
         "version": 1,
@@ -283,7 +283,7 @@ def read_features_csv(path: str | Path) -> tuple[FrequencyFeatures, BinSpec]:
     num_cells = n * spec.num_bins * len(CHANNELS)
     if len(rows) < num_cells:  # before any per-cell work, so huge claimed sizes fail at once
         raise FormatError(f"{path.name}:{len(lines) + 1}: missing rows, {len(rows)} of {num_cells}")
-    prefixes = (f"{i},{k},{ch}," for i in range(n) for k in range(spec.num_bins) for ch in CHANNELS)
+    prefixes = (f"{i},{k},{ch}," for i, k, ch in _cells(n, spec.num_bins))
     values = []
     for (lineno, line), prefix in zip(rows, prefixes):
         try:  # a row for another cell leaves "", which float rejects too

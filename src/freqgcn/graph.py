@@ -153,7 +153,7 @@ def read_topology(path: str | Path) -> SkeletonTopology:
     names: dict[int, str] = {}
     name_lines: dict[int, int] = {}  # joint -> the line that names it
     edges: list[tuple[int, int]] = []
-    for lineno, line in enumerate(read_input(path, FormatError).splitlines(), start=1):
+    for lineno, line in enumerate(read_input(path, FormatError, "topology file").splitlines(), start=1):
         line = line.strip()
         if not line:
             continue

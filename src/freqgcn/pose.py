@@ -42,7 +42,7 @@ from .errors import (
     UnrecoverableJointError,
     DegeneratePoseError,
 )
-from .files import make_directory, read_input, write_atomic
+from .files import make_directory, read_input, write_atomic, write_table
 
 # Frame rates outside this range are accepted but flagged.
 FPS_QUIET_RANGE = (24.0, 60.0)
@@ -348,11 +348,7 @@ def _table(path: Path, names: list[str] | None, expected_joints: int | None) -> 
     return _keypoint_table(path, None, len(docs), lists, np.empty((0, 3)), [], expected_joints)
 
 
-def load_sequence(
-    path: str | Path,
-    fps: float,
-    expected_joints: int | None = None,
-) -> PoseSequence:
+def load_sequence(path: str | Path, fps: float, expected_joints: int | None = None) -> PoseSequence:
     """Load a sequence from a directory of per-frame documents or a container file.
 
     Directory entries are ordered by the last numeric component of their file names
@@ -370,26 +366,19 @@ def load_sequence(
             _check_values(frame[:, :2], frame[:, 2], lambda m: FormatError(f"{_frame_name(path, names, t)}: {m}"))
         raise FormatError(f"{path.name}: {exc}") from None
     if not FPS_QUIET_RANGE[0] <= fps <= FPS_QUIET_RANGE[1]:
-        warnings.warn(
-            f"fps {fps} outside the expected {FPS_QUIET_RANGE[0]:g}-"
-            f"{FPS_QUIET_RANGE[1]:g} range",
-            stacklevel=2,
-        )
+        warnings.warn(f"fps {fps} outside the expected {FPS_QUIET_RANGE[0]:g}-{FPS_QUIET_RANGE[1]:g} range",
+                      stacklevel=2)
     return seq
 
 
-def write_sequence(seq: PoseSequence, directory: str | Path) -> list[Path]:
+def write_sequence(seq: PoseSequence, directory: str | Path) -> None:
     """Write one per-frame document per frame, zero-padded for lexical order."""
     directory = Path(directory)
     make_directory(directory)
     width = max(6, len(str(len(seq) - 1)))
     table = np.concatenate([seq.positions, seq.confidence[..., None]], axis=2)
-    paths = []
     for t, frame in enumerate(table):
-        p = directory / f"frame_{t:0{width}d}.json"
-        write_atomic(p, serialize_keypoint_frame(frame))
-        paths.append(p)
-    return paths
+        write_atomic(directory / f"frame_{t:0{width}d}.json", serialize_keypoint_frame(frame))
 
 
 @np.errstate(over="ignore")  # as np.interp, a fill that overflows to inf warns nothing; it is refused below
@@ -455,8 +444,5 @@ def normalize_sequence(seq: PoseSequence, root: int, neck: int) -> PoseSequence:
 
 def write_sequence_csv(seq: PoseSequence, path: str | Path) -> None:
     """Export positions as CSV rows ``frame,joint,x,y``."""
-    lines = ["frame,joint,x,y"]
-    for t, frame in enumerate(seq.positions.tolist()):
-        for j, (x, y) in enumerate(frame):
-            lines.append(f"{t},{j},{x!r},{y!r}")
-    write_atomic(path, "\n".join(lines) + "\n")
+    rows = [(t, j, x, y) for t, frame in enumerate(seq.positions.tolist()) for j, (x, y) in enumerate(frame)]
+    write_table(path, "frame,joint,x,y", rows)

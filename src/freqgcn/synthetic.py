@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AliasingConfigError, ContractViolationError, FormatError
-from .files import make_directory, read_input, write_atomic
+from .files import make_directory, read_input, write_table
 from .graph import SkeletonTopology, builtin_topology
 from .pose import PoseSequence, write_sequence
 
@@ -200,11 +200,8 @@ def write_dataset(dataset: SynthDataset, root: str | Path) -> Path:
 
 
 def write_manifest(dataset: SynthDataset, path: str | Path) -> None:
-    lines = ["sequence_id,label,split,seed"]
-    lines += [
-        f"{s.sequence_id},{s.label},{s.split},{s.seed}" for s in dataset.samples
-    ]
-    write_atomic(path, "\n".join(lines) + "\n")
+    write_table(path, "sequence_id,label,split,seed",
+                [(s.sequence_id, s.label, s.split, s.seed) for s in dataset.samples])
 
 
 def read_manifest(path: str | Path) -> list[dict[str, str]]:

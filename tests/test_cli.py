@@ -2,6 +2,7 @@ import json
 import resource
 import shutil
 import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from click.testing import CliRunner, Result
 from freqgcn import model as model_mod, pose
 from freqgcn.cli import main
 from freqgcn.errors import FormatError
-from freqgcn.frequency import read_features_csv
+from freqgcn.frequency import read_features_csv, write_features_csv
 from freqgcn.graph import builtin_topology, write_topology
-from freqgcn.synthetic import SynthConfig, generate_dataset, write_manifest
+from freqgcn.model import joint_ranking, load_model, model_forward
+from freqgcn.synthetic import SynthConfig, generate_dataset, read_manifest, write_manifest
+from freqgcn.training import TrainConfig, evaluate, train as train_model
 
 
 @pytest.fixture()
@@ -150,6 +153,23 @@ class TestExtractCommand:
         assert result.exit_code == 0
         features, _ = read_features_csv(tmp_path / "f.csv")
         assert features.num_joints == 5
+
+    @pytest.mark.parametrize("spec,make,exit_code,stderr", [
+        ("mytopo.txt", None, 2, "error: no such topology file: mytopo.txt\n"),
+        ("topo_dir", "directory", 1, "error: cannot read topo_dir: Is a directory\n"),
+        ("mytopo", "file", 0, ""),  # a bare name that a file has is that file
+    ], ids=["absent-file", "directory", "bare-file"])
+    def test_topology_path_in_the_working_directory(self, runner, workspace, tmp_path, monkeypatch,
+                                                    spec, make, exit_code, stderr):
+        monkeypatch.chdir(tmp_path)
+        if make == "directory":
+            (tmp_path / spec).mkdir()
+        elif make == "file":
+            write_topology(builtin_topology("toy5"), tmp_path / spec)
+        result = runner.invoke(main, ["extract", "--input", str(workspace / "data" / "sequences" / "seq_0000"),
+                                      "--out", "f.csv", "--topology", spec, "--c", "1.15", "--bins", "14"])
+        assert (result.exit_code, result.stderr) == (exit_code, stderr)
+        assert (tmp_path / "f.csv").exists() == (exit_code == 0)
 
     def test_pose_csv_dump(self, runner, workspace, tmp_path):
         seq_dir = workspace / "data" / "sequences" / "seq_0001"
@@ -344,6 +364,67 @@ class TestExplainCommand:
                      "--out", tmp_path / "r3", "--bars")
         assert result.exit_code == 0
         assert "#" in result.output
+
+
+class TestTables:
+    """Each table the commands write, whole-file against text rendered here from the library's values:
+    header, row order, each float's repr and the final newline."""
+
+    @pytest.fixture(scope="class")
+    def held_out(self, workspace):
+        """The workspace manifest's (id, features, label, split) rows, read as train reads them."""
+        rows = []
+        for row in read_manifest(workspace / "data" / "manifest.csv"):
+            features = read_features_csv(workspace / "features" / f"{row['sequence_id']}.csv")[0]
+            rows.append((row["sequence_id"], features, int(row["label"]), row["split"]))
+        return rows
+
+    def test_history(self, workspace, held_out):
+        config = TrainConfig(epochs=80, learning_rate=0.01, seed=1)  # the workspace's train flags
+        train_set = [(f, label) for _, f, label, split in held_out if split == "train"]
+        history = train_model(train_set, config, builtin_topology("toy5"), held_out[0][1].spec)[1]
+        expected = "epoch,loss,accuracy\n" + "".join(
+            f"{epoch},{loss!r},{accuracy!r}\n"
+            for epoch, loss, accuracy in zip(range(1, 81), history.losses, history.accuracies))
+        assert (workspace / "model.txt.history.csv").read_text() == expected
+
+    @pytest.fixture(scope="class")
+    def report(self, workspace, held_out):
+        """The workspace model's held-out report, as train computes it."""
+        return evaluate(load_model(workspace / "model.txt"),
+                        [(sid, f, label) for sid, f, label, split in held_out if split == "test"])
+
+    def test_metrics(self, workspace, report):
+        expected = (f"metric,value\naccuracy,{report.accuracy!r}\nsensitivity,{report.sensitivity!r}\n"
+                    f"specificity,{report.specificity!r}\n")
+        assert (workspace / "model.txt.metrics.csv").read_text() == expected
+
+    def test_predictions(self, workspace, report):
+        expected = "sequence_id,label,predicted,prob_abnormal\n" + "".join(
+            f"{sid},{label},{predicted},{p!r}\n" for sid, label, predicted, p in report.predictions)
+        assert (workspace / "model.txt.metrics.csv.predictions.csv").read_text() == expected
+
+    @pytest.fixture(scope="class")
+    def explained(self, workspace, tmp_path_factory):
+        """The report prefix of an explain run on seq_0004, and that input's attention weights."""
+        prefix = tmp_path_factory.mktemp("explain") / "report"
+        features = workspace / "features" / "seq_0004.csv"
+        result = run(CliRunner(), "explain", "--model", workspace / "model.txt", "--input", features,
+                     "--out", prefix)
+        assert result.exit_code == 0
+        return prefix, model_forward([read_features_csv(features)[0]], load_model(workspace / "model.txt")).alpha[0]
+
+    def test_alpha(self, explained):
+        prefix, alpha = explained
+        expected = "joint,bin,alpha\n" + "".join(
+            f"{j},{b},{float(alpha[j, b])!r}\n" for j in range(alpha.shape[0]) for b in range(alpha.shape[1]))
+        assert Path(f"{prefix}.alpha.csv").read_text() == expected
+
+    def test_ranking(self, explained):
+        prefix, alpha = explained
+        importance, ranking = joint_ranking(alpha)
+        expected = "joint,importance\n" + "".join(f"{j},{float(importance[j])!r}\n" for j in ranking)
+        assert Path(f"{prefix}.ranking.csv").read_text() == expected
 
 
 class TestGradcheckCommand:
@@ -812,32 +893,33 @@ def seq_0000_csv(ws, tmp):
     return ws / "features" / "seq_0000.csv"
 
 
-def extract(src=lambda ws, tmp: ws / "data" / "sequences" / "seq_0000", topology=lambda ws, tmp: "toy5"):
+def extract(src=lambda ws, tmp: ws / "data" / "sequences" / "seq_0000", topology=lambda ws, tmp: "toy5",
+            to="f.csv"):
     return lambda ws, tmp, out: [
-        "extract", "--input", src(ws, tmp), "--out", out / "f.csv",
+        "extract", "--input", src(ws, tmp), "--out", out / to,
         "--topology", topology(ws, tmp), "--c", "1.15", "--bins", "14",
     ]
 
 
-def predict(model=model_txt, features=seq_0000_csv):
+def predict(model=model_txt, features=seq_0000_csv, to="pred.csv"):
     return lambda ws, tmp, out: [
         "predict", "--model", model(ws, tmp), "--input", features(ws, tmp),
-        "--out", out / "pred.csv",
+        "--out", out / to,
     ]
 
 
-def explain(model=model_txt, features=seq_0000_csv):
+def explain(model=model_txt, features=seq_0000_csv, to="report"):
     return lambda ws, tmp, out: [
         "explain", "--model", model(ws, tmp), "--input", features(ws, tmp),
-        "--out", out / "report",
+        "--out", out / to,
     ]
 
 
 def train(features=lambda ws, tmp: ws / "features",
-          manifest=lambda ws, tmp: ws / "data" / "manifest.csv", flags=()):
+          manifest=lambda ws, tmp: ws / "data" / "manifest.csv", flags=(), to="model.txt"):
     return lambda ws, tmp, out: [
         "train", "--features", features(ws, tmp), "--manifest", manifest(ws, tmp),
-        "--out", out / "model.txt", "--topology", "toy5", "--epochs", "2", *flags,
+        "--out", out / to, "--topology", "toy5", "--epochs", "2", *flags,
     ]
 
 
@@ -896,12 +978,22 @@ ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring with {tm
      1, "manifest missing columns"),
     ("train-empty-manifest", train(manifest=written("manifest.csv", "sequence_id,label\n")),
      1, "empty manifest"),
+    ("extract-no-topology-file", extract(topology=lambda ws, tmp: tmp / "mytopo.txt"),
+     2, "error: no such topology file: {tmp}/mytopo.txt\n"),
+    # Outputs whose directory is missing, each named as asked for.
+    ("train-no-out-dir", train(to="absent/model.txt"), 2, "error: no such directory for {tmp}/out/absent/model.txt\n"),
+    ("predict-no-out-dir", predict(to="absent/p.txt"), 2, "error: no such directory for {tmp}/out/absent/p.txt\n"),
+    ("extract-no-out-dir", extract(to="absent/x.csv"), 2, "error: no such directory for {tmp}/out/absent/x.csv\n"),
+    ("explain-no-out-dir", explain(to="absent/rep"),
+     2, "error: no such directory for {tmp}/out/absent/rep.alpha.csv\n"),
     # Inputs that are there but cannot be read.
     ("predict-model-a-directory", predict(model=directory("model.txt")), 1, "cannot read"),
     ("train-manifest-a-directory", train(manifest=directory("manifest.csv")), 1, "cannot read"),
     ("config-a-directory", lambda ws, tmp, out: ["gradcheck", "--config", directory("cfg.json")(ws, tmp)],
      2, "cannot read"),
     ("features-sidecar-a-directory", predict(features=features_sidecar_directory), 1, "cannot read"),
+    ("extract-topology-a-directory", extract(topology=directory("topo_dir")),
+     1, "error: cannot read {tmp}/topo_dir: Is a directory\n"),
     ("extract-no-frames-no-sequences",
      extract(lambda ws, tmp: (tmp / "seq").mkdir() or tmp / "seq"), 2, "holds neither"),
     # Flags that do not parse, and --config files.
@@ -948,7 +1040,9 @@ ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring with {tm
      5, "param head_bias declared 1x2"),
     ("model-no-end", predict(model=edited_model("end", "param extra 1 1")),
      5, "expected 'end'"),
-    # Topology files.
+    # Topology files, and a bare name that is neither a preset nor a file.
+    ("extract-unknown-preset", extract(topology=lambda ws, tmp: "body52"),
+     1, "error: unknown topology preset 'body52'; valid names: body25, coco18, toy5\n"),
     ("topology-root-twice",
      extract(topology=written("twice.topo", "# N=5\n# root=0\n0 1\n1 2\n1 3\n1 4\n# root=2\n")),
      1, "error: twice.topo:7: a second '# root=' line\n"),
@@ -1073,6 +1167,34 @@ def explain_into(prefix):
         "--out", path.parent / prefix)
 
 
+def train_into(model, *before, metrics=None):
+    """A train run writing ``model``, which goes to /dev/null with the files ``before`` the one at the limit.
+    The held-out rows hold seq_0002 under both labels, so accuracy is 1/3 or 2/3 and the metrics table
+    runs past the limit too."""
+    def prepare(runner, ws, path):
+        for name in (model, *before):
+            (path.parent / name).symlink_to("/dev/null")
+        lines = (ws / "data" / "manifest.csv").read_text().splitlines()
+        held_out = ["seq_0002,0,test,0", "seq_0002,1,test,0", "seq_0003,0,test,0"]
+        manifest = path.parent / "manifest.csv"
+        manifest.write_text("\n".join([line for line in lines if ",test," not in line] + held_out) + "\n")
+        return cli_run(runner, "train", "--features", ws / "features", "--manifest", manifest,
+                       "--out", path.parent / model, "--topology", "toy5", "--epochs", "2",
+                       *(["--metrics", path.parent / metrics] if metrics else []))
+    return prepare
+
+
+def workspace_features(ws):
+    return read_features_csv(ws / "features" / "seq_0000.csv")[:1]
+
+
+def features_sidecar_into(name):
+    def prepare(runner, ws, path):
+        (path.parent / name).symlink_to("/dev/null")  # only the sidecar meets the limit
+        return library_call(write_features_csv, *workspace_features(ws), path.parent / name)
+    return prepare
+
+
 def explain_ranking(runner, ws, path):
     (path.parent / "report.alpha.csv").symlink_to("/dev/null")  # only the ranking meets the limit
     return explain_into("report")(runner, ws, path)
@@ -1084,6 +1206,11 @@ WRITERS = [  # (id, file name, the write as a call prepared before the limit is 
         "--topology", "toy5", "--c", "1.15", "--bins", "14", "--pose-csv", path)),
     ("explain-alpha", "report.alpha.csv", explain_into("report")),
     ("explain-ranking", "report.ranking.csv", explain_ranking),
+    ("history", "m.txt.history.csv", train_into("m.txt")),
+    ("metrics", "m.csv", train_into("m.txt", "m.txt.history.csv", metrics="m.csv")),
+    ("predictions", "m.csv.predictions.csv", train_into("m.txt", "m.txt.history.csv", "m.csv", metrics="m.csv")),
+    ("features", "f.csv", lambda runner, ws, path: library_call(write_features_csv, *workspace_features(ws), path)),
+    ("features-sidecar", "f.csv.meta.json", features_sidecar_into("f.csv")),
     ("topology", "body25.txt", lambda runner, ws, path: library_call(
         write_topology, builtin_topology("body25"), path)),
     ("manifest", "manifest.csv", lambda runner, ws, path: library_call(

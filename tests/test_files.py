@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from freqgcn.errors import FormatError, FreqGcnError, ReadError, WriteError
-from freqgcn.files import read_input, write_atomic
+from freqgcn.files import read_input, write_atomic, write_table
 
 
 def test_replaces_the_file_with_the_mode_of_a_plain_write(tmp_path):
@@ -54,6 +54,24 @@ def test_missing_directory_is_reported_on_the_file_asked_for(tmp_path):
     with pytest.raises(FileNotFoundError) as excinfo:
         write_atomic(path, "new\n")
     assert excinfo.value.filename == str(path)
+    assert str(excinfo.value) == f"no such directory for {path}"
+
+
+@pytest.mark.parametrize("header,rows,text", [
+    ("a,b", [(1, 0.1), ("x", 1 / 3)], "a,b\n1,0.1\nx,0.3333333333333333\n"),
+    ("value", [(5e-324,), (-0.0,), (1e22,)], "value\n5e-324\n-0.0\n1e+22\n"),
+    ("a,b,c", [], "a,b,c\n"),
+    ("a,b", iter([(True, None)]), "a,b\nTrue,None\n"),
+], ids=["floats-repr", "float-extremes", "no-rows", "rows-from-an-iterator"])
+def test_write_table_is_the_header_then_one_line_per_row(tmp_path, header, rows, text):
+    write_table(tmp_path / "t.csv", header, rows)
+    assert (tmp_path / "t.csv").read_bytes() == text.encode()
+
+
+def test_a_row_of_the_wrong_width_writes_nothing(tmp_path):
+    with pytest.raises(TypeError):
+        write_table(tmp_path / "t.csv", "a,b", [(1, 2), (3,)])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_pipe_is_written_in_place(tmp_path):

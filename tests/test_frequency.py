@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from freqgcn import frequency
-from freqgcn.errors import FormatError, InsufficientLengthError
+from freqgcn.errors import ContractViolationError, FormatError, InsufficientLengthError
 from freqgcn.frequency import (
     BinSpec,
     FrequencyFeatures,
@@ -344,6 +344,25 @@ class TestFeatureCsvRoundTrip:
         assert loaded.data.tobytes() == values.tobytes()
         assert loaded.spec == loaded_spec == spec
         assert loaded.fps == fps
+
+    def test_table_bytes(self, tmp_path):
+        data = np.array([0.0, 0.1, 1 / 3, 5e-324, 2.5e300, 7.0]).reshape(1, 3, 2)
+        write_features_csv(FrequencyFeatures(data=data, spec=BinSpec(c=2.0, num_bins=3), fps=30.0),
+                           tmp_path / "f.csv")
+        expected = "joint,bin,channel,value\n" + "".join(
+            f"0,{b},{ch},{float(data[0, b, c])!r}\n" for b in range(3) for c, ch in enumerate("xy"))
+        assert (tmp_path / "f.csv").read_text() == expected
+
+    @pytest.mark.parametrize("data,message", [
+        (np.zeros((2, 3)), r"must be \(N, B, 2\), got \(2, 3\)"),
+        (np.zeros((2, 3, 3)), r"must be \(N, B, 2\), got \(2, 3, 3\)"),
+        (np.full((2, 3, 2), np.nan), "finite and nonnegative"),
+        (np.full((2, 3, 2), np.inf), "finite and nonnegative"),
+        (np.full((2, 3, 2), -1.0), "finite and nonnegative"),
+    ], ids=["two-axes", "three-channels", "nan", "inf", "negative"])
+    def test_data_outside_the_contract_is_rejected(self, data, message):
+        with pytest.raises(ContractViolationError, match=message):
+            FrequencyFeatures(data=data, spec=BinSpec(c=2.0, num_bins=3), fps=30.0)
 
     def test_data_must_have_the_spec_bin_count(self):
         with pytest.raises(ValueError, match="bins"):

@@ -41,6 +41,17 @@ class TestBuiltinTopology:
         with pytest.raises(ValueError, match="connected"):
             SkeletonTopology(num_joints=4, edges=((0, 1), (2, 3)), root=0, neck=1)
 
+    @pytest.mark.parametrize("fields,message", [
+        (dict(num_joints=1, edges=(), root=0, neck=0), "a topology needs at least 2 joints"),
+        (dict(num_joints=2, edges=((0, 1), (1, 1)), root=0, neck=1), "self-loop on joint 1"),
+        (dict(num_joints=2, edges=((0, 1),), root=2, neck=1), "root/neck must be valid joint indices"),
+        (dict(num_joints=2, edges=((0, 1),), root=0, neck=-1), "root/neck must be valid joint indices"),
+        (dict(num_joints=2, edges=((0, 1),), root=0, neck=1, names=("a",)), "1 names for 2 joints"),
+    ], ids=["one-joint", "self-loop", "root-past-n", "neck-negative", "one-name-for-two"])
+    def test_invalid_topology_rejected(self, fields, message):
+        with pytest.raises(ContractViolationError, match=message):
+            SkeletonTopology(**fields)
+
     def test_duplicate_edge_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             SkeletonTopology(num_joints=3, edges=((0, 1), (1, 0), (1, 2)), root=0, neck=1)
@@ -82,6 +93,21 @@ class TestBuiltinTopology:
         assert str(caught.value) == message
         assert caught.value.exit_code == 1
 
+    def test_a_file_without_the_joint_count_is_a_format_error(self, tmp_path):
+        path = tmp_path / "t.topo"
+        path.write_text("# root=0\n0 1\n1 2\n")
+        with pytest.raises(FormatError) as caught:
+            read_topology(path)
+        assert str(caught.value) == "t.topo: missing '# N=<n>' header"
+
+    def test_blank_lines_are_skipped_and_still_counted(self, tmp_path):
+        path = tmp_path / "t.topo"
+        path.write_text("\n# N=3\n  \n0 1\n\n1 2\n\n# joint 4 far\n")
+        with pytest.raises(FormatError, match="^t.topo:8: joint 4 is outside"):
+            read_topology(path)
+        path.write_text("\n# N=3\n  \n0 1\n\n1 2\n\n")
+        assert read_topology(path).edges == ((0, 1), (1, 2))
+
     def test_joint_names_may_precede_the_joint_count(self, tmp_path):
         path = tmp_path / "t.topo"
         path.write_text("# joint 2 tip\n# joint 0 root\n# N=3\n0 1\n1 2\n")
@@ -89,6 +115,10 @@ class TestBuiltinTopology:
 
 
 class TestBuildFeatureGraph:
+    def test_zero_bins_rejected(self):
+        with pytest.raises(ContractViolationError, match="num_bins must be >= 1, got 0"):
+            build_feature_graph(builtin_topology("toy5"), 0)
+
     def test_single_bin_keeps_skeleton_only(self):
         fg = build_feature_graph(builtin_topology("toy5"), num_bins=1)
         assert fg.num_nodes == 5

@@ -190,6 +190,10 @@ class TestModelForward:
         with pytest.raises(NonFiniteError, match="logits"):
             model_forward([np.ones((5, 3, 2))], model)
 
+    def test_an_empty_chunk_is_rejected(self):
+        with pytest.raises(ContractViolationError, match=r"got \(0,\)"):
+            model_forward([], toy_model())
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ContractViolationError):
             model_forward([np.zeros((4, 3, 2))], toy_model())

@@ -763,6 +763,12 @@ class TestNormalizeSequence:
         again = normalize_sequence(out, root=0, neck=1)
         assert np.array_equal(out.positions, again.positions)
 
+    @pytest.mark.parametrize("root,neck", [(3, 1), (0, -1)])
+    def test_root_or_neck_out_of_range(self, root, neck):
+        seq = self.build([[0.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+        with pytest.raises(ValueError, match=rf"root/neck indices \({root}, {neck}\) out of range for 3 joints"):
+            normalize_sequence(seq, root=root, neck=neck)
+
     def test_degenerate_pose(self):
         seq = self.build([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(DegeneratePoseError):
@@ -820,6 +826,7 @@ class TestSequenceInvariants:
         (np.zeros((3, 2, 2)), np.ones((3, 3)), 30.0),
         (np.zeros((3, 2, 3)), None, 30.0),
         (np.zeros((3, 2, 2)), None, 0.0),
+        (np.zeros((3, 0, 2)), None, 30.0),  # no joints
     ])
     def test_invalid_arrays_rejected(self, positions, confidence, fps):
         with pytest.raises(ValueError):
@@ -828,6 +835,14 @@ class TestSequenceInvariants:
     def test_sequence_needs_two_frames(self):
         with pytest.raises(ValueError):
             PoseSequence(np.zeros((1, 2, 2)), fps=30.0)
+
+    def test_csv_table_bytes(self, tmp_path):
+        positions = np.array([[[0.0, 0.1], [1 / 3, -2.5e-300]], [[1e22, -0.0], [7.0, 5e-324]]])
+        write_sequence_csv(PoseSequence(positions, fps=30.0), tmp_path / "seq.csv")
+        expected = "frame,joint,x,y\n" + "".join(
+            f"{t},{j},{float(positions[t, j, 0])!r},{float(positions[t, j, 1])!r}\n"
+            for t in range(2) for j in range(2))
+        assert (tmp_path / "seq.csv").read_text() == expected
 
     def test_csv_export(self, tmp_path):
         seq = PoseSequence(np.arange(8, dtype=float).reshape(2, 2, 2), fps=30.0)

@@ -13,6 +13,7 @@ from freqgcn.synthetic import (
     read_manifest,
     rest_pose,
     write_dataset,
+    write_manifest,
 )
 from oracles import dft_naive
 
@@ -30,12 +31,27 @@ class TestSynthConfig:
         with pytest.raises(ValueError, match="signal joints"):
             SynthConfig(topology="toy5", signal_joints=(1, 9))
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"noise_sigma": -1.0}, "noise_sigma must be >= 0, got -1.0"),
+    ], ids=["noise-negative"])
+    def test_invalid_value_rejected(self, overrides, message):
+        with pytest.raises(ContractViolationError, match=message):
+            SynthConfig(**overrides)
+
     def test_empty_signal_joints(self):
         with pytest.raises(ValueError):
             SynthConfig(signal_joints=())
 
 
 class TestGenerateSequence:
+    @pytest.mark.parametrize("cfg,label,message", [
+        (SynthConfig(num_frames=40), 2, "label must be 0 or 1, got 2"),
+        (SynthConfig(num_frames=10), 0, r"band \(0.5, 1.5\) contains no on-grid frequency at T=10, fps=30.0"),
+    ], ids=["label-2", "no-on-grid-frequency"])
+    def test_refusals(self, cfg, label, message):
+        with pytest.raises(ContractViolationError, match=message):
+            generate_sequence(cfg, label, 0)
+
     def test_all_motion_off_gives_rest_pose(self):
         cfg = SynthConfig(num_frames=50, noise_sigma=0.0, amplitude=1e-12)
         seq = generate_sequence(cfg, label=0, seed=1)
@@ -184,6 +200,15 @@ class TestGenerateDataset:
         sample = dataset.samples[0]
         loaded = load_sequence(tmp_path / "sequences" / sample.sequence_id, fps=cfg.fps)
         assert np.array_equal(loaded.positions, sample.sequence.positions)
+
+    def test_manifest_table_bytes(self, tmp_path):
+        dataset = generate_dataset(SynthConfig(num_frames=30), n_per_class=2, seed=5)
+        write_manifest(dataset, tmp_path / "manifest.csv")
+        expected = "sequence_id,label,split,seed\n" + "".join(
+            f"{s.sequence_id},{s.label},{s.split},{s.seed}\n" for s in dataset.samples)
+        assert expected.splitlines()[1:] == ["seq_0000,0,train,5000015", "seq_0001,0,test,5000016",
+                                             "seq_0002,1,train,5000017", "seq_0003,1,test,5000018"]
+        assert (tmp_path / "manifest.csv").read_text() == expected
 
     def test_n_per_class_minimum(self):
         with pytest.raises(ValueError):

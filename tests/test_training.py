@@ -344,6 +344,11 @@ class TestEvaluate:
         assert 0.0 <= report.sensitivity <= 1.0
         assert 0.0 <= report.specificity <= 1.0
 
+    def test_empty_dataset_rejected(self):
+        model = train(separable_pair(), TrainConfig(epochs=1, seed=0), TOY, SPEC3)[0]
+        with pytest.raises(DegenerateDatasetError, match="evaluation dataset is empty"):
+            evaluate(model, [])
+
     def test_probability_is_for_abnormal_class(self):
         dataset = separable_pair()
         model, _ = train(dataset, TrainConfig(epochs=300, learning_rate=5e-2, seed=0), TOY, SPEC3)
