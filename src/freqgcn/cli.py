@@ -13,6 +13,7 @@ import functools
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import click
@@ -26,12 +27,15 @@ from .graph import SkeletonTopology, builtin_topology, read_topology
 
 
 def guarded(fn):
-    """End a package error, a missing file or a failed allocation in one ``error:`` line."""
+    """End a package error, a missing file or a failed allocation in one ``error:`` line, and show
+    each warning the filters let through as one ``warning:`` line."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
-            return fn(*args, **kwargs)
+            with warnings.catch_warnings():  # restores showwarning, and leaves the filters as they are
+                warnings.showwarning = lambda message, *_: click.echo(f"warning: {message}", err=True)
+                return fn(*args, **kwargs)
         except (FreqGcnError, FileNotFoundError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(exc.exit_code if isinstance(exc, FreqGcnError) else 2)
@@ -196,40 +200,36 @@ def _load_feature_table(
 @click.option("--epochs", type=int, default=200, show_default=True)
 @click.option("--lr", type=float, default=1e-3, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--per-example", is_flag=True, help="Update per example instead of full batch.")
 @click.option("--history", "history_path", type=click.Path(), default=None,
               help="Per-epoch loss/accuracy CSV [default: <out>.history.csv].")
 @click.option("--metrics", "metrics_path", type=click.Path(), default=None,
               help="Held-out metrics CSV [default: <out>.metrics.csv].")
 @guarded
 def cmd_train(features_dir, manifest, out_path, topology, channels, epochs, lr, seed,
-              per_example, history_path, metrics_path):
-    """Train the classifier on extracted features."""
+              history_path, metrics_path):
+    """Train the classifier on extracted features; the model document is written last."""
     rows = synthetic.read_manifest(manifest)
     topo = _resolve_topology(topology)
     table = _load_feature_table(Path(features_dir), rows, topo)
 
-    config = training.TrainConfig(
-        epochs=epochs, learning_rate=lr, seed=seed, full_batch=not per_example
-    )
+    config = training.TrainConfig(epochs=epochs, learning_rate=lr, seed=seed)
     train_set = [(f, label) for _, f, label, split in table if split == "train"]
     test_set = [(sid, f, label) for sid, f, label, split in table if split == "test"]
-    trained, history = training.train(
-        train_set, config, topo, table[0][1].spec, channel_widths=channels
-    )
-    model_mod.save_model(trained, out_path)
+    trained, history = training.train(train_set, config, topo, table[0][1].spec, channel_widths=channels)
+    report = training.evaluate(trained, test_set) if test_set else None
 
     write_table(history_path or f"{out_path}.history.csv", "epoch,loss,accuracy",
                 zip(range(1, epochs + 1), history.losses, history.accuracies))
-
-    click.echo(f"trained on {len(train_set)} sequences for {epochs} epochs -> {out_path}")
-    if test_set:
-        report = training.evaluate(trained, test_set)
+    if report:
         metrics_file = Path(metrics_path or f"{out_path}.metrics.csv")
         write_table(metrics_file, "metric,value",
                     [(name, getattr(report, name)) for name in ("accuracy", "sensitivity", "specificity")])
         write_table(f"{metrics_file}.predictions.csv", "sequence_id,label,predicted,prob_abnormal",
                     report.predictions)
+    model_mod.save_model(trained, out_path)
+
+    click.echo(f"trained on {len(train_set)} sequences for {epochs} epochs -> {out_path}")
+    if report:
         click.echo(
             f"held-out accuracy {report.accuracy:.4f} "
             f"sensitivity {report.sensitivity:.4f} specificity {report.specificity:.4f}"

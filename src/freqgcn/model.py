@@ -217,7 +217,7 @@ def model_forward(features, model: Model, workspace: Workspace | None = None) ->
             pre_relu.append(zl)
             layer_inputs.append(np.maximum(zl, 0.0, out=ws.take(f"x{l + 1}", *zl.shape)))
 
-        # Mean pool per example as a ones-vector product, far cheaper than .mean(axis=1).
+        # Mean pool each example as a ones-vector product, far cheaper than .mean(axis=1).
         pooled = np.ones(length) @ layer_inputs[-1].reshape(e, length, -1) / length
         logits = pooled @ head_weight + head_bias
     finite = np.isfinite(logits).all(axis=1)
@@ -248,7 +248,7 @@ def loss(logits: np.ndarray, labels) -> float:
 def backward(cache: ForwardCache, labels) -> dict[str, np.ndarray]:
     """Exact cross-entropy gradients summed over the cached chunk, keyed like the parameters.
 
-    ``labels`` holds one integer, 0 or 1, per example. Reverse-mode chain rule
+    ``labels`` holds one integer, 0 or 1, for each example. Reverse-mode chain rule
     through the head, the mean pool, each ReLU(A_hat X W) layer, the B*alpha
     gating, the per-joint softmax, and the tanh transform. Scratch arrays go
     into the cache's workspace.

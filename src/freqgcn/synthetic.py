@@ -205,7 +205,8 @@ def write_manifest(dataset: SynthDataset, path: str | Path) -> None:
 
 
 def read_manifest(path: str | Path) -> list[dict[str, str]]:
-    """Rows of the dataset manifest; each needs a sequence_id and a label of 0 or 1."""
+    """Rows of the dataset manifest; each needs a sequence_id and a label of 0 or 1, and its
+    split, if any, is train, test or empty (train)."""
     path = Path(path)
     rows = []
     reader = csv.DictReader(io.StringIO(read_input(path, FormatError, "manifest"), newline=""))
@@ -213,10 +214,11 @@ def read_manifest(path: str | Path) -> list[dict[str, str]]:
     if reader.fieldnames and missing:
         raise FormatError(f"{path.name}: manifest missing columns {sorted(missing)}")
     for row in reader:
-        if not row["sequence_id"] or row["label"] not in ("0", "1"):
+        split = row.get("split")  # None with no split column or no cell for it
+        if not row["sequence_id"] or row["label"] not in ("0", "1") or split not in (None, "", "train", "test"):
             raise FormatError(
-                f"{path.name}:{reader.line_num}: expected a sequence_id and a label "
-                f"of 0 or 1, got {row['sequence_id']!r} and {row['label']!r}"
+                f"{path.name}:{reader.line_num}: expected a sequence_id, a label of 0 or 1 and a split of "
+                f"train, test or empty, got {row['sequence_id']!r}, {row['label']!r} and {split!r}"
             )
         rows.append(row)
     if not rows:

@@ -1,5 +1,5 @@
 """Training loop, finite-difference gradient checking, and screening metrics. On POSIX, ``train``
-forks helpers from the calling thread to compute fixed blocks of every full-batch epoch's chunks."""
+forks helpers from the calling thread to compute fixed blocks of every epoch's chunks."""
 
 from __future__ import annotations
 
@@ -34,7 +34,6 @@ class TrainConfig:
     epochs: int = 200
     learning_rate: float = 1e-3
     seed: int = 0
-    full_batch: bool = True
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -123,16 +122,14 @@ def train(
     bin_spec: BinSpec,
     channel_widths: tuple[int, ...] = (2, 16, 16),
 ) -> tuple[Model, TrainHistory]:
-    """Full-batch gradient descent with Adam moments; deterministic per seed.
+    """Full-batch gradient descent with Adam moments, one step per epoch; deterministic per seed.
 
-    Gradients are summed over chunks of ``chunk_size`` examples in dataset
-    order, one forward and backward per chunk in whichever process, and
-    averaged, so runs with the same seed give bitwise-identical parameters
-    at any core count; BLAS runs on one thread, set before the helpers fork.
-    With ``full_batch=False`` each batch is one example, in order. Raises
-    NonFiniteError, naming the epoch, when the logits stop being finite or a
-    parameter's magnitude reaches the square root of the largest float, past
-    which one product of two parameters overflows; FreqGcnError if a helper fails.
+    Gradients are summed over chunks of ``chunk_size`` examples in dataset order, one forward
+    and backward per chunk in whichever process, and averaged, so runs with the same seed give
+    bitwise-identical parameters at any core count; BLAS runs on one thread, set before the
+    helpers fork. Raises NonFiniteError, naming the epoch, when the logits stop being finite or
+    a parameter's magnitude reaches the square root of the largest float, past which one product
+    of two parameters overflows; FreqGcnError if a helper fails.
     """
     if not dataset:
         raise DegenerateDatasetError("training dataset is empty")
@@ -144,19 +141,18 @@ def train(
     model = init_model(topology, bin_spec, channel_widths=channel_widths, seed=config.seed)
     optimizer = _Adam(model.params, config.learning_rate)
     history = TrainHistory()
-    size = chunk_size(model) if config.full_batch else 1
+    size = chunk_size(model)
     chunks = [dataset[start : start + size] for start in range(0, len(dataset), size)]
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
-    k = min(cores, len(chunks)) if config.full_batch else 1
+    k = min(cores, len(chunks))
     blocks = [chunks[len(chunks) * i // k : len(chunks) * (i + 1) // k] for i in range(k)]  # parent's first
-    batches = [(blocks[0], len(dataset))] if config.full_batch else [([chunk], 1) for chunk in chunks]
     workspace = Workspace()  # one set of layer buffers for every chunk and epoch
 
     # Overflow is caught as non-finite values; helpers forked in here inherit the setting.
     with np.errstate(over="ignore", invalid="ignore"), _forked(model, blocks[1:]) as helpers:
         for epoch in range(1, config.epochs + 1):
             try:
-                epoch_loss, correct = _run_epoch(model, optimizer, batches, workspace, helpers)
+                epoch_loss, correct = _run_epoch(model, optimizer, blocks[0], len(dataset), workspace, helpers)
             except NonFiniteError as exc:
                 raise NonFiniteError(f"training diverged at epoch {epoch}: {exc}") from None
             history.losses.append(epoch_loss / len(dataset))
@@ -165,29 +161,28 @@ def train(
 
 
 def _run_epoch(
-    model: Model, optimizer: _Adam, batches: list[tuple[list, int]], workspace: Workspace, helpers: list
+    model: Model, optimizer: _Adam, chunks: list[list], examples: int, workspace: Workspace, helpers: list
 ) -> tuple[float, int]:
-    """One Adam step per (chunks, examples) batch on its mean gradient, the helpers' blocks
-    (computed meanwhile) following the batch's chunks; (summed loss, correct count)."""
+    """One Adam step on the mean gradient over ``examples``, summed over the parent's chunks,
+    then the helpers' blocks (computed meanwhile); (summed loss, correct count)."""
+    for to_helper, _ in helpers:
+        pickle.dump(list(model.params.values()), to_helper)
+    own = (_chunk_result(model, chunk, workspace) for chunk in chunks)
     epoch_loss, correct = 0.0, 0
+    total = dict.fromkeys(model.params, 0.0)
+    for result in chain(own, chain.from_iterable(pickle.load(f) for _, f in helpers)):
+        if isinstance(result, Exception):  # a helper's first failing chunk
+            raise result
+        chunk_loss, chunk_correct, grads = result
+        epoch_loss += chunk_loss
+        correct += chunk_correct
+        for name, g in grads.items():
+            total[name] = total[name] + g
+    optimizer.step({name: g / examples for name, g in total.items()})
     limit = math.sqrt(sys.float_info.max)
-    for batch, examples in batches:
-        for to_helper, _ in helpers:
-            pickle.dump(list(model.params.values()), to_helper)
-        own = (_chunk_result(model, chunk, workspace) for chunk in batch)
-        total = dict.fromkeys(model.params, 0.0)
-        for result in chain(own, chain.from_iterable(pickle.load(f) for _, f in helpers)):
-            if isinstance(result, Exception):  # a helper's first failing chunk
-                raise result
-            chunk_loss, chunk_correct, grads = result
-            epoch_loss += chunk_loss
-            correct += chunk_correct
-            for name, g in grads.items():
-                total[name] = total[name] + g
-        optimizer.step({name: g / examples for name, g in total.items()})
-        for name, p in model.params.items():
-            if not (peak := np.abs(p).max()) < limit:  # NaN included
-                raise NonFiniteError(f"parameter {name} reaches magnitude {peak:.3g}, not below {limit:.3g}")
+    for name, p in model.params.items():
+        if not (peak := np.abs(p).max()) < limit:  # NaN included
+            raise NonFiniteError(f"parameter {name} reaches magnitude {peak:.3g}, not below {limit:.3g}")
     return epoch_loss, correct
 
 

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import resource
 import shutil
 import signal
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +173,18 @@ class TestExtractCommand:
         assert (result.exit_code, result.stderr) == (exit_code, stderr)
         assert (tmp_path / "f.csv").exists() == (exit_code == 0)
 
+    def test_a_warning_is_one_line(self, runner, workspace, tmp_path):
+        args = ["extract", "--input", workspace / "data" / "sequences" / "seq_0000", "--out", tmp_path / "f.csv",
+                "--topology", "toy5", "--c", 1.15, "--bins", 14, "--fps"]
+        usual, fast = run(runner, *args, 30), run(runner, *args, 120)  # 120 fps: a high-speed camera
+        assert fast.stderr == "warning: fps 120.0 outside the expected 24-60 range\n"
+        assert (fast.exit_code, fast.stdout) == (usual.exit_code, usual.stdout)
+        assert (usual.exit_code, usual.stdout) == (0, f"extracted 140 feature rows -> {tmp_path / 'f.csv'}\n")
+        with warnings.catch_warnings():  # the filters still decide: an error filter ends the run
+            warnings.simplefilter("error", UserWarning)
+            refused = runner.invoke(main, [str(a) for a in [*args, 120]])
+        assert isinstance(refused.exception, UserWarning) and refused.stderr == ""
+
     def test_pose_csv_dump(self, runner, workspace, tmp_path):
         seq_dir = workspace / "data" / "sequences" / "seq_0001"
         result = run(runner, "extract", "--input", seq_dir, "--out", tmp_path / "f.csv",
@@ -250,6 +264,30 @@ class TestTrainCommand:
             "--out", str(tmp_path / "m.txt"), "--topology", "body25", "--epochs", "2",
         ])
         assert result.exit_code == 5
+
+    @pytest.mark.parametrize("fault,exit_code,message", [
+        ("history-dir", 2, "error: no such directory for "), ("held-out-logits", 1, "are not finite"),
+    ], ids=["history-dir", "held-out-logits"])
+    def test_a_failure_after_training_leaves_the_earlier_model(self, runner, workspace, tmp_path, fault,
+                                                              exit_code, message):
+        earlier = (workspace / "model.txt").read_bytes()
+        (tmp_path / "model.txt").write_bytes(earlier)
+        features, flags = workspace / "features", ["--history", tmp_path / "absent" / "h.csv"]
+        if fault == "held-out-logits":  # a test-split file whose values overflow the logits
+            features, flags = tmp_path / "features", []
+            shutil.copytree(workspace / "features", features)
+            held_out = next(r["sequence_id"] for r in read_manifest(workspace / "data" / "manifest.csv")
+                            if r["split"] == "test")
+            loaded, _ = read_features_csv(features / f"{held_out}.csv")
+            huge = dataclasses.replace(loaded, data=np.full_like(loaded.data, 1e308))
+            write_features_csv(huge, features / f"{held_out}.csv")
+        result = runner.invoke(main, [str(a) for a in [
+            "train", "--features", features, "--manifest", workspace / "data" / "manifest.csv",
+            "--out", tmp_path / "model.txt", "--topology", "toy5", "--epochs", "2", *flags,
+        ]])
+        assert_one_line_diagnostic(result, exit_code)
+        assert message in result.stderr
+        assert (tmp_path / "model.txt").read_bytes() == earlier
 
 
 class TestPredictCommand:
@@ -692,16 +730,14 @@ class TestNumericFlagEdges:
         assert "positive and finite" in result.stderr and "inf" in result.stderr
         assert "passed" not in result.output
 
-    @pytest.mark.parametrize("mode", [[], ["--per-example"]])
-    def test_diverging_training_is_named_and_writes_nothing(self, runner, workspace, tmp_path,
-                                                             mode):
+    def test_diverging_training_is_named_and_writes_nothing(self, runner, workspace, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
         result = runner.invoke(main, [
             "train", "--features", str(workspace / "features"),
             "--manifest", str(workspace / "data" / "manifest.csv"),
             "--out", str(out / "model.txt"), "--topology", "toy5", "--epochs", "5",
-            "--lr", "1e300", *mode,
+            "--lr", "1e300",
         ])
         assert_one_line_diagnostic(result, 1)
         assert "diverged at epoch" in result.stderr
@@ -743,7 +779,9 @@ class TestHostileManifest:
         ("seq_0000", "None"),  # row with no label cell
         ("seq_0000,2,train", "'2'"),  # a number but not a class
         (",1,train", "''"),  # empty sequence_id
-    ], ids=["label-text", "no-label-cell", "label-2", "empty-id"])
+        ("seq_0000,0,Test", "'Test'"),  # a split is train, test or empty, and case counts
+        ("seq_0000,0,validation", "'validation'"),
+    ], ids=["label-text", "no-label-cell", "label-2", "empty-id", "split-capitalised", "split-validation"])
     def test_train_exits_1(self, runner, workspace, tmp_path, row, shown):
         lines = (workspace / "data" / "manifest.csv").read_text().splitlines()
         lines[3] = row
@@ -981,11 +1019,18 @@ ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring with {tm
     ("extract-no-topology-file", extract(topology=lambda ws, tmp: tmp / "mytopo.txt"),
      2, "error: no such topology file: {tmp}/mytopo.txt\n"),
     # Outputs whose directory is missing, each named as asked for.
-    ("train-no-out-dir", train(to="absent/model.txt"), 2, "error: no such directory for {tmp}/out/absent/model.txt\n"),
+    # train writes its tables before the model document, so the first table names the directory.
+    ("train-no-out-dir", train(to="absent/model.txt"),
+     2, "error: no such directory for {tmp}/out/absent/model.txt.history.csv\n"),
     ("predict-no-out-dir", predict(to="absent/p.txt"), 2, "error: no such directory for {tmp}/out/absent/p.txt\n"),
     ("extract-no-out-dir", extract(to="absent/x.csv"), 2, "error: no such directory for {tmp}/out/absent/x.csv\n"),
     ("explain-no-out-dir", explain(to="absent/rep"),
      2, "error: no such directory for {tmp}/out/absent/rep.alpha.csv\n"),
+    ("train-no-history-dir", lambda ws, tmp, out: [*train()(ws, tmp, out), "--history", out / "absent/h.csv"],
+     2, "error: no such directory for {tmp}/out/absent/h.csv\n"),
+    ("train-no-metrics-dir",  # the history, written before the metrics, goes outside out/
+     lambda ws, tmp, out: [*train()(ws, tmp, out), "--history", tmp / "h.csv", "--metrics", out / "absent/m.csv"],
+     2, "error: no such directory for {tmp}/out/absent/m.csv\n"),
     # Inputs that are there but cannot be read.
     ("predict-model-a-directory", predict(model=directory("model.txt")), 1, "cannot read"),
     ("train-manifest-a-directory", train(manifest=directory("manifest.csv")), 1, "cannot read"),

@@ -98,7 +98,7 @@ class TestMaxRelativeError:
 
 def example_oracle(model, h, label):
     """One example's logits and loss gradients, written out on (L, C) arrays with the dense
-    normalized adjacency: the per-example reference for the chunked forward and backward."""
+    normalized adjacency: the one-example reference for the chunked forward and backward."""
     params = model.params
     a_hat = normalized(model.graph)
     layers = [params[f"layer{l}"] for l in range(model.num_layers)]
@@ -132,7 +132,7 @@ def example_oracle(model, h, label):
 
 
 class TestChunkedPath:
-    """One forward and backward per chunk of examples against the per-example oracle."""
+    """One forward and backward per chunk of examples against the one-example oracle."""
 
     EXAMPLES = 10
 

@@ -82,13 +82,6 @@ class TestTrain:
         assert len(history.losses) == 13
         assert len(history.accuracies) == 13
 
-    def test_per_example_mode_also_learns(self):
-        dataset = separable_pair()
-        _, history = train(
-            dataset, TrainConfig(epochs=30, seed=3, full_batch=False), TOY, SPEC3
-        )
-        assert history.losses[-1] < history.losses[0]
-
     def test_learned_model_separates_tone_dataset(self):
         dataset = tone_dataset()
         spec = BinSpec(c=1.5, num_bins=5)
@@ -100,9 +93,8 @@ class TestTrain:
             correct += model_forward([features], model).logits[0].argmax() == label
         assert correct == len(dataset)
 
-    @pytest.mark.parametrize("full_batch", [True, False])
-    def test_divergence_names_its_epoch(self, full_batch):
-        config = TrainConfig(epochs=5, learning_rate=1e300, full_batch=full_batch)
+    def test_divergence_names_its_epoch(self):
+        config = TrainConfig(epochs=5, learning_rate=1e300)
         with pytest.raises(NonFiniteError, match=r"^training diverged at epoch 1: parameter w_alpha "
                                                  r"reaches magnitude 1e\+300, not below 1\.34e\+154$"):
             train(tone_dataset(), config, TOY, BinSpec(c=1.5, num_bins=5))
@@ -185,7 +177,7 @@ class TestChunkedTraining:
         monkeypatch.setattr(training._Adam, "step", counting_step)
         return seen
 
-    def test_full_batch_runs_one_pass_per_chunk_and_one_step_per_epoch(self, calls, monkeypatch):
+    def test_one_pass_per_chunk_and_one_step_per_epoch(self, calls, monkeypatch):
         use_cores(monkeypatch, 1)  # the calls are counted in this process
         dataset, spec = body25_examples(40)
         model, _ = train(dataset, TrainConfig(epochs=2, seed=1), builtin_topology("body25"), spec)
@@ -201,13 +193,6 @@ class TestChunkedTraining:
         train(dataset, TrainConfig(epochs=2, seed=1), builtin_topology("body25"), spec)
         assert calls["forward"] == [7, 7, 7] * 2  # the helper runs [7, 7, 5]
         assert calls["backward"] == 6 and calls["steps"] == 2
-
-    def test_per_example_makes_one_adam_step_per_example(self, calls):
-        dataset, spec = body25_examples(9)
-        config = TrainConfig(epochs=2, seed=1, full_batch=False)
-        train(dataset, config, builtin_topology("body25"), spec)
-        assert calls["forward"] == [1] * 18
-        assert calls["backward"] == 18 and calls["steps"] == 18
 
 
 def assert_no_child_left():
@@ -229,7 +214,7 @@ def fail_on_chunks(monkeypatch, dataset, failing):
 
 
 class TestHelperProcesses:
-    """train shares a full-batch epoch's chunks with forked helpers, one per usable core."""
+    """train shares an epoch's chunks with forked helpers, one per usable core."""
 
     BODY25 = builtin_topology("body25")
 
@@ -255,15 +240,14 @@ class TestHelperProcesses:
             assert_no_child_left()
         assert runs[0] == runs[1] == runs[2]
 
-    @pytest.mark.parametrize("count,full_batch", [(9, False), (7, True)])
-    def test_per_example_and_one_chunk_never_fork(self, monkeypatch, count, full_batch):
+    def test_one_chunk_never_forks(self, monkeypatch):
         def no_fork():
             raise AssertionError("forked")
 
         use_cores(monkeypatch, 4)
         monkeypatch.setattr(os, "fork", no_fork)
-        dataset, spec = body25_examples(count)
-        _, history = train(dataset, TrainConfig(epochs=2, full_batch=full_batch), self.BODY25, spec)
+        dataset, spec = body25_examples(7)
+        _, history = train(dataset, TrainConfig(epochs=2), self.BODY25, spec)
         assert len(history.losses) == 2
 
     def test_divergence_in_a_helper_chunk_reads_as_with_one_core(self, monkeypatch, capfd):
