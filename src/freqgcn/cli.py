@@ -20,9 +20,9 @@ import click
 import numpy as np
 
 from . import frequency, model as model_mod, pose, synthetic, training
-from .errors import (ContractViolationError, EmptyInputError, FreqGcnError, ModelMismatchError, ReadError,
-                     UnknownPresetError)
-from .files import make_directory, read_input, write_atomic, write_table
+from .errors import (ContractViolationError, EmptyInputError, FreqGcnError, ModelMismatchError, NonFiniteError,
+                     ReadError, UnknownPresetError)
+from .files import make_directory, read_input, table_text, write_atomic
 from .graph import SkeletonTopology, builtin_topology, read_topology
 
 
@@ -207,7 +207,7 @@ def _load_feature_table(
 @guarded
 def cmd_train(features_dir, manifest, out_path, topology, channels, epochs, lr, seed,
               history_path, metrics_path):
-    """Train the classifier on extracted features; the model document is written last."""
+    """Train the classifier on extracted features; the tables are one set, the model document goes last."""
     rows = synthetic.read_manifest(manifest)
     topo = _resolve_topology(topology)
     table = _load_feature_table(Path(features_dir), rows, topo)
@@ -215,17 +215,23 @@ def cmd_train(features_dir, manifest, out_path, topology, channels, epochs, lr, 
     config = training.TrainConfig(epochs=epochs, learning_rate=lr, seed=seed)
     train_set = [(f, label) for _, f, label, split in table if split == "train"]
     test_set = [(sid, f, label) for sid, f, label, split in table if split == "test"]
-    trained, history = training.train(train_set, config, topo, table[0][1].spec, channel_widths=channels)
-    report = training.evaluate(trained, test_set) if test_set else None
+    trained, history = training.train(train_set, config, topo, channel_widths=channels)
+    try:
+        report = training.evaluate(trained, test_set) if test_set else None
+    except NonFiniteError:  # name the first held-out file whose logits are not finite, as predict does
+        for sid, features, _ in test_set:
+            _forward(f"{sid}.csv", features, trained)
+        raise
 
-    write_table(history_path or f"{out_path}.history.csv", "epoch,loss,accuracy",
-                zip(range(1, epochs + 1), history.losses, history.accuracies))
+    tables = {history_path or f"{out_path}.history.csv": table_text(
+        "epoch,loss,accuracy", zip(range(1, epochs + 1), history.losses, history.accuracies))}
     if report:
         metrics_file = Path(metrics_path or f"{out_path}.metrics.csv")
-        write_table(metrics_file, "metric,value",
-                    [(name, getattr(report, name)) for name in ("accuracy", "sensitivity", "specificity")])
-        write_table(f"{metrics_file}.predictions.csv", "sequence_id,label,predicted,prob_abnormal",
-                    report.predictions)
+        tables[metrics_file] = table_text(
+            "metric,value", [(name, getattr(report, name)) for name in ("accuracy", "sensitivity", "specificity")])
+        tables[f"{metrics_file}.predictions.csv"] = table_text(
+            "sequence_id,label,predicted,prob_abnormal", report.predictions)
+    write_atomic(tables)
     model_mod.save_model(trained, out_path)
 
     click.echo(f"trained on {len(train_set)} sequences for {epochs} epochs -> {out_path}")
@@ -250,11 +256,16 @@ def _classify(path: Path, loaded: model_mod.Model,
         features = frequency.extract_features(seq, loaded.bin_spec)
         extract_seconds = time.perf_counter() - start
     start = time.perf_counter()
-    try:
-        cache = model_mod.model_forward([features], loaded)
-    except ContractViolationError as exc:
-        raise ModelMismatchError(f"{path.name}: {exc}") from exc
+    cache = _forward(path.name, features, loaded)
     return seq_id, cache, extract_seconds, time.perf_counter() - start
+
+
+def _forward(name: str, features: frequency.FrequencyFeatures, loaded: model_mod.Model) -> model_mod.ForwardCache:
+    """The forward cache of one input; features the model cannot take are a ModelMismatchError naming ``name``."""
+    try:
+        return model_mod.model_forward([features], loaded)
+    except ContractViolationError as exc:
+        raise ModelMismatchError(f"{name}: {exc}") from exc
 
 
 @main.command("predict")
@@ -283,7 +294,7 @@ def cmd_predict(model_path, inputs, fps, out_path, timing):
     body = "\n".join(lines) + "\n"
     click.echo(body, nl=False)
     if out_path:
-        write_atomic(out_path, body)
+        write_atomic({out_path: body})
 
 
 @main.command("explain")
@@ -304,9 +315,11 @@ def cmd_explain(model_path, input_path, out_prefix, fps, bars):
 
     names = loaded.graph.topology.names
     alpha_file, ranking_file = Path(f"{out_prefix}.alpha.csv"), Path(f"{out_prefix}.ranking.csv")
-    write_table(alpha_file, "joint,bin,alpha",
-                [(j, b, a) for j, row in enumerate(alpha.tolist()) for b, a in enumerate(row)])
-    write_table(ranking_file, "joint,importance", zip(ranking.tolist(), importance[ranking].tolist()))
+    write_atomic({
+        alpha_file: table_text("joint,bin,alpha",
+                               [(j, b, a) for j, row in enumerate(alpha.tolist()) for b, a in enumerate(row)]),
+        ranking_file: table_text("joint,importance", zip(ranking.tolist(), importance[ranking].tolist())),
+    })
 
     if bars:
         top = importance.max() or 1.0
@@ -340,7 +353,7 @@ def cmd_gradcheck(eps, seed, trials, threshold):
         trained = model_mod.init_model(topo, spec, channel_widths=(2, 16, 16), seed=seed + trial)
         for param in trained.params.values():
             param += rng.normal(scale=0.3, size=param.shape)
-        features = training.draw_smooth_check_case(trained, rng, scale=1.5)
+        features = training.draw_smooth_check_case(trained, rng)
         errors = training.gradient_check(trained, features, label=trial % 2, eps=eps)
         for name, err in errors.items():
             worst[name] = max(worst.get(name, 0.0), err)
@@ -390,12 +403,10 @@ def cmd_synth(out_dir, n_per_class, frames, fps, band0, band1, signal_joints,
         seed=seed,
         on_grid=not off_grid,
     )
-    dataset = synthetic.generate_dataset(cfg, n_per_class=n_per_class, seed=seed)
-    manifest = synthetic.write_dataset(dataset, out_dir)
-    click.echo(
-        f"wrote {len(dataset.samples)} sequences "
-        f"({len(dataset.train)} train / {len(dataset.test)} test) -> {manifest}"
-    )
+    samples = synthetic.generate_dataset(cfg, n_per_class=n_per_class, seed=seed)
+    manifest = synthetic.write_dataset(samples, out_dir)
+    n_train = sum(s.split == "train" for s in samples)
+    click.echo(f"wrote {len(samples)} sequences ({n_train} train / {len(samples) - n_train} test) -> {manifest}")
 
 
 if __name__ == "__main__":

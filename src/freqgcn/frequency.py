@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolationError, FormatError, InsufficientLengthError
-from .files import read_input, write_atomic, write_table
+from .files import read_input, table_text, write_atomic
 from .pose import PoseSequence
 
 CHANNELS = ("x", "y")
@@ -246,9 +246,8 @@ def _cells(num_joints: int, num_bins: int):
 
 
 def write_features_csv(features: FrequencyFeatures, path: str | Path) -> None:
-    """Write one ``joint,bin,channel,value`` row per cell, in that key order, and the sidecar."""
+    """Write one ``joint,bin,channel,value`` row per cell, in that key order, and the sidecar, as one set."""
     values = zip(_cells(features.num_joints, features.num_bins), features.data.ravel().tolist())
-    write_table(path, "joint,bin,channel,value", [(*cell, value) for cell, value in values])
     sidecar = {
         "format": "freqgcn-features",
         "version": 1,
@@ -261,7 +260,10 @@ def write_features_csv(features: FrequencyFeatures, path: str | Path) -> None:
         "bin_edges": bin_edges(features.spec),
         "fps": features.fps,
     }
-    write_atomic(sidecar_path(path), json.dumps(sidecar, indent=2) + "\n")
+    write_atomic({
+        path: table_text("joint,bin,channel,value", [(*cell, value) for cell, value in values]),
+        sidecar_path(path): json.dumps(sidecar, indent=2) + "\n",
+    })
 
 
 def sidecar_path(features_path: str | Path) -> Path:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolationError, FormatError, UnknownPresetError
-from .files import read_input, write_atomic
+from .files import read_input
 
 # OpenPose BODY_25 joint order.
 _BODY25_NAMES = (
@@ -134,20 +134,10 @@ def builtin_topology(name: str) -> SkeletonTopology:
     return SkeletonTopology(name=name, **spec)
 
 
-def write_topology(topology: SkeletonTopology, path: str | Path) -> None:
-    """Emit the edge-list text form: ``# N=<n>`` header, one ``i j`` pair per line."""
-    lines = [
-        f"# N={topology.num_joints}",
-        f"# root={topology.root}",
-        f"# neck={topology.neck}",
-    ]
-    lines += [f"# joint {i} {name}" for i, name in enumerate(topology.names)]
-    lines += [f"{i} {j}" for i, j in topology.edges]
-    write_atomic(path, "\n".join(lines) + "\n")
-
-
 def read_topology(path: str | Path) -> SkeletonTopology:
-    """Parse the edge-list text form written by :func:`write_topology`."""
+    """Parse the edge-list text form: a ``# N=<n>`` line, optional ``# root=<i>`` and
+    ``# neck=<i>`` lines (default 0 and 1) and ``# joint <i> <name>`` lines, and one ``i j``
+    edge per other non-blank line."""
     path = Path(path)
     header: dict[str, int] = {}  # N, root and neck, each from one '# <key>=' line
     names: dict[int, str] = {}
@@ -214,27 +204,22 @@ class FeatureGraph:
     def num_nodes(self) -> int:
         return self.topology.num_joints * self.num_bins
 
-    def propagate(
-        self, x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
-    ) -> np.ndarray:
+    def propagate(self, x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """Normalized adjacency times node features, for x of shape (L, C) or for each of E
-        graphs stacked as (E*L, C).
+        graphs stacked as (E*L, C), written into ``out`` (shaped like x) and returned.
 
         With Y = s * X the product is s * ((A_skel + I) Y over joints +
         A_path Y over bins). The operator is symmetric, so the same call
-        serves the backward pass. ``out`` (shaped like x) receives the
-        result and ``scratch`` (2 * x.size elements) holds the temporaries,
-        so a caller can reuse both.
+        serves the backward pass. ``scratch`` (2 * x.size elements) holds
+        the temporaries, so a caller reuses both buffers.
         """
         n, b, c = self.topology.num_joints, self.num_bins, x.shape[-1]
-        if scratch is None:
-            scratch = np.empty(2 * x.size)
         # Scaling by an (N, B, C) copy rather than the (N, B, 1) column keeps numpy's inner loops long.
         scale = np.repeat(self.scale, c, axis=-1)
         y = np.multiply(scale, x.reshape(-1, n, b, c), out=scratch[: x.size].reshape(-1, n, b, c))
         joints = (len(y), n, b * c)  # per graph, one row per joint
         joint = np.matmul(self.joint_operator, y.reshape(joints), out=scratch[x.size :].reshape(joints))
-        out = np.matmul(self.bin_operator, y, out=None if out is None else out.reshape(y.shape))
+        out = np.matmul(self.bin_operator, y, out=out.reshape(y.shape))
         out += joint.reshape(y.shape)
         out *= scale
         return out.reshape(x.shape)

@@ -327,7 +327,7 @@ def save_model(model: Model, path: str | Path) -> None:
         for row in mat:
             lines.append(" ".join(repr(float(v)) for v in row))
     lines.append("end")
-    write_atomic(path, "\n".join(lines) + "\n")
+    write_atomic({path: "\n".join(lines) + "\n"})
 
 
 def load_model(path: str | Path) -> Model:

@@ -378,7 +378,7 @@ def write_sequence(seq: PoseSequence, directory: str | Path) -> None:
     width = max(6, len(str(len(seq) - 1)))
     table = np.concatenate([seq.positions, seq.confidence[..., None]], axis=2)
     for t, frame in enumerate(table):
-        write_atomic(directory / f"frame_{t:0{width}d}.json", serialize_keypoint_frame(frame))
+        write_atomic({directory / f"frame_{t:0{width}d}.json": serialize_keypoint_frame(frame)})
 
 
 @np.errstate(over="ignore")  # as np.interp, a fill that overflows to inf warns nothing; it is refused below

@@ -148,20 +148,7 @@ class SynthSample:
     seed: int
 
 
-@dataclass(frozen=True)
-class SynthDataset:
-    samples: tuple[SynthSample, ...]
-
-    @property
-    def train(self) -> list[SynthSample]:
-        return [s for s in self.samples if s.split == "train"]
-
-    @property
-    def test(self) -> list[SynthSample]:
-        return [s for s in self.samples if s.split == "test"]
-
-
-def generate_dataset(cfg: SynthConfig, n_per_class: int, seed: int) -> SynthDataset:
+def generate_dataset(cfg: SynthConfig, n_per_class: int, seed: int) -> tuple[SynthSample, ...]:
     """Balanced 2*n_per_class sequences, split 2:1 train:test per class."""
     if n_per_class < 2:
         raise ContractViolationError(f"n_per_class must be >= 2, got {n_per_class}")
@@ -184,24 +171,24 @@ def generate_dataset(cfg: SynthConfig, n_per_class: int, seed: int) -> SynthData
                 )
             )
             index += 1
-    return SynthDataset(samples=tuple(samples))
+    return tuple(samples)
 
 
-def write_dataset(dataset: SynthDataset, root: str | Path) -> Path:
-    """Lay the dataset out as sequences/<id>/frame_*.json plus manifest.csv."""
+def write_dataset(samples: tuple[SynthSample, ...], root: str | Path) -> Path:
+    """Lay the samples out as sequences/<id>/frame_*.json plus manifest.csv."""
     root = Path(root)
     seq_root = root / "sequences"
     make_directory(seq_root)
-    for sample in dataset.samples:
+    for sample in samples:
         write_sequence(sample.sequence, seq_root / sample.sequence_id)
     manifest = root / "manifest.csv"
-    write_manifest(dataset, manifest)
+    write_manifest(samples, manifest)
     return manifest
 
 
-def write_manifest(dataset: SynthDataset, path: str | Path) -> None:
+def write_manifest(samples: tuple[SynthSample, ...], path: str | Path) -> None:
     write_table(path, "sequence_id,label,split,seed",
-                [(s.sequence_id, s.label, s.split, s.seed) for s in dataset.samples])
+                [(s.sequence_id, s.label, s.split, s.seed) for s in samples])
 
 
 def read_manifest(path: str | Path) -> list[dict[str, str]]:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolationError, DegenerateDatasetError, FreqGcnError, NonFiniteError
-from .frequency import BinSpec, FrequencyFeatures
+from .frequency import FrequencyFeatures
 from .graph import SkeletonTopology
 from .model import Model, Workspace, backward, init_model, loss, model_forward
 
@@ -26,6 +26,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 RELATIVE_ERROR_FLOOR = 1e-6  # see max_relative_error
 KINK_MARGIN = 1e-3  # see draw_smooth_check_case
+CHECK_CASE_SCALE = 1.5  # see draw_smooth_check_case
 CHUNK_BYTES = 512 * 1024  # see chunk_size
 
 
@@ -119,10 +120,10 @@ def train(
     dataset: list[tuple[FrequencyFeatures, int]],
     config: TrainConfig,
     topology: SkeletonTopology,
-    bin_spec: BinSpec,
     channel_widths: tuple[int, ...] = (2, 16, 16),
 ) -> tuple[Model, TrainHistory]:
     """Full-batch gradient descent with Adam moments, one step per epoch; deterministic per seed.
+    The model takes the first example's bin layout; another layout is a ContractViolationError.
 
     Gradients are summed over chunks of ``chunk_size`` examples in dataset order, one forward
     and backward per chunk in whichever process, and averaged, so runs with the same seed give
@@ -138,7 +139,7 @@ def train(
         raise DegenerateDatasetError(
             f"training data must contain both classes, found labels {sorted(labels)}"
         )
-    model = init_model(topology, bin_spec, channel_widths=channel_widths, seed=config.seed)
+    model = init_model(topology, dataset[0][0].spec, channel_widths=channel_widths, seed=config.seed)
     optimizer = _Adam(model.params, config.learning_rate)
     history = TrainHistory()
     size = chunk_size(model)
@@ -280,10 +281,8 @@ def gradient_check(
     }
 
 
-def draw_smooth_check_case(
-    model: Model, rng: np.random.Generator, scale: float = 1.0
-) -> np.ndarray:
-    """Random features whose forward pass stays clear of every ReLU kink.
+def draw_smooth_check_case(model: Model, rng: np.random.Generator) -> np.ndarray:
+    """Random features, ``CHECK_CASE_SCALE`` times half-normal draws, clear of every ReLU kink.
 
     Central differences assume local smoothness; a draw that leaves some
     pre-activation within ``KINK_MARGIN`` of zero would straddle the kink at
@@ -291,7 +290,7 @@ def draw_smooth_check_case(
     """
     n, b, c = model.num_joints, model.num_bins, model.in_channels
     for _ in range(1000):
-        candidate = scale * np.abs(rng.normal(size=(n, b, c)))
+        candidate = CHECK_CASE_SCALE * np.abs(rng.normal(size=(n, b, c)))
         if all(np.abs(z).min() > KINK_MARGIN for z in model_forward([candidate], model).pre_relu):
             return candidate
     raise RuntimeError("could not draw a kink-free gradient-check case")

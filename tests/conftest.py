@@ -12,6 +12,22 @@ settings.register_profile("ci", derandomize=True, max_examples=1000)
 # a failing example prints a blob to replay it.
 settings.register_profile("ci-fresh", derandomize=False, max_examples=3000, print_blob=True)
 
+# The toy5 preset in the topology file's text form.
+TOY5_TOPOLOGY_TEXT = """\
+# N=5
+# root=0
+# neck=1
+# joint 0 root
+# joint 1 mid
+# joint 2 tip
+# joint 3 left
+# joint 4 right
+0 1
+1 2
+1 3
+1 4
+"""
+
 
 def random_connected_topology(rng: np.random.Generator, num_joints: int, extra_edges: int = 0):
     """Random spanning tree plus optional extra edges; always connected."""

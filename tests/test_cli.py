@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner, Result
 
+from conftest import TOY5_TOPOLOGY_TEXT
+
 from freqgcn import model as model_mod, pose
 from freqgcn.cli import main
 from freqgcn.errors import FormatError
 from freqgcn.frequency import read_features_csv, write_features_csv
-from freqgcn.graph import builtin_topology, write_topology
+from freqgcn.graph import builtin_topology
 from freqgcn.model import joint_ranking, load_model, model_forward
 from freqgcn.synthetic import SynthConfig, generate_dataset, read_manifest, write_manifest
 from freqgcn.training import TrainConfig, evaluate, train as train_model
@@ -144,10 +146,8 @@ class TestExtractCommand:
         assert "growth parameter" in result.stderr
 
     def test_custom_topology_file(self, runner, workspace, tmp_path):
-        from freqgcn.graph import builtin_topology, write_topology
-
         topo_file = tmp_path / "custom.topo"
-        write_topology(builtin_topology("toy5"), topo_file)
+        topo_file.write_text(TOY5_TOPOLOGY_TEXT, encoding="utf-8")
         result = run(runner, "extract",
                      "--input", workspace / "data" / "sequences" / "seq_0000",
                      "--out", tmp_path / "f.csv", "--topology", topo_file,
@@ -167,7 +167,7 @@ class TestExtractCommand:
         if make == "directory":
             (tmp_path / spec).mkdir()
         elif make == "file":
-            write_topology(builtin_topology("toy5"), tmp_path / spec)
+            (tmp_path / spec).write_text(TOY5_TOPOLOGY_TEXT, encoding="utf-8")
         result = runner.invoke(main, ["extract", "--input", str(workspace / "data" / "sequences" / "seq_0000"),
                                       "--out", "f.csv", "--topology", spec, "--c", "1.15", "--bins", "14"])
         assert (result.exit_code, result.stderr) == (exit_code, stderr)
@@ -266,18 +266,19 @@ class TestTrainCommand:
         assert result.exit_code == 5
 
     @pytest.mark.parametrize("fault,exit_code,message", [
-        ("history-dir", 2, "error: no such directory for "), ("held-out-logits", 1, "are not finite"),
+        ("history-dir", 2, "error: no such directory for "),
+        ("held-out-logits", 5, "error: {held_out}.csv: logits [nan, nan] are not finite\n"),  # as predict says
     ], ids=["history-dir", "held-out-logits"])
     def test_a_failure_after_training_leaves_the_earlier_model(self, runner, workspace, tmp_path, fault,
                                                               exit_code, message):
         earlier = (workspace / "model.txt").read_bytes()
         (tmp_path / "model.txt").write_bytes(earlier)
         features, flags = workspace / "features", ["--history", tmp_path / "absent" / "h.csv"]
+        held_out = next(r["sequence_id"] for r in read_manifest(workspace / "data" / "manifest.csv")
+                        if r["split"] == "test")
         if fault == "held-out-logits":  # a test-split file whose values overflow the logits
             features, flags = tmp_path / "features", []
             shutil.copytree(workspace / "features", features)
-            held_out = next(r["sequence_id"] for r in read_manifest(workspace / "data" / "manifest.csv")
-                            if r["split"] == "test")
             loaded, _ = read_features_csv(features / f"{held_out}.csv")
             huge = dataclasses.replace(loaded, data=np.full_like(loaded.data, 1e308))
             write_features_csv(huge, features / f"{held_out}.csv")
@@ -286,7 +287,7 @@ class TestTrainCommand:
             "--out", tmp_path / "model.txt", "--topology", "toy5", "--epochs", "2", *flags,
         ]])
         assert_one_line_diagnostic(result, exit_code)
-        assert message in result.stderr
+        assert message.format(held_out=held_out) in result.stderr
         assert (tmp_path / "model.txt").read_bytes() == earlier
 
 
@@ -420,7 +421,7 @@ class TestTables:
     def test_history(self, workspace, held_out):
         config = TrainConfig(epochs=80, learning_rate=0.01, seed=1)  # the workspace's train flags
         train_set = [(f, label) for _, f, label, split in held_out if split == "train"]
-        history = train_model(train_set, config, builtin_topology("toy5"), held_out[0][1].spec)[1]
+        history = train_model(train_set, config, builtin_topology("toy5"))[1]
         expected = "epoch,loss,accuracy\n" + "".join(
             f"{epoch},{loss!r},{accuracy!r}\n"
             for epoch, loss, accuracy in zip(range(1, 81), history.losses, history.accuracies))
@@ -984,6 +985,20 @@ LONG_INT = "1" * 4301  # more digits than Python converts to an integer by defau
 LONG_INT_FRAME = '{"people": [{"pose_keypoints_2d": [%s%s]}]}' % (LONG_INT, ", 1.0" * 14)
 DEEP = "[" * 100_000 + "]" * 100_000  # nests deeper than json's recursion allows
 
+
+def over_earlier(build, *names):
+    """``build`` run into an ``out`` that already holds ``names`` from an earlier run: a file each, or a
+    directory for a name ending in '/'."""
+    def prepare(ws, tmp, out):
+        for name in names:
+            if name.endswith("/"):
+                (out / name).mkdir()
+            else:
+                (out / name).write_text(f"earlier {name}\n", encoding="utf-8")
+        return build(ws, tmp, out)
+    return prepare
+
+
 ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring with {tmp} and {ws} filled in)
     # Values that the type holding them rejects.
     ("train-seed-negative", train(flags=["--seed", "-1"]), 1, "seed must be >= 0"),
@@ -1028,9 +1043,15 @@ ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring with {tm
      2, "error: no such directory for {tmp}/out/absent/rep.alpha.csv\n"),
     ("train-no-history-dir", lambda ws, tmp, out: [*train()(ws, tmp, out), "--history", out / "absent/h.csv"],
      2, "error: no such directory for {tmp}/out/absent/h.csv\n"),
-    ("train-no-metrics-dir",  # the history, written before the metrics, goes outside out/
-     lambda ws, tmp, out: [*train()(ws, tmp, out), "--history", tmp / "h.csv", "--metrics", out / "absent/m.csv"],
+    ("train-no-metrics-dir",  # the earlier model and history stay: the tables are one set, the model last
+     over_earlier(lambda ws, tmp, out: [*train()(ws, tmp, out), "--metrics", out / "absent/m.csv"],
+                  "model.txt", "model.txt.history.csv"),
      2, "error: no such directory for {tmp}/out/absent/m.csv\n"),
+    # Outputs in the way: a directory where one file of a set goes leaves the set's other files as they were.
+    ("extract-sidecar-a-directory", over_earlier(extract(), "f.csv", "f.csv.meta.json/"),
+     1, "error: cannot write {tmp}/out/f.csv.meta.json: Is a directory\n"),
+    ("explain-ranking-a-directory", over_earlier(explain(), "report.alpha.csv", "report.ranking.csv/"),
+     1, "error: cannot write {tmp}/out/report.ranking.csv: Is a directory\n"),
     # Inputs that are there but cannot be read.
     ("predict-model-a-directory", predict(model=directory("model.txt")), 1, "cannot read"),
     ("train-manifest-a-directory", train(manifest=directory("manifest.csv")), 1, "cannot read"),
@@ -1151,6 +1172,11 @@ ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring with {tm
 ]
 
 
+def tree(root):
+    """Every path under ``root``, temp files included, with a file's bytes or None for a directory."""
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
 class TestErrorBranches:
     @pytest.mark.parametrize("build,exit_code,message",
                              [case[1:] for case in ERROR_BRANCHES],
@@ -1159,13 +1185,15 @@ class TestErrorBranches:
                                                   exit_code, message):
         out = tmp_path / "out"
         out.mkdir()
-        result = runner.invoke(main, [str(a) for a in build(workspace, tmp_path, out)])
+        args = [str(a) for a in build(workspace, tmp_path, out)]
+        before = tree(out)  # empty, unless the row puts an earlier run's files there
+        result = runner.invoke(main, args)
         if exit_code == 2 and "Usage:" in result.stderr:
             assert_usage_error(result)
         else:
             assert_one_line_diagnostic(result, exit_code)
         assert message.format(tmp=tmp_path, ws=workspace) in result.stderr
-        assert list(out.iterdir()) == []
+        assert tree(out) == before
 
 
 def test_a_frame_file_gone_after_the_listing_is_a_missing_input(runner, workspace, tmp_path, monkeypatch):
@@ -1256,8 +1284,6 @@ WRITERS = [  # (id, file name, the write as a call prepared before the limit is 
     ("predictions", "m.csv.predictions.csv", train_into("m.txt", "m.txt.history.csv", "m.csv", metrics="m.csv")),
     ("features", "f.csv", lambda runner, ws, path: library_call(write_features_csv, *workspace_features(ws), path)),
     ("features-sidecar", "f.csv.meta.json", features_sidecar_into("f.csv")),
-    ("topology", "body25.txt", lambda runner, ws, path: library_call(
-        write_topology, builtin_topology("body25"), path)),
     ("manifest", "manifest.csv", lambda runner, ws, path: library_call(
         write_manifest, generate_dataset(SynthConfig(num_frames=40), 2, 0), path)),
     ("synth-frame", "data/sequences/seq_0000/frame_000000.json", lambda runner, ws, path: cli_run(

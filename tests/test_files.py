@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from freqgcn.errors import FormatError, FreqGcnError, ReadError, WriteError
+from freqgcn.errors import FormatError, FreqGcnError, MissingDirectoryError, ReadError, WriteError
 from freqgcn.files import read_input, write_atomic, write_table
 
 
@@ -14,7 +14,7 @@ def test_replaces_the_file_with_the_mode_of_a_plain_write(tmp_path):
     plain, atomic = tmp_path / "plain.txt", tmp_path / "atomic.txt"
     plain.write_text("one\ntwo\n", encoding="utf-8")
     atomic.write_text("old", encoding="utf-8")
-    write_atomic(atomic, "one\ntwo\n")
+    write_atomic({atomic: "one\ntwo\n"})
     assert atomic.read_bytes() == plain.read_bytes()
     assert os.stat(atomic).st_mode == os.stat(plain).st_mode
     assert sorted(p.name for p in tmp_path.iterdir()) == ["atomic.txt", "plain.txt"]
@@ -28,7 +28,7 @@ def test_write_failing_midway_leaves_the_previous_file_and_no_temp_file(tmp_path
     resource.setrlimit(resource.RLIMIT_FSIZE, (4096, hard))  # writes past 4 KiB fail with EFBIG
     try:
         with pytest.raises(OSError):
-            write_atomic(path, "0.125 " * 100_000)
+            write_atomic({path: "0.125 " * 100_000})
     finally:
         resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
         signal.signal(signal.SIGXFSZ, handler)
@@ -44,15 +44,29 @@ def test_failed_replace_removes_the_temp_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", replace)
     with pytest.raises(OSError, match="no"):
-        write_atomic(path, "new\n")
+        write_atomic({path: "new\n"})
     assert path.read_text(encoding="utf-8") == "previous\n"
     assert [p.name for p in tmp_path.iterdir()] == ["pred.csv"]
+
+
+@pytest.mark.parametrize("second,error", [("b.csv", WriteError), ("absent/b.csv", MissingDirectoryError)],
+                         ids=["a-directory", "no-directory"])
+def test_a_set_whose_second_file_cannot_be_written_leaves_the_first_as_it_was(tmp_path, second, error):
+    first = tmp_path / "a.csv"
+    first.write_text("previous\n", encoding="utf-8")
+    if second == "b.csv":
+        (tmp_path / second).mkdir()  # not a regular file, so written in place, which fails
+    with pytest.raises(error) as excinfo:
+        write_atomic({first: "new\n", tmp_path / second: "new\n"})
+    assert excinfo.value.filename == str(tmp_path / second)
+    assert first.read_text(encoding="utf-8") == "previous\n"
+    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
 
 def test_missing_directory_is_reported_on_the_file_asked_for(tmp_path):
     path = tmp_path / "absent" / "pred.csv"
     with pytest.raises(FileNotFoundError) as excinfo:
-        write_atomic(path, "new\n")
+        write_atomic({path: "new\n"})
     assert excinfo.value.filename == str(path)
     assert str(excinfo.value) == f"no such directory for {path}"
 
@@ -80,7 +94,7 @@ def test_a_pipe_is_written_in_place(tmp_path):
     got = []
     reader = threading.Thread(target=lambda: got.append(pipe.read_text(encoding="utf-8")))
     reader.start()
-    write_atomic(pipe, "line\n")
+    write_atomic({pipe: "line\n"})
     reader.join(timeout=10)
     assert not reader.is_alive() and got == ["line\n"]
     assert stat.S_ISFIFO(os.lstat(pipe).st_mode)
@@ -90,7 +104,7 @@ def test_an_existing_file_keeps_its_permission_bits(tmp_path):
     path = tmp_path / "pred.csv"
     path.write_text("previous\n", encoding="utf-8")
     path.chmod(0o600)
-    write_atomic(path, "new\n")
+    write_atomic({path: "new\n"})
     assert path.read_text(encoding="utf-8") == "new\n"
     assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
 
@@ -100,7 +114,7 @@ def test_a_symlink_is_written_through_to_its_target(tmp_path):
     target.parent.mkdir()
     target.write_text("previous\n", encoding="utf-8")
     link.symlink_to(target)
-    write_atomic(link, "new\n")
+    write_atomic({link: "new\n"})
     assert link.is_symlink() and os.readlink(link) == str(target)
     assert target.read_text(encoding="utf-8") == "new\n"
     assert sorted(p.name for p in target.parent.iterdir()) == ["model.txt"]
@@ -109,7 +123,7 @@ def test_a_symlink_is_written_through_to_its_target(tmp_path):
 def test_a_dangling_symlink_creates_its_target(tmp_path):
     target, link = tmp_path / "model.txt", tmp_path / "latest.txt"
     link.symlink_to(target)
-    write_atomic(link, "new\n")
+    write_atomic({link: "new\n"})
     assert link.is_symlink() and target.read_text(encoding="utf-8") == "new\n"
 
 
@@ -120,7 +134,7 @@ def test_a_failure_other_than_a_missing_directory_names_the_file(tmp_path, monke
 
     monkeypatch.setattr(os, "replace", replace)
     with pytest.raises(WriteError) as excinfo:
-        write_atomic(path, "new\n")
+        write_atomic({path: "new\n"})
     assert isinstance(excinfo.value, OSError) and excinfo.value.filename == str(path)
     assert str(excinfo.value) == f"cannot write {path}: Permission denied"
     assert list(tmp_path.iterdir()) == []
@@ -128,7 +142,7 @@ def test_a_failure_other_than_a_missing_directory_names_the_file(tmp_path, monke
 
 def test_bytes_are_written_as_they_are(tmp_path):
     path = tmp_path / "frame.json"
-    write_atomic(path, b'{"people": []}\xff')
+    write_atomic({path: b'{"people": []}\xff'})
     assert path.read_bytes() == b'{"people": []}\xff'
 
 

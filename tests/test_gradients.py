@@ -33,7 +33,7 @@ class TestGradientCorrectness:
         rng = np.random.default_rng(0)
         for trial in range(5):
             model = randomized_model(rng, trial)
-            features = draw_smooth_check_case(model, rng, scale=1.5)
+            features = draw_smooth_check_case(model, rng)
             errors = gradient_check(model, features, label=trial % 2, eps=1e-5)
             for name, err in errors.items():
                 assert err < 1e-4, f"{name} gradient off by {err:.3e} on trial {trial}"
@@ -80,7 +80,7 @@ class TestGradientCorrectness:
     def test_coarse_epsilon_degrades_the_oracle(self):
         rng = np.random.default_rng(10)
         model = randomized_model(rng, 10)
-        features = draw_smooth_check_case(model, rng, scale=1.5)
+        features = draw_smooth_check_case(model, rng)
         fine = gradient_check(model, features, label=0, eps=1e-5)
         coarse = gradient_check(model, features, label=0, eps=1e-1)
         assert max(coarse.values()) > max(fine.values())

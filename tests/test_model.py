@@ -245,7 +245,7 @@ class DenseGraph:
         self.num_bins = graph.num_bins
         self.normalized = normalized(graph)
 
-    def propagate(self, x, out=None, scratch=None):
+    def propagate(self, x, out, scratch):
         return np.matmul(self.normalized, x, out=out)
 
 

@@ -135,28 +135,25 @@ class TestOffGrid:
 class TestGenerateDataset:
     def test_split_arithmetic(self):
         cfg = SynthConfig(num_frames=40)
-        dataset = generate_dataset(cfg, n_per_class=30, seed=0)
-        assert len(dataset.samples) == 60
-        assert len(dataset.train) == 40
-        assert len(dataset.test) == 20
-        for subset in (dataset.train, dataset.test):
-            labels = [s.label for s in subset]
+        samples = generate_dataset(cfg, n_per_class=30, seed=0)
+        assert len(samples) == 60
+        for split, count in (("train", 40), ("test", 20)):
+            labels = [s.label for s in samples if s.split == split]
+            assert len(labels) == count
             assert labels.count(0) == labels.count(1)
 
     def test_seeds_are_disjoint(self):
         cfg = SynthConfig(num_frames=40)
-        dataset = generate_dataset(cfg, n_per_class=5, seed=4)
-        seeds = [s.seed for s in dataset.samples]
+        samples = generate_dataset(cfg, n_per_class=5, seed=4)
+        seeds = [s.seed for s in samples]
         assert len(set(seeds)) == len(seeds)
 
     def test_master_seed_changes_content_not_shape(self):
         cfg = SynthConfig(num_frames=40)
         a = generate_dataset(cfg, n_per_class=3, seed=0)
         b = generate_dataset(cfg, n_per_class=3, seed=1)
-        assert len(a.samples) == len(b.samples)
-        assert not np.array_equal(
-            a.samples[0].sequence.positions, b.samples[0].sequence.positions
-        )
+        assert len(a) == len(b)
+        assert not np.array_equal(a[0].sequence.positions, b[0].sequence.positions)
 
     def test_negative_seed_is_a_contract_violation(self):
         with pytest.raises(ContractViolationError, match="seed must be >= 0, got -1"):
@@ -168,7 +165,7 @@ class TestGenerateDataset:
         cfg = SynthConfig(num_frames=240, noise_sigma=0.0)
         spec = BinSpec(c=1.15, num_bins=18)
         topo = builtin_topology(cfg.topology)
-        dataset = generate_dataset(cfg, n_per_class=6, seed=9)
+        samples = generate_dataset(cfg, n_per_class=6, seed=9)
         joint = cfg.signal_joints[0]
         step = cfg.fps / cfg.num_frames
 
@@ -182,7 +179,7 @@ class TestGenerateDataset:
             return mass
 
         scores = []
-        for sample in dataset.samples:
+        for sample in samples:
             seq = normalize_sequence(sample.sequence, topo.root, topo.neck)
             features = extract_features(seq, spec)
             scores.append(
@@ -193,19 +190,19 @@ class TestGenerateDataset:
 
     def test_write_dataset_round_trips_through_pose_ingest(self, tmp_path):
         cfg = SynthConfig(num_frames=30)
-        dataset = generate_dataset(cfg, n_per_class=2, seed=5)
-        manifest_path = write_dataset(dataset, tmp_path)
+        samples = generate_dataset(cfg, n_per_class=2, seed=5)
+        manifest_path = write_dataset(samples, tmp_path)
         rows = read_manifest(manifest_path)
         assert len(rows) == 4
-        sample = dataset.samples[0]
+        sample = samples[0]
         loaded = load_sequence(tmp_path / "sequences" / sample.sequence_id, fps=cfg.fps)
         assert np.array_equal(loaded.positions, sample.sequence.positions)
 
     def test_manifest_table_bytes(self, tmp_path):
-        dataset = generate_dataset(SynthConfig(num_frames=30), n_per_class=2, seed=5)
-        write_manifest(dataset, tmp_path / "manifest.csv")
+        samples = generate_dataset(SynthConfig(num_frames=30), n_per_class=2, seed=5)
+        write_manifest(samples, tmp_path / "manifest.csv")
         expected = "sequence_id,label,split,seed\n" + "".join(
-            f"{s.sequence_id},{s.label},{s.split},{s.seed}\n" for s in dataset.samples)
+            f"{s.sequence_id},{s.label},{s.split},{s.seed}\n" for s in samples)
         assert expected.splitlines()[1:] == ["seq_0000,0,train,5000015", "seq_0001,0,test,5000016",
                                              "seq_0002,1,train,5000017", "seq_0003,1,test,5000018"]
         assert (tmp_path / "manifest.csv").read_text() == expected

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from freqgcn.errors import DegenerateDatasetError, FreqGcnError, NonFiniteError
+from freqgcn.errors import ContractViolationError, DegenerateDatasetError, FreqGcnError, NonFiniteError
 from freqgcn.frequency import BinSpec, FrequencyFeatures, extract_features
 from freqgcn.graph import builtin_topology
 from freqgcn.model import model_forward
@@ -52,42 +52,46 @@ def tone_dataset(count=8, frames=120):
 class TestTrain:
     def test_loss_drops_on_separable_pair(self):
         dataset = separable_pair()
-        _, history = train(dataset, TrainConfig(epochs=50, seed=0), TOY, SPEC3)
+        _, history = train(dataset, TrainConfig(epochs=50, seed=0), TOY)
         assert history.losses[-1] < history.losses[0]
 
     def test_equal_seeds_give_bitwise_identical_parameters(self):
         dataset = separable_pair()
         cfg = TrainConfig(epochs=20, seed=9)
-        model_a, _ = train(dataset, cfg, TOY, SPEC3)
-        model_b, _ = train(dataset, cfg, TOY, SPEC3)
+        model_a, _ = train(dataset, cfg, TOY)
+        model_b, _ = train(dataset, cfg, TOY)
         for a, b in zip(model_a.params.values(), model_b.params.values()):
             assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
         dataset = separable_pair()
-        model_a, _ = train(dataset, TrainConfig(epochs=5, seed=0), TOY, SPEC3)
-        model_b, _ = train(dataset, TrainConfig(epochs=5, seed=1), TOY, SPEC3)
+        model_a, _ = train(dataset, TrainConfig(epochs=5, seed=0), TOY)
+        model_b, _ = train(dataset, TrainConfig(epochs=5, seed=1), TOY)
         assert not np.array_equal(model_a.params["head_weight"], model_b.params["head_weight"])
 
     def test_single_class_dataset_rejected(self):
         with pytest.raises(DegenerateDatasetError):
-            train([separable_pair()[0]], TrainConfig(epochs=5), TOY, SPEC3)
+            train([separable_pair()[0]], TrainConfig(epochs=5), TOY)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DegenerateDatasetError):
-            train([], TrainConfig(epochs=5), TOY, SPEC3)
+            train([], TrainConfig(epochs=5), TOY)
+
+    def test_examples_of_two_bin_layouts_are_refused(self):
+        # The model takes the first example's layout, so the second one's is the mismatch.
+        mixed = [separable_pair()[0], tone_dataset(count=2)[1]]
+        with pytest.raises(ContractViolationError, match=r"^features binned with BinSpec\(c=1\.5, num_bins=5\) "
+                                                         r"do not match the model's BinSpec\(c=1\.3, num_bins=3\)$"):
+            train(mixed, TrainConfig(epochs=1), TOY)
 
     def test_history_length_matches_epochs(self):
-        _, history = train(separable_pair(), TrainConfig(epochs=13, seed=2), TOY, SPEC3)
+        _, history = train(separable_pair(), TrainConfig(epochs=13, seed=2), TOY)
         assert len(history.losses) == 13
         assert len(history.accuracies) == 13
 
     def test_learned_model_separates_tone_dataset(self):
         dataset = tone_dataset()
-        spec = BinSpec(c=1.5, num_bins=5)
-        model, history = train(
-            dataset, TrainConfig(epochs=120, learning_rate=1e-2, seed=0), TOY, spec
-        )
+        model, history = train(dataset, TrainConfig(epochs=120, learning_rate=1e-2, seed=0), TOY)
         correct = 0
         for features, label in dataset:
             correct += model_forward([features], model).logits[0].argmax() == label
@@ -97,14 +101,14 @@ class TestTrain:
         config = TrainConfig(epochs=5, learning_rate=1e300)
         with pytest.raises(NonFiniteError, match=r"^training diverged at epoch 1: parameter w_alpha "
                                                  r"reaches magnitude 1e\+300, not below 1\.34e\+154$"):
-            train(tone_dataset(), config, TOY, BinSpec(c=1.5, num_bins=5))
+            train(tone_dataset(), config, TOY)
 
     def test_huge_finite_parameters_are_divergence(self):
         # Every logit of this pair stays finite at this rate: losses reached 7.1e299 and
         # parameters 3.0e300 while only non-finite values were refused.
         config = TrainConfig(epochs=5, learning_rate=1e300)
         with pytest.raises(NonFiniteError, match="^training diverged at epoch 1: parameter w_alpha"):
-            train(separable_pair(), config, TOY, SPEC3)
+            train(separable_pair(), config, TOY)
 
     @pytest.mark.parametrize("value,diverges", [
         (np.nextafter(math.sqrt(sys.float_info.max), 0.0), False),
@@ -123,9 +127,9 @@ class TestTrain:
         monkeypatch.setattr(training._Adam, "step", step_to)
         if diverges:
             with pytest.raises(NonFiniteError, match="^training diverged at epoch 1: parameter head_bias"):
-                train(separable_pair(), TrainConfig(epochs=1), TOY, SPEC3)
+                train(separable_pair(), TrainConfig(epochs=1), TOY)
         else:
-            model, _ = train(separable_pair(), TrainConfig(epochs=1), TOY, SPEC3)
+            model, _ = train(separable_pair(), TrainConfig(epochs=1), TOY)
             assert model.params["head_bias"][1] == value
 
     def test_invalid_config_rejected(self):
@@ -144,7 +148,7 @@ def body25_examples(count):
     rng = np.random.default_rng(count)
     spec = BinSpec(c=1.15, num_bins=22)
     return [(FrequencyFeatures(data=np.abs(rng.normal(size=(25, 22, 2))), spec=spec, fps=30.0),
-             i % 2) for i in range(count)], spec
+             i % 2) for i in range(count)]
 
 
 def use_cores(monkeypatch, k):
@@ -179,8 +183,8 @@ class TestChunkedTraining:
 
     def test_one_pass_per_chunk_and_one_step_per_epoch(self, calls, monkeypatch):
         use_cores(monkeypatch, 1)  # the calls are counted in this process
-        dataset, spec = body25_examples(40)
-        model, _ = train(dataset, TrainConfig(epochs=2, seed=1), builtin_topology("body25"), spec)
+        dataset = body25_examples(40)
+        model, _ = train(dataset, TrainConfig(epochs=2, seed=1), builtin_topology("body25"))
         assert calls["forward"] == [7, 7, 7, 7, 7, 5] * 2
         assert calls["backward"] == 12 and calls["steps"] == 2
         calls["forward"].clear()
@@ -189,8 +193,8 @@ class TestChunkedTraining:
 
     def test_with_two_cores_the_parent_runs_the_first_half_of_the_chunks(self, calls, monkeypatch):
         use_cores(monkeypatch, 2)
-        dataset, spec = body25_examples(40)
-        train(dataset, TrainConfig(epochs=2, seed=1), builtin_topology("body25"), spec)
+        dataset = body25_examples(40)
+        train(dataset, TrainConfig(epochs=2, seed=1), builtin_topology("body25"))
         assert calls["forward"] == [7, 7, 7] * 2  # the helper runs [7, 7, 5]
         assert calls["backward"] == 6 and calls["steps"] == 2
 
@@ -231,11 +235,11 @@ class TestHelperProcesses:
         signal.signal(signal.SIGALRM, previous)
 
     def test_core_counts_give_bitwise_identical_training(self, monkeypatch):
-        dataset, spec = body25_examples(40)
+        dataset = body25_examples(40)
         runs = []
         for k in (1, 2, 3):
             use_cores(monkeypatch, k)
-            model, history = train(dataset, TrainConfig(epochs=8, learning_rate=0.01, seed=4), self.BODY25, spec)
+            model, history = train(dataset, TrainConfig(epochs=8, learning_rate=0.01, seed=4), self.BODY25)
             runs.append(([p.tobytes() for p in model.params.values()], history.losses, history.accuracies))
             assert_no_child_left()
         assert runs[0] == runs[1] == runs[2]
@@ -246,19 +250,20 @@ class TestHelperProcesses:
 
         use_cores(monkeypatch, 4)
         monkeypatch.setattr(os, "fork", no_fork)
-        dataset, spec = body25_examples(7)
-        _, history = train(dataset, TrainConfig(epochs=2), self.BODY25, spec)
+        dataset = body25_examples(7)
+        _, history = train(dataset, TrainConfig(epochs=2), self.BODY25)
         assert len(history.losses) == 2
 
     def test_divergence_in_a_helper_chunk_reads_as_with_one_core(self, monkeypatch, capfd):
-        dataset, spec = body25_examples(40)
+        dataset = body25_examples(40)
         for i in range(28, 35):  # chunk 4, a helper's with 2 or 3 cores
-            dataset[i] = (FrequencyFeatures(dataset[i][0].data * 1e306, spec, 30.0), dataset[i][1])
+            features, label = dataset[i]
+            dataset[i] = (FrequencyFeatures(features.data * 1e306, features.spec, 30.0), label)
         messages = []
         for k in (1, 2, 3):
             use_cores(monkeypatch, k)
             with pytest.raises(NonFiniteError) as caught:
-                train(dataset, TrainConfig(epochs=3, seed=1), self.BODY25, spec)
+                train(dataset, TrainConfig(epochs=3, seed=1), self.BODY25)
             messages.append(str(caught.value))
             assert_no_child_left()
         assert messages[0].startswith("training diverged at epoch 1: logits [")
@@ -267,16 +272,16 @@ class TestHelperProcesses:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_the_first_failing_chunk_in_chunk_order_is_raised(self, monkeypatch, k):
-        dataset, spec = body25_examples(40)
+        dataset = body25_examples(40)
         use_cores(monkeypatch, k)
         fail_on_chunks(monkeypatch, dataset, [35, 21])  # chunks 5 and 3, each a helper's with 3 cores
         with pytest.raises(NonFiniteError, match="^training diverged at epoch 1: logits of the chunk "
                                                  "from example 21 are not finite$"):
-            train(dataset, TrainConfig(epochs=2), self.BODY25, spec)
+            train(dataset, TrainConfig(epochs=2), self.BODY25)
         assert_no_child_left()
 
     def test_a_helper_that_dies_is_one_error(self, monkeypatch):
-        dataset, spec = body25_examples(40)
+        dataset = body25_examples(40)
         use_cores(monkeypatch, 2)
         parent, result = os.getpid(), training._chunk_result
 
@@ -287,12 +292,12 @@ class TestHelperProcesses:
 
         monkeypatch.setattr(training, "_chunk_result", chunk_result)
         with pytest.raises(FreqGcnError, match="^a training helper process failed$") as caught:
-            train(dataset, TrainConfig(epochs=2), self.BODY25, spec)
+            train(dataset, TrainConfig(epochs=2), self.BODY25)
         assert caught.value.exit_code == 1
         assert_no_child_left()
 
     def test_an_interrupted_train_leaves_no_helper(self, monkeypatch):
-        dataset, spec = body25_examples(40)
+        dataset = body25_examples(40)
         use_cores(monkeypatch, 3)
         parent, result, calls = os.getpid(), training._chunk_result, []
 
@@ -304,14 +309,14 @@ class TestHelperProcesses:
 
         monkeypatch.setattr(training, "_chunk_result", chunk_result)
         with pytest.raises(KeyboardInterrupt):
-            train(dataset, TrainConfig(epochs=5), self.BODY25, spec)
+            train(dataset, TrainConfig(epochs=5), self.BODY25)
         assert_no_child_left()
 
 
 class TestEvaluate:
     def test_perfect_predictions(self):
         dataset = separable_pair()
-        model, _ = train(dataset, TrainConfig(epochs=150, learning_rate=1e-2, seed=0), TOY, SPEC3)
+        model, _ = train(dataset, TrainConfig(epochs=150, learning_rate=1e-2, seed=0), TOY)
         report = evaluate(model, [("a", dataset[0][0], 0), ("b", dataset[1][0], 1)])
         assert report.accuracy == 1.0
         assert report.sensitivity == 1.0
@@ -320,7 +325,7 @@ class TestEvaluate:
 
     def test_confusion_counts_sum_to_dataset_size(self):
         dataset = separable_pair()
-        model, _ = train(dataset, TrainConfig(epochs=5, seed=1), TOY, SPEC3)
+        model, _ = train(dataset, TrainConfig(epochs=5, seed=1), TOY)
         rows = [("x", dataset[0][0], 1), ("y", dataset[1][0], 0), ("z", dataset[0][0], 0)]
         report = evaluate(model, rows)
         assert len(report.predictions) == 3
@@ -329,13 +334,13 @@ class TestEvaluate:
         assert 0.0 <= report.specificity <= 1.0
 
     def test_empty_dataset_rejected(self):
-        model = train(separable_pair(), TrainConfig(epochs=1, seed=0), TOY, SPEC3)[0]
+        model = train(separable_pair(), TrainConfig(epochs=1, seed=0), TOY)[0]
         with pytest.raises(DegenerateDatasetError, match="evaluation dataset is empty"):
             evaluate(model, [])
 
     def test_probability_is_for_abnormal_class(self):
         dataset = separable_pair()
-        model, _ = train(dataset, TrainConfig(epochs=300, learning_rate=5e-2, seed=0), TOY, SPEC3)
+        model, _ = train(dataset, TrainConfig(epochs=300, learning_rate=5e-2, seed=0), TOY)
         report = evaluate(model, [("hi", dataset[1][0], 1)])
         _, _, predicted, p_abnormal = report.predictions[0]
         assert predicted == 1
@@ -369,7 +374,7 @@ class TestBlasThreads:
 
         monkeypatch.setattr(training, "model_forward", recording_forward)
         outside = threads()
-        model, _ = train(separable_pair(), TrainConfig(epochs=2), TOY, SPEC3)
+        model, _ = train(separable_pair(), TrainConfig(epochs=2), TOY)
         assert threads() == outside
         evaluate(model, [("a", separable_pair()[0][0], 0)])
         assert threads() == outside
@@ -386,10 +391,10 @@ class TestBlasThreads:
             return result(model, chunk, workspace)
 
         monkeypatch.setattr(training, "_chunk_result", chunk_result)
-        dataset, spec = body25_examples(14)
+        dataset = body25_examples(14)
         outside = threads()
         with pytest.raises(NonFiniteError, match=f"a helper runs {None if outside is None else 1} BLAS"):
-            train(dataset, TrainConfig(epochs=1), builtin_topology("body25"), spec)
+            train(dataset, TrainConfig(epochs=1), builtin_topology("body25"))
         assert threads() == outside
         assert_no_child_left()
 
@@ -397,10 +402,10 @@ class TestBlasThreads:
         counts = [3]
         monkeypatch.setattr(training, "_openblas_threads", lambda: (lambda: counts[-1], counts.append))
         with pytest.raises(DegenerateDatasetError):
-            train([separable_pair()[0]], TrainConfig(epochs=1), TOY, SPEC3)
+            train([separable_pair()[0]], TrainConfig(epochs=1), TOY)
         assert counts == [3, 1, 3]
 
     def test_no_openblas_sets_nothing(self, monkeypatch):
         monkeypatch.setattr(training, "_openblas_threads", lambda: None)
-        _, history = train(separable_pair(), TrainConfig(epochs=2), TOY, SPEC3)
+        _, history = train(separable_pair(), TrainConfig(epochs=2), TOY)
         assert len(history.losses) == 2
