@@ -20,8 +20,7 @@ import click
 import numpy as np
 
 from . import frequency, model as model_mod, pose, synthetic, training
-from .errors import (ContractViolationError, EmptyInputError, FreqGcnError, ModelMismatchError, NonFiniteError,
-                     ReadError, UnknownPresetError)
+from .errors import ContractViolationError, EmptyInputError, FreqGcnError, ModelMismatchError, NonFiniteError, ReadError
 from .files import make_directory, read_input, table_text, write_atomic
 from .graph import SkeletonTopology, builtin_topology, read_topology
 
@@ -96,7 +95,7 @@ def _resolve_topology(spec: str) -> SkeletonTopology:
     """A preset name, else a topology file; a bare name no file has, such as body52, is an unknown preset."""
     try:
         return builtin_topology(spec)
-    except UnknownPresetError as unknown:
+    except ContractViolationError as unknown:
         try:
             return read_topology(spec)
         except FileNotFoundError as missing:  # a bare name has no suffix and no directory
@@ -107,7 +106,7 @@ def _ingest(path: Path, fps: float, topology: SkeletonTopology) -> pose.PoseSequ
     seq = pose.load_sequence(path, fps=fps, expected_joints=topology.num_joints)
     try:
         return pose.normalize_sequence(pose.interpolate_missing(seq), topology.root, topology.neck)
-    except ContractViolationError as exc:  # a gap fill or a normalization that overflows
+    except ContractViolationError as exc:  # a sequence the gap fill or the normalization cannot take
         raise ContractViolationError(f"{path.name}: {exc}") from None
 
 
@@ -143,12 +142,12 @@ def cmd_extract(input_path, out_path, fps, growth, bins, topology, pose_csv):
         sub = sorted(p for p in src.iterdir() if p.is_dir())
         if not sub:
             raise EmptyInputError(f"{src} holds neither keypoint files nor sequence directories")
-        out_dir = Path(out_path)
+        out_dir, outputs = Path(out_path), {}
+        for seq_dir in sub:  # every sequence's features first, so a failure writes nothing
+            features = frequency.extract_features(_ingest(seq_dir, fps, topo), spec)
+            outputs |= frequency.features_files(features, out_dir / f"{seq_dir.name}.csv")
         make_directory(out_dir)
-        for seq_dir in sub:
-            seq = _ingest(seq_dir, fps, topo)
-            features = frequency.extract_features(seq, spec)
-            frequency.write_features_csv(features, out_dir / f"{seq_dir.name}.csv")
+        write_atomic(outputs)  # one set: a file that cannot be written leaves every earlier one as it was
         click.echo(f"extracted {len(sub)} sequences -> {out_dir}")
         return
 

@@ -1,5 +1,9 @@
 """Exception types shared across the package, each with the exit status of a command it ends;
-ContractViolationError is the package's ValueError."""
+ContractViolationError is the package's ValueError.
+
+A type exists only where it is handled its own way: it sets its own exit status, renders its own
+message, or a caller catches it by name. Any other failure raises the type it is handled as:
+FormatError for a file's content, ContractViolationError for a value."""
 
 
 class FreqGcnError(Exception):
@@ -8,20 +12,9 @@ class FreqGcnError(Exception):
     exit_code = 1
 
 
-class ParseError(FreqGcnError):
-    """Keypoint document is not well formed; ``offset`` is where JSON or UTF-8 decoding failed, if it did."""
-
-    def __init__(self, message: str, offset: int | None = None):
-        super().__init__(message if offset is None else f"{message} (byte offset {offset})")
-        self.offset = offset
-
-
 class FormatError(FreqGcnError):
-    """Document parsed but violates the keypoint layout."""
-
-
-class TopologyMismatchError(FreqGcnError):
-    """Joint count disagrees with the configured topology."""
+    """A file's content is wrong: JSON or UTF-8 that does not decode (its text ends in the byte
+    offset), or a layout, joint count or value that its format does not allow."""
 
 
 class EmptyInputError(FreqGcnError):
@@ -30,30 +23,10 @@ class EmptyInputError(FreqGcnError):
     exit_code = 2
 
 
-class UnrecoverableJointError(FreqGcnError):
-    """A joint has no observation in any frame, so no gap can be filled."""
-
-    def __init__(self, joint: int):
-        super().__init__(f"joint {joint} is missing in every frame")
-        self.joint = joint
-
-
-class DegeneratePoseError(FreqGcnError):
-    """Torso scale too small to normalize against."""
-
-
 class InsufficientLengthError(FreqGcnError):
     """Signal too short to fill every frequency bin."""
 
     exit_code = 3
-
-    def __init__(self, message: str, required_frames: int):
-        super().__init__(message)
-        self.required_frames = required_frames
-
-
-class UnknownPresetError(FreqGcnError):
-    """Requested skeleton preset does not exist."""
 
 
 class ContractViolationError(FreqGcnError, ValueError):
@@ -68,10 +41,6 @@ class DegenerateDatasetError(FreqGcnError):
     """Training data does not contain both classes."""
 
     exit_code = 4
-
-
-class AliasingConfigError(FreqGcnError):
-    """Synthetic frequency band reaches the Nyquist limit."""
 
 
 class WriteError(FreqGcnError, OSError):

@@ -180,8 +180,7 @@ def bin_spectrum(magnitudes: np.ndarray, spec: BinSpec) -> np.ndarray:
     if mags.shape[-1] < edges[-1]:
         raise InsufficientLengthError(
             f"spectrum has {mags.shape[-1]} magnitudes but the bins need {edges[-1]} "
-            f"(signals must have at least {required_min_frames(spec)} frames)",
-            required_frames=required_min_frames(spec),
+            f"(signals must have at least {required_min_frames(spec)} frames)"
         )
     return np.stack(
         [mags[..., lo:hi].mean(axis=-1) for lo, hi in zip(edges, edges[1:])], axis=-1
@@ -229,11 +228,8 @@ def extract_features(seq: PoseSequence, spec: BinSpec) -> FrequencyFeatures:
     """
     t = len(seq)
     if t < required_min_frames(spec):
-        raise InsufficientLengthError(
-            f"sequence has {t} frames but the bin layout needs at least "
-            f"{required_min_frames(spec)}",
-            required_frames=required_min_frames(spec),
-        )
+        raise InsufficientLengthError(f"sequence has {t} frames but the bin layout needs at least "
+                                      f"{required_min_frames(spec)}")
     traj = np.moveaxis(seq.positions, 0, -1)  # (N joints, 2 channels, T)
     traj = traj - traj.mean(axis=-1, keepdims=True)
     binned = bin_spectrum(band_magnitudes(traj, bin_edges(spec)[-1]), spec)
@@ -246,7 +242,13 @@ def _cells(num_joints: int, num_bins: int):
 
 
 def write_features_csv(features: FrequencyFeatures, path: str | Path) -> None:
-    """Write one ``joint,bin,channel,value`` row per cell, in that key order, and the sidecar, as one set."""
+    """Write :func:`features_files` as one set."""
+    write_atomic(features_files(features, path))
+
+
+def features_files(features: FrequencyFeatures, path: str | Path) -> dict[str | Path, str]:
+    """The feature CSV at ``path``, one ``joint,bin,channel,value`` row per cell in that key order,
+    and its sidecar, each path with its text."""
     values = zip(_cells(features.num_joints, features.num_bins), features.data.ravel().tolist())
     sidecar = {
         "format": "freqgcn-features",
@@ -260,10 +262,10 @@ def write_features_csv(features: FrequencyFeatures, path: str | Path) -> None:
         "bin_edges": bin_edges(features.spec),
         "fps": features.fps,
     }
-    write_atomic({
+    return {
         path: table_text("joint,bin,channel,value", [(*cell, value) for cell, value in values]),
         sidecar_path(path): json.dumps(sidecar, indent=2) + "\n",
-    })
+    }
 
 
 def sidecar_path(features_path: str | Path) -> Path:
@@ -317,8 +319,9 @@ def _read_sidecar(meta_file: Path) -> tuple[int, BinSpec, float]:
     """(num_joints, bin spec, fps) of a features sidecar.
 
     Any defect raises FormatError: invalid JSON, a missing key, a value of
-    the wrong type or range, or bin edges that the bin spec does not give.
-    The work is bounded by the sidecar's own size.
+    the wrong type or range, channels, f0 or threshold other than the ones
+    written, or bin edges that the bin spec does not give. The work is
+    bounded by the sidecar's own size.
     """
     name = meta_file.name
     try:
@@ -331,9 +334,13 @@ def _read_sidecar(meta_file: Path) -> tuple[int, BinSpec, float]:
         or meta.get("version") != 1
     ):
         raise FormatError(f"unrecognized feature sidecar {meta_file}")
-    missing = [k for k in ("num_joints", "num_bins", "c", "bin_edges", "fps") if k not in meta]
+    fixed = {"channels": list(CHANNELS), "f0": F0, "threshold": THRESHOLD}
+    missing = [k for k in ("num_joints", "num_bins", *fixed, "c", "bin_edges", "fps") if k not in meta]
     if missing:
         raise FormatError(f"{name}: missing keys {missing}")
+    for key, value in fixed.items():
+        if meta[key] != value or isinstance(meta[key], bool):  # JSON true equals 1 in Python
+            raise FormatError(f"{name}: {key} must be {value!r}, got {meta[key]!r}")
     n, b, listed = meta["num_joints"], meta["num_bins"], meta["bin_edges"]
     if not (type(n) is int and type(b) is int and n >= 1 and b >= 1):
         raise FormatError(

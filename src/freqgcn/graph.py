@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractViolationError, FormatError, UnknownPresetError
+from .errors import ContractViolationError, FormatError
 from .files import read_input
 
 # OpenPose BODY_25 joint order.
@@ -128,7 +128,7 @@ def builtin_topology(name: str) -> SkeletonTopology:
     try:
         spec = _PRESETS[name]
     except KeyError:
-        raise UnknownPresetError(
+        raise ContractViolationError(
             f"unknown topology preset {name!r}; valid names: {', '.join(sorted(_PRESETS))}"
         ) from None
     return SkeletonTopology(name=name, **spec)

@@ -33,15 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ContractViolationError,
-    EmptyInputError,
-    FormatError,
-    ParseError,
-    TopologyMismatchError,
-    UnrecoverableJointError,
-    DegeneratePoseError,
-)
+from .errors import ContractViolationError, EmptyInputError, FormatError
 from .files import make_directory, read_input, write_atomic, write_table
 
 # Frame rates outside this range are accepted but flagged.
@@ -116,15 +108,15 @@ class PoseSequence:
 def _first_person(doc) -> list | None:
     """The first person's flat keypoint list, or None when nobody was detected."""
     if not isinstance(doc, dict) or "people" not in doc:
-        raise ParseError("document has no 'people' array")
+        raise FormatError("document has no 'people' array")
     people = doc["people"]
     if not isinstance(people, list):
-        raise ParseError("'people' is not an array")
+        raise FormatError("'people' is not an array")
     if not people:
         return None
     person = people[0]
     if not isinstance(person, dict) or "pose_keypoints_2d" not in person:
-        raise ParseError("first person has no 'pose_keypoints_2d' array")
+        raise FormatError("first person has no 'pose_keypoints_2d' array")
     flat = person["pose_keypoints_2d"]
     if not isinstance(flat, list):
         raise FormatError(_NOT_NUMERIC)
@@ -164,8 +156,8 @@ def _keypoint_table(path: Path, names: list[str] | None, count: int, lists: dict
         n = int(width[seen[0]]) // 3
     wrong = seen[width[seen] != 3 * n]
     if wrong.size:
-        raise TopologyMismatchError(f"{_frame_name(path, names, wrong[0])}: document carries "
-                                    f"{width[wrong[0]] // 3} joints, topology expects {n}")
+        raise FormatError(f"{_frame_name(path, names, wrong[0])}: document carries "
+                          f"{width[wrong[0]] // 3} joints, topology expects {n}")
     table = np.zeros((count, n, 3))
     table[rows] = values.reshape(len(rows), n, 3)
     if lists:
@@ -181,18 +173,18 @@ def _load_json(raw: bytes | str, what: str):
     try:
         return json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid {what}: {exc.msg}", offset=exc.pos) from exc
+        raise FormatError(f"invalid {what}: {exc.msg} (byte offset {exc.pos})") from exc
     except UnicodeDecodeError as exc:
-        raise ParseError(f"invalid {what}: not UTF-8", offset=exc.start) from exc
+        raise FormatError(f"invalid {what}: not UTF-8 (byte offset {exc.start})") from exc
     except (ValueError, RecursionError) as exc:  # an integer of too many digits, deep nesting
-        raise ParseError(f"invalid {what}: {exc}") from exc
+        raise FormatError(f"invalid {what}: {exc}") from exc
 
 
 def _alone(doc: bytes) -> list | None | bool:
     """``_first_person`` of ``doc`` parsed alone, or False where json or the keypoint layout refuses it."""
     try:
         return _first_person(_load_json(doc, "keypoint document"))
-    except (ParseError, FormatError):
+    except FormatError:
         return False
 
 
@@ -200,7 +192,7 @@ def _frame_list(path: Path, names: list[str] | None, t: int, doc) -> list | None
     """The first person's keypoint list in frame ``t``'s ``doc``, bytes or parsed; an error names the frame."""
     try:
         return _first_person(_load_json(doc, "keypoint document") if isinstance(doc, bytes) else doc)
-    except (ParseError, FormatError) as exc:
+    except FormatError as exc:
         exc.args = (f"{_frame_name(path, names, t)}: {exc}",)
         raise
 
@@ -338,8 +330,8 @@ def _table(path: Path, names: list[str] | None, expected_joints: int | None) -> 
     try:
         docs = _load_json(raw, "container file")
         if not isinstance(docs, list):
-            raise ParseError("container file must hold a JSON array of frame documents")
-    except ParseError as exc:
+            raise FormatError("container file must hold a JSON array of frame documents")
+    except FormatError as exc:
         exc.args = (f"{path.name}: {exc}",)
         raise
     if not docs:
@@ -371,14 +363,19 @@ def load_sequence(path: str | Path, fps: float, expected_joints: int | None = No
     return seq
 
 
+def frame_file_names(count: int) -> list[str]:
+    """The names :func:`write_sequence` gives ``count`` frames, zero-padded for lexical order."""
+    width = max(6, len(str(count - 1)))
+    return [f"frame_{t:0{width}d}.json" for t in range(count)]
+
+
 def write_sequence(seq: PoseSequence, directory: str | Path) -> None:
-    """Write one per-frame document per frame, zero-padded for lexical order."""
+    """Write one per-frame document per frame, each named by :func:`frame_file_names`."""
     directory = Path(directory)
     make_directory(directory)
-    width = max(6, len(str(len(seq) - 1)))
     table = np.concatenate([seq.positions, seq.confidence[..., None]], axis=2)
-    for t, frame in enumerate(table):
-        write_atomic({directory / f"frame_{t:0{width}d}.json": serialize_keypoint_frame(frame)})
+    for name, frame in zip(frame_file_names(len(seq)), table):
+        write_atomic({directory / name: serialize_keypoint_frame(frame)})
 
 
 @np.errstate(over="ignore")  # as np.interp, a fill that overflows to inf warns nothing; it is refused below
@@ -387,14 +384,15 @@ def interpolate_missing(seq: PoseSequence) -> PoseSequence:
 
     Interior gaps take the linear interpolation between the nearest observed
     neighbors; leading/trailing gaps copy the nearest observed value. Output
-    contains no confidence-0 keypoints. Idempotent. A fill that overflows is a
-    ContractViolationError naming its first frame and joint.
+    contains no confidence-0 keypoints. Idempotent. A joint observed in no frame
+    is a ContractViolationError naming the lowest such joint, and a fill that
+    overflows, one naming its first frame and joint.
     """
     observed = seq.confidence > 0.0
     if observed.all():
         return seq
     if not (seen := observed.any(axis=0)).all():
-        raise UnrecoverableJointError(int(np.argmin(seen)))  # the lowest joint never observed
+        raise ContractViolationError(f"joint {np.argmin(seen)} is missing in every frame")
     t, j = np.nonzero(~observed)
     frames = np.arange(len(seq))[:, None]
     lo = np.maximum.accumulate(np.where(observed, frames, -1))[t, j]  # each gap's last observed frame, or -1
@@ -417,9 +415,10 @@ def normalize_sequence(seq: PoseSequence, root: int, neck: int) -> PoseSequence:
     """Root-center every frame and divide by the median root-to-neck distance.
 
     Invariant under global translation and uniform positive scaling of the
-    input (up to float rounding). Requires a gap-free sequence. A normalized
-    coordinate that overflows is a ContractViolationError naming its first
-    frame and joint; a torso scale that overflows, one naming its first frame.
+    input (up to float rounding). Requires a gap-free sequence. A torso scale
+    too small to divide by is a ContractViolationError; a normalized coordinate
+    that overflows, one naming its first frame and joint; a torso scale that
+    overflows, one naming its first frame.
     """
     pos = seq.positions
     n = seq.num_joints
@@ -428,9 +427,7 @@ def normalize_sequence(seq: PoseSequence, root: int, neck: int) -> PoseSequence:
     distances = np.linalg.norm(pos[:, root] - pos[:, neck], axis=1)
     torso = float(np.median(distances))
     if torso <= 1e-9:
-        raise DegeneratePoseError(
-            f"median root-to-neck distance {torso:g} is too small to scale against"
-        )
+        raise ContractViolationError(f"median root-to-neck distance {torso:g} is too small to scale against")
     normalized = (pos - pos[:, root : root + 1, :]) / torso
     if not np.isfinite(normalized).all():
         t, j, _ = np.argwhere(~np.isfinite(normalized))[0]  # C order: the first frame's lowest joint

@@ -9,6 +9,7 @@ default so tests see no spectral leakage.
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import math
 from dataclasses import dataclass
@@ -16,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AliasingConfigError, ContractViolationError, FormatError
+from .errors import ContractViolationError, FormatError, WriteError
 from .files import make_directory, read_input, write_table
 from .graph import SkeletonTopology, builtin_topology
-from .pose import PoseSequence, write_sequence
+from .pose import PoseSequence, frame_file_names, write_sequence
 
 # Canonical rest poses in pixel coordinates, one (x, y) row per joint.
 _REST_POSES: dict[str, tuple[tuple[float, float], ...]] = {
@@ -80,9 +81,7 @@ class SynthConfig:
             if not 0.0 < lo < hi:
                 raise ContractViolationError(f"{name} band must satisfy 0 < lo < hi, got ({lo}, {hi})")
             if hi >= nyquist:
-                raise AliasingConfigError(
-                    f"{name} band edge {hi} Hz reaches the Nyquist limit {nyquist} Hz"
-                )
+                raise ContractViolationError(f"{name} band edge {hi} Hz reaches the Nyquist limit {nyquist} Hz")
         lo0, hi0 = self.class0_band
         lo1, hi1 = self.class1_band
         if max(lo0, lo1) <= min(hi0, hi1):
@@ -175,9 +174,22 @@ def generate_dataset(cfg: SynthConfig, n_per_class: int, seed: int) -> tuple[Syn
 
 
 def write_dataset(samples: tuple[SynthSample, ...], root: str | Path) -> Path:
-    """Lay the samples out as sequences/<id>/frame_*.json plus manifest.csv."""
+    """Lay the samples out as sequences/<id>/frame_*.json plus manifest.csv. Before anything is
+    written, a sequence directory holding a ``*.json`` entry that this run would not overwrite is
+    refused with a WriteError, so no sequence splices two runs; nothing is deleted."""
     root = Path(root)
     seq_root = root / "sequences"
+    for sample in samples:
+        directory = seq_root / sample.sequence_id
+        if directory.is_dir():
+            names = set(frame_file_names(len(sample.sequence)))
+            try:
+                stale = sum(p.suffix == ".json" and p.name not in names for p in directory.iterdir())
+            except OSError as exc:  # a directory that cannot be listed
+                raise WriteError(exc.errno, exc.strerror, str(directory)) from None
+            if stale:
+                raise WriteError(errno.EEXIST, f"it holds {stale} *.json entries this run would not overwrite",
+                                 str(directory))
     make_directory(seq_root)
     for sample in samples:
         write_sequence(sample.sequence, seq_root / sample.sequence_id)

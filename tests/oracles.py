@@ -8,14 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from freqgcn.errors import (
-    ContractViolationError,
-    EmptyInputError,
-    FormatError,
-    ParseError,
-    TopologyMismatchError,
-    UnrecoverableJointError,
-)
+from freqgcn.errors import ContractViolationError, EmptyInputError, FormatError
 from freqgcn.frequency import _finite_signals
 from freqgcn.graph import FeatureGraph
 from freqgcn.model import _attention_forward, _gate
@@ -71,7 +64,7 @@ def keypoint_table(flats: list[list | None], n: int, labels: list[str] | None = 
 
     for t, flat in enumerate(flats):
         if flat is not None and len(flat) != 3 * n:
-            raise TopologyMismatchError(
+            raise FormatError(
                 named(t, f"document carries {len(flat) // 3} joints, topology expects {n}")
             )
     rows = [[0.0] * (3 * n) if flat is None else flat for flat in flats]
@@ -104,8 +97,8 @@ def json_table(path: Path, names: list[str] | None, expected_joints: int | None)
         try:
             docs = _load_json(path.read_bytes(), "container file")
             if not isinstance(docs, list):
-                raise ParseError("container file must hold a JSON array of frame documents")
-        except ParseError as exc:
+                raise FormatError("container file must hold a JSON array of frame documents")
+        except FormatError as exc:
             exc.args = (f"{path.name}: {exc}",)
             raise
         if not docs:
@@ -139,8 +132,8 @@ def interpolate_missing(seq: PoseSequence) -> PoseSequence:
     """Gap fill by one ``np.interp`` per gapped joint and channel over its observed frames.
 
     Interior gaps take the linear interpolation between the nearest observed frames, leading
-    and trailing gaps the nearest observed value; the lowest joint observed in no frame is an
-    UnrecoverableJointError.
+    and trailing gaps the nearest observed value; the lowest joint observed in no frame is a
+    ContractViolationError.
     """
     observed = seq.confidence > 0.0
     gapped = np.flatnonzero(~observed.all(axis=0))
@@ -148,7 +141,7 @@ def interpolate_missing(seq: PoseSequence) -> PoseSequence:
         return seq
     unseen = np.flatnonzero(~observed.any(axis=0))
     if unseen.size:
-        raise UnrecoverableJointError(int(unseen[0]))
+        raise ContractViolationError(f"joint {unseen[0]} is missing in every frame")
     pos = seq.positions.copy()
     conf = seq.confidence.copy()
     t_axis = np.arange(len(seq), dtype=np.float64)

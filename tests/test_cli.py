@@ -93,6 +93,27 @@ class TestSynthCommand:
         on_grid = frames("grid")
         assert all(on_grid[seq] != files for seq, files in frames("a").items())
 
+    @pytest.mark.parametrize("frames", [40, 60])
+    def test_a_rerun_with_as_many_frames_or_more_gives_a_fresh_run(self, runner, tmp_path, frames):
+        for out, runs in ((tmp_path / "fresh", [frames]), (tmp_path / "rerun", [40, frames])):
+            for count in runs:
+                result = run(runner, "synth", "--out", out, "--n-per-class", 2, "--frames", count, "--seed", 5)
+                assert result.exit_code == 0, result.output
+        assert tree(tmp_path / "rerun") == tree(tmp_path / "fresh")
+
+    def test_a_sequence_directory_that_cannot_be_listed_is_one_line(self, runner, tmp_path, monkeypatch):
+        assert run(runner, "synth", "--out", tmp_path, "--n-per-class", 2, "--frames", 40).exit_code == 0
+        before = tree(tmp_path)
+
+        def unlistable(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(Path, "iterdir", unlistable)
+        result = runner.invoke(main, ["synth", "--out", str(tmp_path), "--n-per-class", "2", "--frames", "40"])
+        assert_one_line_diagnostic(result, 1)
+        assert result.stderr == f"error: cannot write {tmp_path}/sequences/seq_0000: Permission denied\n"
+        assert tree(tmp_path) == before
+
     def test_aliasing_band_fails(self, runner, tmp_path):
         result = runner.invoke(
             main, ["synth", "--out", str(tmp_path / "x"), "--band1", "3:20", "--frames", "40"]
@@ -665,8 +686,9 @@ class TestHostileFeatureSidecar:
         lambda meta: {**meta, "bin_edges": [1, 2]},
         lambda meta: {**meta, "fps": "abc"},
         lambda meta: {**meta, "bin_edges": meta["bin_edges"][:-1] + [meta["bin_edges"][-1] + 1]},
+        lambda meta: {**meta, "f0": 2.0},
     ], ids=["invalid-json", "missing-fps", "num-bins-text", "short-edges", "fps-text",
-            "edges-off-spec"])
+            "edges-off-spec", "f0-other"])
     def test_train_exits_1(self, runner, workspace, tmp_path, edit):
         features = tmp_path / "features"
         features.mkdir()
@@ -971,6 +993,8 @@ def synth(config=None, flags=()):
 
 TOY5_FRAME = json.dumps({"people": [{"pose_keypoints_2d": [1.0, 2.0, 1.0] * 5}]})
 NAN_FRAME = json.dumps({"people": [{"pose_keypoints_2d": [float("nan")] + [1.0] * 14}]})
+JOINT_2_MISSING_FRAME = json.dumps({"people": [{"pose_keypoints_2d": [1.0, 2.0, 1.0] * 2 + [0.0, 0.0, 0.0]
+                                                                    + [1.0, 2.0, 1.0] * 2}]})
 # Joint 0 reads 1.5e308, missing, -1.5e308: its gap fill in frame 1 overflows.
 OVERFLOW_FRAMES = [json.dumps({"people": [{"pose_keypoints_2d": [x, 2.0, c] + [1.0, 2.0, 1.0] * 4}]})
                    for x, c in [(1.5e308, 1.0), (0.0, 0.0), (-1.5e308, 1.0)]]
@@ -984,6 +1008,25 @@ NESTED_FRAME = json.dumps({"people": [{"pose_keypoints_2d": [[1, 2, 0.5]] * 15}]
 LONG_INT = "1" * 4301  # more digits than Python converts to an integer by default
 LONG_INT_FRAME = '{"people": [{"pose_keypoints_2d": [%s%s]}]}' % (LONG_INT, ", 1.0" * 14)
 DEEP = "[" * 100_000 + "]" * 100_000  # nests deeper than json's recursion allows
+
+
+def sequences_with(seq_id, docs):
+    """Input builder: a copy of the workspace sequences whose <seq_id> holds one file per raw frame document."""
+    def build(ws, tmp):
+        shutil.copytree(ws / "data" / "sequences", tmp / "sequences")
+        shutil.rmtree(tmp / "sequences" / seq_id)
+        frame_dir(docs)(ws, tmp).rename(tmp / "sequences" / seq_id)
+        return tmp / "sequences"
+    return build
+
+
+def after(earlier, build):
+    """``build`` run into an ``out`` that holds what the command ``earlier`` wrote there."""
+    def prepare(ws, tmp, out):
+        result = run(CliRunner(), *earlier(ws, tmp, out))
+        assert result.exit_code == 0, result.output
+        return build(ws, tmp, out)
+    return prepare
 
 
 def over_earlier(build, *names):
@@ -1052,6 +1095,16 @@ ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring with {tm
      1, "error: cannot write {tmp}/out/f.csv.meta.json: Is a directory\n"),
     ("explain-ranking-a-directory", over_earlier(explain(), "report.alpha.csv", "report.ranking.csv/"),
      1, "error: cannot write {tmp}/out/report.ranking.csv: Is a directory\n"),
+    # A batch extract is one set: every feature file and sidecar, so none of them changes.
+    ("extract-batch-sidecar-a-directory",
+     over_earlier(extract(lambda ws, tmp: ws / "data" / "sequences", to=""),
+                  "seq_0000.csv", "seq_0000.csv.meta.json", "seq_0001.csv", "seq_0002.csv.meta.json/"),
+     1, "error: cannot write {tmp}/out/seq_0002.csv.meta.json: Is a directory\n"),
+    # A synth over an earlier, longer dataset would splice the two runs' frames.
+    ("synth-over-more-frames",
+     after(synth(flags=["--n-per-class", "2", "--frames", "60"]), synth(flags=["--n-per-class", "2"])),
+     1, "error: cannot write {tmp}/out/data/sequences/seq_0000: it holds 20 *.json entries this run "
+        "would not overwrite\n"),
     # Inputs that are there but cannot be read.
     ("predict-model-a-directory", predict(model=directory("model.txt")), 1, "cannot read"),
     ("train-manifest-a-directory", train(manifest=directory("manifest.csv")), 1, "cannot read"),
@@ -1149,7 +1202,12 @@ ERROR_BRANCHES = [  # (id, command builder, exit code, stderr substring with {tm
     ("container-empty", extract(written("clip.json", "[]")), 2, "holds no frames"),
     ("container-all-frames-empty",
      extract(written("clip.json", '[{"people": []}, {"people": []}]')),
-     1, "missing in every frame"),
+     1, "error: clip.json: joint 0 is missing in every frame\n"),
+    ("container-zero-torso", extract(written("clip.json", f"[{TOY5_FRAME}, {TOY5_FRAME}]")),
+     1, "error: clip.json: median root-to-neck distance 0 is too small to scale against\n"),
+    ("extract-batch-joint-missing",
+     extract(sequences_with("seq_0003", [JOINT_2_MISSING_FRAME.encode()] * 2), to="feats"),
+     1, "error: seq_0003: joint 2 is missing in every frame\n"),
     ("container-non-finite-keypoint",
      extract(written("clip.json", f"[{TOY5_FRAME}, {NAN_FRAME}]")),
      1, "clip.json: keypoint coordinates must be finite"),

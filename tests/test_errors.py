@@ -17,7 +17,6 @@ from freqgcn.errors import (
     InsufficientLengthError,
     ModelMismatchError,
     NonFiniteError,
-    UnrecoverableJointError,
 )
 
 PACKAGE = Path(freqgcn.__file__).parent
@@ -64,6 +63,29 @@ def test_module_raises_no_bare_value_error(module):
     assert bare == [], f"{module} raises ValueError on lines {bare}"
 
 
+def caught_names():
+    """Every name in an ``except`` clause of the package's modules."""
+    for module in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text("utf-8"), filename=module.name)):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                yield from (name.id for name in ast.walk(node.type) if isinstance(name, ast.Name))
+
+
+def test_each_error_type_is_handled_its_own_way():
+    # A type earns its place by its own exit status, its own message form, or a caller that catches
+    # it by name; any other failure raises the type it is handled as.
+    tree = ast.parse((PACKAGE / "errors.py").read_text("utf-8"))
+    caught = set(caught_names())
+    bare = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and issubclass(getattr(errors, node.name), FreqGcnError):
+            defined = {target.id for stmt in node.body if isinstance(stmt, ast.Assign) for target in stmt.targets}
+            defined |= {stmt.name for stmt in node.body if isinstance(stmt, ast.FunctionDef)}
+            if not ("exit_code" in defined or "__str__" in defined or node.name in caught):
+                bare.append(node.name)
+    assert bare == []
+
+
 def readme_exit_rows():
     section = README.read_text("utf-8").split("## Exit codes", 1)[1].split("\n## ", 1)[0]
     return {int(code): meaning for code, meaning in re.findall(r"^\| `(\d+)` \| (.*) \|$", section, re.M)}
@@ -80,10 +102,6 @@ def raised(cls):
     """An instance of ``cls``, made with the arguments its constructor takes."""
     if issubclass(cls, OSError):
         return cls(errno.EACCES, "Permission denied", "out.csv")
-    if cls is UnrecoverableJointError:
-        return cls(3)
-    if cls is InsufficientLengthError:
-        return cls("sequence too short", required_frames=40)
     return cls("something went wrong")
 
 

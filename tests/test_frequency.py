@@ -249,11 +249,12 @@ class TestBinSpectrum:
         assert bin_edges(spec)[-1] == len(mags)
         assert np.allclose(binned, [1.0, 2.5])
 
-    def test_too_short_reports_required_frames(self):
+    def test_too_short_names_the_frames_it_needs(self):
         spec = BinSpec(c=2.0, num_bins=3)  # widths [1, 2, 4], needs 8 values
-        with pytest.raises(InsufficientLengthError) as excinfo:
+        assert required_min_frames(spec) == 14
+        with pytest.raises(InsufficientLengthError,
+                           match=r"^spectrum has 7 magnitudes but the bins need 8 \(signals must have at least 14 frames\)$"):
             bin_spectrum(np.zeros(7), spec)
-        assert excinfo.value.required_frames == required_min_frames(spec) == 14
 
     @given(st.floats(1.0, 2.5, exclude_min=True), st.integers(1, 12))
     @settings(max_examples=100)
@@ -298,9 +299,9 @@ class TestExtractFeatures:
     def test_short_sequence_raises_with_requirement(self):
         seq = PoseSequence(np.random.default_rng(0).normal(size=(6, 2, 2)), fps=30.0)
         spec = BinSpec(c=2.0, num_bins=3)
-        with pytest.raises(InsufficientLengthError) as excinfo:
+        with pytest.raises(InsufficientLengthError,
+                           match="^sequence has 6 frames but the bin layout needs at least 14$"):
             extract_features(seq, spec)
-        assert excinfo.value.required_frames == 14
 
     def test_feature_shape_and_edges(self):
         seq = self.tone_sequence(peak_index=3, frames=100, joints=4)
@@ -442,6 +443,12 @@ class TestFeatureSidecar:
         (lambda meta: {**meta, "fps": 10**400}, "fps"),
         (lambda meta: {**meta, "bin_edges": None}, "bin_edges"),
         (lambda meta: [meta], "unrecognized"),
+        (lambda meta: {k: v for k, v in meta.items() if k != "f0"}, r"missing keys \['f0'\]"),
+        (lambda meta: {**meta, "f0": 2.0}, "f.csv.meta.json: f0 must be 1.0, got 2.0$"),
+        (lambda meta: {**meta, "f0": True}, "f.csv.meta.json: f0 must be 1.0, got True$"),
+        (lambda meta: {**meta, "threshold": 9.0}, "f.csv.meta.json: threshold must be 3.0, got 9.0$"),
+        (lambda meta: {**meta, "channels": ["q", "r"]},
+         r"f.csv.meta.json: channels must be \['x', 'y'\], got \['q', 'r'\]$"),
     ])
     def test_defect_raises_format_error(self, written, edit, message):
         sidecar = frequency.sidecar_path(written)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import TOY5_TOPOLOGY_TEXT, random_connected_topology
 
-from freqgcn.errors import ContractViolationError, FormatError, UnknownPresetError
+from freqgcn.errors import ContractViolationError, FormatError
 from freqgcn.graph import (
     SkeletonTopology,
     build_feature_graph,
@@ -33,7 +33,8 @@ class TestBuiltinTopology:
         assert topo.num_edges == 17
 
     def test_unknown_preset_lists_valid_names(self):
-        with pytest.raises(UnknownPresetError, match="body25"):
+        with pytest.raises(ContractViolationError,
+                           match="^unknown topology preset 'nope'; valid names: body25, coco18, toy5$"):
             builtin_topology("nope")
 
     def test_disconnected_topology_rejected(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from freqgcn.errors import AliasingConfigError, ContractViolationError
+from freqgcn.errors import ContractViolationError
 from freqgcn.frequency import BinSpec, bin_edges, extract_features
 from freqgcn.graph import builtin_topology
 from freqgcn.pose import interpolate_missing, load_sequence, normalize_sequence
@@ -20,7 +20,7 @@ from oracles import dft_naive
 
 class TestSynthConfig:
     def test_band_reaching_nyquist_is_aliasing_error(self):
-        with pytest.raises(AliasingConfigError):
+        with pytest.raises(ContractViolationError, match="^class1 band edge 15.0 Hz reaches the Nyquist limit 15.0 Hz$"):
             SynthConfig(fps=30.0, class1_band=(3.0, 15.0))
 
     def test_overlapping_bands_rejected(self):
